@@ -201,17 +201,15 @@ def decay_identity_residual(trace: Trace, step_index: int) -> float:
 
 
 def linearization_matrix(grid: Grid, kernel: Kernel, mu: float) -> np.ndarray:
-    """Derivative of the dynamics at u = 1: J v = Lap v - mu K[v] + mu (1 - K[1]) v.
+    """Derivative of the dynamics at u = 1: J v = Lap v - mu K[v].
 
-    The diagonal correction vanishes only for doubly balanced kernels; it is
-    kept so the matrix is also right for merely column-normalized ones.
+    The kernel must be normalized (K[1] = 1), otherwise u = 1 is not a steady
+    state to linearize about.
     """
     if not kernel.normalized:
         raise ValidationError("linearization needs a normalized kernel")
     L = laplacian_matrix(grid).toarray()
-    kw = kernel.matrix * grid.weights[None, :]
-    k_of_one = kernel.matrix @ grid.weights
-    return L - mu * kw + mu * np.diag(1.0 - k_of_one)
+    return L - mu * (kernel.matrix * grid.weights[None, :])
 
 
 def local_linearization_matrix(grid: Grid, mu: float) -> np.ndarray:

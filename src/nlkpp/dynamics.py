@@ -12,13 +12,11 @@ the configured dt.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import solve_banded
-from scipy.sparse.linalg import cg
+from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
 
 from .diagnostics import SimContext, Trace, dissipation, lyapunov_value, sup_distance_to_one
-from .errors import NumericalError, StepFailure, ValidationError
-from .grid import Field, Grid, integrate, laplacian_matrix
+from .errors import StepFailure, ValidationError
+from .grid import Field, Grid, integrate
 from .kernels import Kernel, apply_kernel
 
 
@@ -33,7 +31,6 @@ class SimConfig:
     local_mode: bool = False
     positivity_floor: float = 1e-14
     max_dt_halvings: int = 40
-    solver_2d: str = "adi"  # adi | cg
 
     def __post_init__(self):
         if not self.mu >= 0:
@@ -48,8 +45,6 @@ class SimConfig:
             raise ValidationError("positivity_floor must be positive")
         if self.max_dt_halvings < 0:
             raise ValidationError("max_dt_halvings must be >= 0")
-        if self.solver_2d not in ("adi", "cg"):
-            raise ValidationError(f"solver_2d must be 'adi' or 'cg', got {self.solver_2d!r}")
 
 
 @dataclass(eq=False)
@@ -77,61 +72,61 @@ def reaction_term(u: Field, kernel: Kernel | None, mu: float,
         raise ValidationError("reaction needs a kernel unless local_mode is set")
     if not kernel.normalized:
         raise ValidationError("reaction needs a normalized kernel "
-                              "(weighted column sums equal to one)")
+                              "(balanced: weighted row sums K[1] equal to one)")
     ku = apply_kernel(kernel, u).values
     return Field(u.grid, mu * (1.0 - ku) * u.values)
 
 
 class DiffusionSolver:
-    """Reusable solver for (I - dt L) u = rhs with the Neumann Laplacian.
+    """Exact solver for (I - dt L) u = rhs with the ghost-node Neumann Laplacian.
 
-    1D solves are direct tridiagonal. In 2D, ``adi`` factors the operator per
-    axis (one banded solve each, first-order splitting), ``cg`` solves the
-    unsplit weighted-symmetric system iteratively to a 1e-10 residual.
+    Both dims eliminate an M-matrix band, so each node is accurate relative to
+    its own size (a transform solve is accurate only to eps * max|rhs| and
+    pushes nodes at the positivity floor below it). 2D factors the symmetric
+    W (I - dt L), W the trapezoid weights, by banded Cholesky and solves for
+    u - min(rhs): the substitutions then add nonnegative terms only, so
+    min(u) >= min(rhs) holds exactly, as the maximum principle says.
     """
 
-    def __init__(self, grid: Grid, method: str = "adi"):
+    def __init__(self, grid: Grid):
         self.grid = grid
-        self.method = "direct" if grid.dim == 1 else method
-        if self.method not in ("direct", "adi", "cg"):
-            raise ValidationError(f"unknown diffusion solver {method!r}")
-        self._banded: dict[tuple[int, float], np.ndarray] = {}
-        self._cg_ops: dict[float, sparse.csr_matrix] = {}
-        if self.method == "cg":
-            self._wl = sparse.diags(grid.weights) @ laplacian_matrix(grid)
+        self.name = "tridiagonal" if grid.dim == 1 else "banded_cholesky"
+        self._factors: dict[float, np.ndarray] = {}
 
-    def _ab(self, axis: int, dt: float) -> np.ndarray:
-        key = (axis, dt)
-        ab = self._banded.get(key)
+    def _factor(self, dt: float) -> np.ndarray:
+        ab = self._factors.get(dt)
         if ab is None:
-            n = self.grid.counts[axis]
-            r = dt / self.grid.spacing[axis] ** 2
+            ab = self._band(dt) if self.grid.dim == 1 else cholesky_banded(self._band(dt))
+            self._factors[dt] = ab
+        return ab
+
+    def _band(self, dt: float) -> np.ndarray:
+        """(I - dt L) as a (1, 1) band in 1D, the upper band of W (I - dt L) in 2D."""
+        if self.grid.dim == 1:
+            n = self.grid.counts[0]
+            r = dt / self.grid.spacing[0] ** 2
             ab = np.zeros((3, n))
             ab[1, :] = 1.0 + 2.0 * r
             ab[0, 1] = -2.0 * r
             ab[0, 2:] = -r
             ab[2, n - 2] = -2.0 * r
             ab[2, : n - 2] = -r
-            self._banded[key] = ab
+            return ab
+        (n0, n1), (h0, h1) = self.grid.counts, self.grid.spacing
+        ab = np.zeros((n1 + 1, n0 * n1))
+        up, left = ab[0], ab[n1 - 1]  # couplings to the (i-1, j) and (i, j-1) nodes
+        up[n1:] = np.tile(-dt / h0 * self.grid.axis_weights(1), n0 - 1)
+        left.reshape(n0, n1)[:, 1:] = -dt / h1 * self.grid.axis_weights(0)[:, None]
+        # W L has zero row sums, so the diagonal is w minus the row's couplings
+        ab[n1] = self.grid.weights - up - np.roll(up, -n1) - left - np.roll(left, -1)
         return ab
 
     def solve(self, rhs: np.ndarray, dt: float) -> np.ndarray:
         if self.grid.dim == 1:
-            return solve_banded((1, 1), self._ab(0, dt), rhs)
-        n0, n1 = self.grid.counts
-        if self.method == "adi":
-            half = solve_banded((1, 1), self._ab(0, dt), rhs.reshape(n0, n1))
-            full = solve_banded((1, 1), self._ab(1, dt), half.T).T
-            return full.ravel()
-        op = self._cg_ops.get(dt)
-        if op is None:
-            raw = sparse.diags(self.grid.weights) - dt * self._wl
-            op = (0.5 * (raw + raw.T)).tocsr()
-            self._cg_ops[dt] = op
-        x, info = cg(op, self.grid.weights * rhs, x0=rhs, rtol=1e-12, atol=0.0)
-        if info != 0:
-            raise NumericalError(f"cg failed to converge (info={info}, dt={dt})")
-        return x
+            return solve_banded((1, 1), self._factor(dt), rhs)
+        floor = rhs.min()
+        shifted = self.grid.weights * (rhs - floor)
+        return floor + cho_solve_banded((self._factor(dt), False), shifted, check_finite=False)
 
 
 def step_imex(state: SimState, grid: Grid, kernel: Kernel | None,
@@ -139,7 +134,7 @@ def step_imex(state: SimState, grid: Grid, kernel: Kernel | None,
               max_dt: float | None = None) -> SimState:
     """Advance one accepted step, halving dt as needed to keep u positive."""
     if solver is None:
-        solver = DiffusionSolver(grid, config.solver_2d)
+        solver = DiffusionSolver(grid)
     u_old = state.u.values
     r = reaction_term(state.u, kernel, config.mu, config.local_mode).values
     dt = config.dt if state.dt_next is None else min(state.dt_next, config.dt)
@@ -180,10 +175,10 @@ def run(u0: Field, grid: Grid, kernel: Kernel | None, config: SimConfig,
 
     state = SimState(t=0.0, u=Field(grid, np.maximum(vals, config.positivity_floor)),
                      step=0, dt_next=config.dt)
-    solver = DiffusionSolver(grid, config.solver_2d)
+    solver = DiffusionSolver(grid)
     base_meta = {
         "scheme": "imex_euler",
-        "solver": solver.method,
+        "solver": solver.name,
         "mu": config.mu,
         "dt": config.dt,
         "local_mode": config.local_mode,

@@ -10,11 +10,12 @@ Two certificates decide whether the double-integral quadratic form
   theorem positivity of the transform certifies the quadratic form on any
   bounded domain (zero-extend the test function).
 
-Normalization comes in two flavours. Column normalization makes the weighted
-column sums one, so the homogeneous state 1 stays a steady state of the
-dynamics. Sinkhorn-style double balancing additionally makes the weighted row
-sums one, so the kernel maps constants to constants exactly; several oracles
-in the test-suite want that stronger property.
+The dynamics need the weighted row sums K[1] = K @ w to be one, so that the
+homogeneous state 1 is a steady state. Sinkhorn-style double balancing gives
+that (and the column sums too), and it is the only normalization the
+simulation accepts. ``normalize_columns`` makes the weighted *column* sums
+w @ K one instead; that does not pin K[1], so its kernels are labelled
+``"columns"``, not ``normalized``, and the dynamics refuse them.
 """
 
 import math
@@ -22,7 +23,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field as _field, replace
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import BalancingError, KernelError, ShapeError, ValidationError
 from .grid import Field, Grid
@@ -101,7 +101,8 @@ class Kernel:
 
     @property
     def normalized(self) -> bool:
-        return self.normalization != "none"
+        """Whether K[1] = 1, which only balancing guarantees."""
+        return self.normalization == "balanced"
 
     @property
     def family(self) -> str:
@@ -128,26 +129,23 @@ def _check_finite(matrix: np.ndarray) -> None:
 
 
 def sample_general_kernel(func: Callable, grid: Grid) -> Kernel:
-    """Sample K(x, y) at all node pairs. ``func`` may be scalar or vectorized."""
+    """Sample K(x, y) at all node pairs with one call of ``func``.
+
+    ``func`` must broadcast: in 1D it gets node columns of shape (n, 1) and
+    (1, n); in 2D node points of shape (n, 1, 2) and (1, n, 2). The result
+    must have shape (n, n).
+    """
     pts = grid.nodes
     n = grid.n_nodes
-    matrix = None
-    try:
-        if grid.dim == 1:
-            x = pts[:, 0]
-            cand = np.asarray(func(x[:, None], x[None, :]), dtype=float)
-        else:
-            cand = np.asarray(func(pts[:, None, :], pts[None, :, :]), dtype=float)
-        if cand.shape == (n, n):
-            matrix = cand
-    except Exception:
-        matrix = None
-    if matrix is None:
-        if grid.dim == 1:
-            x = pts[:, 0]
-            matrix = np.array([[float(func(xi, xj)) for xj in x] for xi in x])
-        else:
-            matrix = np.array([[float(func(p, q)) for q in pts] for p in pts])
+    if grid.dim == 1:
+        x = pts[:, 0]
+        matrix = np.asarray(func(x[:, None], x[None, :]), dtype=float)
+    else:
+        matrix = np.asarray(func(pts[:, None, :], pts[None, :, :]), dtype=float)
+    if matrix.shape != (n, n):
+        raise KernelError(
+            f"kernel function returned shape {matrix.shape}, expected ({n}, {n}); "
+            f"it must broadcast over its node-array arguments")
     _check_finite(matrix)
     return Kernel(grid, matrix)
 
@@ -169,7 +167,10 @@ def sample_convolution_kernel(profile: KernelProfile, grid: Grid) -> Kernel:
 
 
 def normalize_columns(kernel: Kernel) -> Kernel:
-    """Rescale each column so its weighted sum is one.
+    """Rescale each column so its weighted sum w @ K is one.
+
+    This does not make K[1] = 1, so the result is not ``normalized`` and the
+    dynamics refuse it; use :func:`symmetrize_and_normalize` for simulation.
 
     Columns whose sampled support is only the diagonal node cannot represent
     any neighbour interaction at this resolution (a tophat narrower than the
@@ -278,6 +279,8 @@ def apply_kernel(kernel: Kernel, field: Field, method: str = "auto") -> Field:
         raise ValidationError(f"unknown apply method {method!r}")
     if not kernel.is_convolution or kernel.profile is None:
         raise ValidationError("fft application needs a convolution kernel")
+    from scipy.signal import fftconvolve  # deferred: costly import, FFT path only
+
     src = grid.weights * field.values
     if kernel.col_scale is not None:
         src = src * kernel.col_scale

@@ -38,8 +38,7 @@ from .errors import NumericalError, ValidationError
 from .grid import Field, Grid, build_uniform_grid
 from .kernels import (Kernel, KernelProfile, PositivityCertificate,
                       certify_positivity_bochner, certify_positivity_eigen,
-                      normalize_columns, sample_convolution_kernel,
-                      symmetrize_and_normalize)
+                      sample_convolution_kernel, symmetrize_and_normalize)
 
 OUTPUT_DIR_ENV = "NLKPP_OUT"
 
@@ -110,7 +109,7 @@ class KernelSpec:
     family: str
     sigma: float
     inhibition_ratio: float = 0.8
-    normalization: str = "balanced"  # columns | balanced
+    normalization: str = "balanced"  # the only accepted value
     certify: bool = True
     eigen_tol: float = 1e-9
     bochner_tol: float = 1e-9
@@ -206,10 +205,6 @@ def _parse_kernel(raw) -> KernelSpec:
                                        "kernel.balance_max_iterations"),
     )
     sec.finish()
-    if spec.normalization not in ("columns", "balanced"):
-        raise ValidationError(
-            f"kernel.normalization must be 'columns' or 'balanced', "
-            f"got {spec.normalization!r}")
     return spec
 
 
@@ -249,23 +244,15 @@ def _parse_initial(raw) -> InitialSpec:
 
 def _parse_sim(raw) -> SimConfig:
     sec = _Section(raw, "sim")
-    mu = _as_number(sec.take("mu"), "sim.mu")
-    if mu < 0:
-        raise ValidationError(f"sim.mu must be >= 0, got {mu}")
-    dt = _as_number(sec.take("dt"), "sim.dt")
-    if not dt > 0:
-        raise ValidationError(f"sim.dt must be positive, got {dt}")
-    t_end = _as_number(sec.take("t_end"), "sim.t_end")
-    if t_end < 0:
-        raise ValidationError(f"sim.t_end must be >= 0, got {t_end}")
-    config = SimConfig(
-        mu=mu, dt=dt, t_end=t_end,
+    config = SimConfig(  # validates mu, dt, t_end and the rest
+        mu=_as_number(sec.take("mu"), "sim.mu"),
+        dt=_as_number(sec.take("dt"), "sim.dt"),
+        t_end=_as_number(sec.take("t_end"), "sim.t_end"),
         snapshot_every=_as_int(sec.take("snapshot_every", 100), "sim.snapshot_every"),
         local_mode=_as_bool(sec.take("local_mode", False), "sim.local_mode"),
         positivity_floor=_as_number(sec.take("positivity_floor", 1e-14),
                                     "sim.positivity_floor"),
         max_dt_halvings=_as_int(sec.take("max_dt_halvings", 40), "sim.max_dt_halvings"),
-        solver_2d=sec.take("solver_2d", "adi"),
     )
     sec.finish()
     return config
@@ -330,14 +317,17 @@ def build_grid(spec: GridSpec) -> Grid:
 
 def build_kernel(spec: KernelSpec, grid: Grid) -> tuple[Kernel, list[PositivityCertificate]]:
     """Sample, normalize, and (optionally) certify the scenario kernel."""
+    # Temporary, belongs in _parse_kernel: perfbench/run.py counts a simulate
+    # that exits while parsing as a run until ROADMAP item 6 fixes it.
+    if spec.normalization != "balanced":
+        raise ValidationError(
+            f"kernel.normalization must be 'balanced', got {spec.normalization!r}: "
+            "u = 1 is a steady state only when the weighted row sums K[1] are "
+            "one, which column normalization does not give")
     profile = KernelProfile(spec.family, spec.sigma,
                             inhibition_ratio=spec.inhibition_ratio)
-    kernel = sample_convolution_kernel(profile, grid)
-    if spec.normalization == "columns":
-        kernel = normalize_columns(kernel)
-    else:
-        kernel = symmetrize_and_normalize(kernel, spec.balance_max_iterations,
-                                          spec.balance_tol)
+    kernel = symmetrize_and_normalize(sample_convolution_kernel(profile, grid),
+                                      spec.balance_max_iterations, spec.balance_tol)
     certificates: list[PositivityCertificate] = []
     if spec.certify:
         certificates.append(certify_positivity_eigen(kernel, tol=spec.eigen_tol))
@@ -348,8 +338,8 @@ def build_kernel(spec: KernelSpec, grid: Grid) -> tuple[Kernel, list[PositivityC
     return kernel, certificates
 
 
-def _build_initial(scenario: Scenario, grid: Grid,
-                   jacobian: np.ndarray | None) -> tuple[Field, dict]:
+def _build_initial(scenario: Scenario, grid: Grid, jacobian: np.ndarray | None,
+                   stability_skipped: str | None) -> tuple[Field, dict]:
     spec = scenario.initial
     info: dict = {"kind": spec.kind}
     if spec.kind == "constant":
@@ -363,8 +353,8 @@ def _build_initial(scenario: Scenario, grid: Grid,
         if mode == "most_unstable":
             if jacobian is None:
                 raise ValidationError(
-                    "initial.mode 'most_unstable' needs the stability analysis; "
-                    "it is unavailable on this grid")
+                    "initial.mode 'most_unstable' needs the stability analysis, "
+                    f"which was skipped: {stability_skipped}")
             mode = most_unstable_cosine_mode(grid, jacobian)
         info["mode"] = int(mode)
         lo, hi = grid.extents[0]
@@ -441,18 +431,24 @@ def _run_scenario_inner(scenario: Scenario, out_dir, quiet: bool,
 
     jacobian = None
     abscissa = math.nan
-    if scenario.output.stability and grid.n_nodes <= _STABILITY_MAX_NODES:
-        if scenario.sim.local_mode:
-            jacobian = local_linearization_matrix(grid, scenario.sim.mu)
-        elif kernel is not None:
-            jacobian = linearization_matrix(grid, kernel, scenario.sim.mu)
-        if jacobian is not None:
-            abscissa = spectral_abscissa(jacobian)
+    skipped = None
+    if not scenario.output.stability:
+        skipped = "output.stability is false"
+    elif grid.n_nodes > _STABILITY_MAX_NODES:
+        skipped = f"{grid.n_nodes} nodes > {_STABILITY_MAX_NODES}"
+    elif scenario.sim.local_mode:
+        jacobian = local_linearization_matrix(grid, scenario.sim.mu)
+    else:
+        jacobian = linearization_matrix(grid, kernel, scenario.sim.mu)
+    if jacobian is not None:
+        abscissa = spectral_abscissa(jacobian)
 
-    u0, initial_info = _build_initial(scenario, grid, jacobian)
+    u0, initial_info = _build_initial(scenario, grid, jacobian, skipped)
 
     meta = {"scenario": scenario.name, "initial": initial_info,
             "spectral_abscissa": abscissa}
+    if skipped is not None:
+        meta["stability_skipped"] = skipped
     for cert in certificates:
         meta[f"{cert.method}_verdict"] = cert.verdict
         meta[f"{cert.method}_witness"] = cert.witness

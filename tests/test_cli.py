@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nlkpp
 from nlkpp import __version__
 from nlkpp.cli import main
 
@@ -56,6 +61,15 @@ def test_invalid_scenario_field(tmp_path, capsys):
     assert "mu" in capsys.readouterr().err
 
 
+def test_column_normalization_is_exit_2(tmp_path, capsys):
+    doc = scenario_doc()
+    doc["kernel"]["normalization"] = "columns"
+    code = main(["simulate", write(tmp_path, doc, "columns.json"),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "row sums" in capsys.readouterr().err
+
+
 def test_step_failure_maps_to_exit_3(tmp_path, capsys):
     doc = scenario_doc()
     del doc["kernel"]
@@ -95,3 +109,14 @@ def test_sweep_bad_jobs(tmp_path, capsys):
     sweep = {"base": scenario_doc(),
              "parameters": [{"path": "sim.mu", "values": [1.0]}]}
     assert main(["sweep", write(tmp_path, sweep, "sw.json"), "--jobs", "0"]) == 2
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal is only needed by the FFT kernel path
+    code = "import sys, nlkpp.cli; print('scipy.signal' in sys.modules)"
+    src = str(Path(nlkpp.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

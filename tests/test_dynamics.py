@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from nlkpp import (Field, KernelProfile, SimConfig, StepFailure,
-                   ValidationError, build_uniform_grid, reaction_term, run,
+                   ValidationError, build_uniform_grid, laplacian_matrix,
+                   normalize_columns, reaction_term, run,
                    sample_convolution_kernel, step_imex,
                    symmetrize_and_normalize)
 from nlkpp.dynamics import DiffusionSolver, SimState
@@ -81,6 +82,14 @@ class TestRun:
         u0 = Field(unit_grid, np.linspace(-0.1, 1.0, unit_grid.n_nodes))
         with pytest.raises(ValidationError, match="negative"):
             run(u0, unit_grid, balanced_gaussian, cfg)
+
+    def test_rejects_column_normalized_kernel(self, unit_grid):
+        # w @ K = 1 does not give K[1] = 1, so u = 1 would drift
+        kern = normalize_columns(sample_convolution_kernel(
+            KernelProfile("gaussian", 0.2), unit_grid))
+        cfg = SimConfig(mu=1.0, dt=1e-2, t_end=0.1)
+        with pytest.raises(ValidationError, match="normalized"):
+            run(Field.constant(unit_grid, 1.0), unit_grid, kern, cfg)
 
     def test_rejects_identically_zero(self, unit_grid, balanced_gaussian):
         cfg = SimConfig(mu=1.0, dt=1e-2, t_end=0.1)
@@ -164,29 +173,29 @@ class Test2D:
         _, trace = run(Field.constant(grid, 1.0), grid, kern, cfg)
         assert trace.column("sup_dist_one")[-1] < 1e-11
 
-    @pytest.mark.parametrize("solver", ["adi", "cg"])
-    def test_mass_conservation_2d(self, setup2d, solver, rng):
+    def test_mass_conservation_2d(self, setup2d, rng):
         grid, kern = setup2d
-        cfg = SimConfig(mu=0.0, dt=5e-3, t_end=0.2, solver_2d=solver)
+        cfg = SimConfig(mu=0.0, dt=5e-3, t_end=0.2)
         u0 = Field(grid, rng.uniform(0.5, 1.5, grid.n_nodes))
         _, trace = run(u0, grid, kern, cfg)
         mass = trace.column("mass")
         assert np.max(np.abs(np.diff(mass))) < 1e-10
 
-    def test_adi_and_cg_agree(self, setup2d, rng):
-        # the two solvers differ by the ADI splitting error, O(dt) in time
-        grid, kern = setup2d
-        u0 = Field(grid, rng.uniform(0.5, 1.5, grid.n_nodes))
-        diffs = []
-        for dt in (1e-3, 5e-4):
-            finals = []
-            for solver in ("adi", "cg"):
-                cfg = SimConfig(mu=1.0, dt=dt, t_end=0.1, solver_2d=solver)
-                state, _ = run(u0, grid, kern, cfg)
-                finals.append(state.u.values)
-            diffs.append(np.max(np.abs(finals[0] - finals[1])))
-        assert diffs[0] < 2e-4
-        assert diffs[1] < 0.75 * diffs[0]
+    @pytest.mark.parametrize("mu", [0.0, 1.0])
+    def test_zero_region_takes_full_steps(self, mu):
+        # far from the seed the exact solution stays at the positivity floor,
+        # so a solve accurate only to eps * max|rhs| would reject every step
+        grid = build_uniform_grid(((0, 20), (0, 20)), (40, 40))
+        kern = symmetrize_and_normalize(sample_convolution_kernel(
+            KernelProfile("gaussian", 2.0), grid))
+        x = grid.nodes
+        u0 = Field(grid, np.where((x[:, 0] < 6) & (x[:, 1] < 8), 1.0, 0.0))
+        cfg = SimConfig(mu=mu, dt=1e-2, t_end=0.1)
+        state, trace = run(u0, grid, kern, cfg)
+        assert state.t == pytest.approx(cfg.t_end)
+        assert state.step == 10
+        assert trace.column("min_u").min() >= cfg.positivity_floor
+        assert np.isfinite(trace.column("V")).all()
 
     def test_convergence_toward_one_2d(self, setup2d, rng):
         grid, kern = setup2d
@@ -196,20 +205,37 @@ class Test2D:
         assert trace.column("sup_dist_one")[-1] < 1e-3
 
 
-class TestDiffusionSolver:
-    def test_solves_identity_limit(self, unit_grid, rng):
-        solver = DiffusionSolver(unit_grid)
-        rhs = rng.normal(size=unit_grid.n_nodes)
-        x = solver.solve(rhs, 1e-300)
-        np.testing.assert_allclose(x, rhs, rtol=1e-10)
+@pytest.fixture(params=["unit_grid", "rect_2d"])
+def solver_grid(request):
+    if request.param == "unit_grid":
+        return request.getfixturevalue("unit_grid")
+    # non-square with unequal spacings, so swapped axes would show
+    return build_uniform_grid(((0, 1), (0, 1.5)), (14, 17))
 
-    def test_matches_sparse_solve(self, unit_grid, rng):
+
+class TestDiffusionSolver:
+    def test_solves_identity_limit(self, solver_grid, rng):
+        solver = DiffusionSolver(solver_grid)
+        rhs = rng.normal(size=solver_grid.n_nodes)
+        for dt in (1e-300, 5e-301):
+            np.testing.assert_allclose(solver.solve(rhs, dt), rhs, rtol=1e-10)
+
+    def test_keeps_the_minimum_2d(self):
+        # the discrete maximum principle, exactly: min(u) >= min(rhs)
+        grid = build_uniform_grid(((0, 20), (0, 30)), (30, 33))
+        solver = DiffusionSolver(grid)
+        x = grid.nodes
+        rhs = np.where((x[:, 0] < 5) & (x[:, 1] < 9), 1.0, 1e-14)
+        for dt in (1e-2, 5e-3):
+            assert solver.solve(rhs, dt).min() >= 1e-14
+
+    def test_matches_sparse_solve(self, solver_grid, rng):
         from scipy.sparse import identity
         from scipy.sparse.linalg import spsolve
-        from nlkpp import laplacian_matrix
-        dt = 7e-3
-        rhs = rng.uniform(0.5, 2.0, unit_grid.n_nodes)
-        direct = DiffusionSolver(unit_grid).solve(rhs, dt)
-        A = identity(unit_grid.n_nodes) - dt * laplacian_matrix(unit_grid)
-        np.testing.assert_allclose(direct, spsolve(A.tocsc(), rhs),
-                                   rtol=1e-10, atol=1e-12)
+        # one solver at dt and at dt / 2, as a rejected step uses it
+        solver = DiffusionSolver(solver_grid)
+        rhs = rng.uniform(0.5, 2.0, solver_grid.n_nodes)
+        for dt in (7e-3, 3.5e-3):
+            A = identity(solver_grid.n_nodes) - dt * laplacian_matrix(solver_grid)
+            exact = spsolve(A.tocsc(), rhs)
+            assert np.max(np.abs(solver.solve(rhs, dt) - exact)) < 1e-12

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,16 @@ class TestSampling:
         kern = sample_general_kernel(lambda x, y: np.cos(x - y) + x * y, grid)
         np.testing.assert_array_equal(kern.matrix, kern.matrix.T)
 
+    def test_non_broadcasting_function_rejected(self):
+        grid = build_uniform_grid((0, 1), 5)
+        with pytest.raises(KernelError, match="broadcast"):
+            sample_general_kernel(lambda x, y: 1.0, grid)
+
+    def test_scalar_only_function_errors_propagate(self):
+        grid = build_uniform_grid((0, 1), 5)
+        with pytest.raises(TypeError):
+            sample_general_kernel(lambda x, y: math.exp(-(x - y) ** 2), grid)
+
     def test_non_finite_rejected(self):
         grid = build_uniform_grid((0, 1), 5)
         with np.errstate(divide="ignore"), pytest.raises(KernelError,
@@ -91,6 +103,7 @@ class TestNormalization:
         kern = sample_convolution_kernel(KernelProfile("gaussian", 0.15), unit_grid)
         kern = normalize_columns(kern)
         assert kern.normalization == "columns"
+        assert not kern.normalized  # K[1] = 1 is not implied
         sums = unit_grid.weights @ kern.matrix
         np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 

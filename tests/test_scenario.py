@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from nlkpp import (Field, ValidationError, build_uniform_grid, parse_scenario,
-                   parse_scenario_dict, parse_sweep_dict, read_csv_rows,
-                   read_field, run_scenario, run_sweep, write_field)
+from nlkpp import (Field, ValidationError, build_uniform_grid, certify_scenario,
+                   parse_scenario, parse_scenario_dict, parse_sweep_dict,
+                   read_csv_rows, read_field, run_scenario, run_sweep,
+                   write_field)
 from nlkpp.diagnostics import Trace
 
 
@@ -67,6 +68,12 @@ class TestParsing:
             parse_scenario_dict(doc)
         doc["sim"]["local_mode"] = True
         assert parse_scenario_dict(doc).kernel is None
+
+    def test_solver_2d_is_unknown(self):
+        doc = minimal_doc()
+        doc["sim"]["solver_2d"] = "adi"
+        with pytest.raises(ValidationError, match="unknown key 'solver_2d'"):
+            parse_scenario_dict(doc)
 
     def test_bad_initial_kind(self):
         doc = minimal_doc(initial={"kind": "sine"})
@@ -156,6 +163,38 @@ class TestRunScenario:
         meta = json.loads((tmp_path / "c/run_meta.json").read_text())
         assert meta["metadata"]["initial"]["mode"] >= 1
         assert summary["status"] == "ok"
+
+    @pytest.mark.parametrize("normalization", ["columns", "rows"])
+    def test_only_balanced_normalization_runs(self, tmp_path, normalization):
+        doc = minimal_doc()
+        doc["kernel"]["normalization"] = normalization
+        sc = parse_scenario_dict(doc)
+        with pytest.raises(ValidationError, match="row sums"):
+            run_scenario(sc, out_dir=tmp_path / "n", quiet=True)
+        with pytest.raises(ValidationError, match="row sums"):
+            certify_scenario(sc, out_dir=tmp_path / "c", quiet=True)
+
+    def test_stability_skip_is_recorded(self, tmp_path):
+        doc = minimal_doc(grid={"extents": [[0, 1], [0, 1]], "counts": [33, 33]})
+        doc["kernel"]["certify"] = False
+        doc["sim"]["t_end"] = 2e-3
+        doc["output"] = {"artifacts": ["meta"]}
+        summary = run_scenario(parse_scenario_dict(doc),
+                               out_dir=tmp_path / "big", quiet=True)
+        meta = json.loads((tmp_path / "big/run_meta.json").read_text())
+        assert meta["metadata"]["stability_skipped"] == "1089 nodes > 1024"
+        assert np.isnan(summary["spectral_abscissa"])
+        doc["initial"] = {"kind": "cosine", "mode": "most_unstable"}
+        with pytest.raises(ValidationError, match="1089 nodes > 1024"):
+            run_scenario(parse_scenario_dict(doc), out_dir=tmp_path / "mu",
+                         quiet=True)
+
+    def test_stability_switched_off_is_recorded(self, tmp_path):
+        doc = minimal_doc(output={"artifacts": ["meta"], "stability": False})
+        run_scenario(parse_scenario_dict(doc), out_dir=tmp_path / "off",
+                     quiet=True)
+        meta = json.loads((tmp_path / "off/run_meta.json").read_text())
+        assert meta["metadata"]["stability_skipped"] == "output.stability is false"
 
     def test_2d_scenario_runs(self, tmp_path):
         doc = minimal_doc(grid={"extents": [[0, 1], [0, 1]],
