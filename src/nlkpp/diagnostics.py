@@ -10,6 +10,7 @@ instability when the positivity hypothesis fails.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -61,7 +62,7 @@ class Trace:
         return len(self._rows)
 
     def append_row(self, **values) -> None:
-        self._rows.append(tuple(float(values[c]) for c in TRACE_COLUMNS))
+        self._rows.append(tuple([float(values[c]) for c in TRACE_COLUMNS]))
 
     def add_snapshot(self, step: int, t: float, field: Field) -> None:
         self.snapshots.append(Snapshot(step, t, field))
@@ -106,11 +107,15 @@ class Trace:
 
 def sup_distance_to_one(field: Field) -> float:
     """max_i |u_i - 1|, the uniform distance to the homogeneous state."""
-    return float(np.max(np.abs(field.values - 1.0)))
+    dist = float(abs(field.values - 1.0).max())
+    if not dist < math.inf:  # a NaN or infinite node
+        i = int(np.argmin(np.isfinite(field.values)))
+        raise DomainError(f"finite field required; node {i} has value {field.values[i]}")
+    return dist
 
 
 def _require_positive(u: np.ndarray) -> None:
-    if np.any(u <= 0.0):
+    if not u.min() > 0.0:  # NaN fails too
         i = int(np.argmin(u))
         raise DomainError(
             f"strictly positive field required; node {i} has value {u[i]:.6g}")
@@ -147,9 +152,9 @@ def dissipation(field: Field, kernel: Kernel | None, mu: float,
     d_grad = 0.0
     if grid.dim == 1:
         h = grid.spacing[0]
-        du = np.diff(u)
+        du = u[1:] - u[:-1]
         mid = 0.5 * (u[1:] + u[:-1])
-        d_grad = float(np.sum(du * du / (mid * mid)) / h)
+        d_grad = float((du * du / (mid * mid)).sum() / h)
     else:
         n0, n1 = grid.counts
         h0, h1 = grid.spacing

@@ -9,10 +9,11 @@ Lyapunov bookkeeping. The accepted step size recovers by doubling back up to
 the configured dt.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded, get_lapack_funcs
 
 from .diagnostics import SimContext, Trace, dissipation, lyapunov_value, sup_distance_to_one
 from .errors import StepFailure, ValidationError
@@ -47,15 +48,20 @@ class SimConfig:
             raise ValidationError("max_dt_halvings must be >= 0")
 
 
+_gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.empty(1),))
+
+
 @dataclass(eq=False)
 class SimState:
     """Trajectory state after ``step`` accepted steps. ``dt_next`` is the
-    step size the integrator will attempt next (None means the configured dt)."""
+    step size the integrator will attempt next (None means the configured dt);
+    ``halvings`` counts the rejected attempts of the step that produced it."""
 
     t: float
     u: Field
     step: int = 0
     dt_next: float | None = None
+    halvings: int = 0
 
 
 def reaction_term(u: Field, kernel: Kernel | None, mu: float,
@@ -85,20 +91,29 @@ class DiffusionSolver:
     pushes nodes at the positivity floor below it). 2D factors the symmetric
     W (I - dt L), W the trapezoid weights, by banded Cholesky and solves for
     u - min(rhs): the substitutions then add nonnegative terms only, so
-    min(u) >= min(rhs) holds exactly, as the maximum principle says.
+    min(u) >= min(rhs) holds exactly, as the maximum principle says. 1D keeps
+    the LAPACK ``gttrf`` LU of the band, which gives bit for bit what
+    ``solve_banded`` (``gtsv``) gives. Factors are cached per dt. Inputs are
+    not checked for finiteness; a non-finite right-hand side gives a
+    non-finite solution, which the step rejects.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self.name = "tridiagonal" if grid.dim == 1 else "banded_cholesky"
-        self._factors: dict[float, np.ndarray] = {}
+        self._factors: dict[float, tuple] = {}
 
-    def _factor(self, dt: float) -> np.ndarray:
-        ab = self._factors.get(dt)
-        if ab is None:
-            ab = self._band(dt) if self.grid.dim == 1 else cholesky_banded(self._band(dt))
-            self._factors[dt] = ab
-        return ab
+    def _factor(self, dt: float) -> tuple:
+        factor = self._factors.get(dt)
+        if factor is None:
+            ab = self._band(dt)
+            if self.grid.dim == 1:
+                # I - dt L is strictly diagonally dominant: the LU cannot break down
+                factor = _gttrf(ab[2, :-1], ab[1], ab[0, 1:])[:5]
+            else:
+                factor = (cholesky_banded(ab), False)
+            self._factors[dt] = factor
+        return factor
 
     def _band(self, dt: float) -> np.ndarray:
         """(I - dt L) as a (1, 1) band in 1D, the upper band of W (I - dt L) in 2D."""
@@ -123,10 +138,10 @@ class DiffusionSolver:
 
     def solve(self, rhs: np.ndarray, dt: float) -> np.ndarray:
         if self.grid.dim == 1:
-            return solve_banded((1, 1), self._factor(dt), rhs)
+            return _gttrs(*self._factor(dt), rhs)[0]
         floor = rhs.min()
         shifted = self.grid.weights * (rhs - floor)
-        return floor + cho_solve_banded((self._factor(dt), False), shifted, check_finite=False)
+        return floor + cho_solve_banded(self._factor(dt), shifted, check_finite=False)
 
 
 def step_imex(state: SimState, grid: Grid, kernel: Kernel | None,
@@ -140,18 +155,22 @@ def step_imex(state: SimState, grid: Grid, kernel: Kernel | None,
     dt = config.dt if state.dt_next is None else min(state.dt_next, config.dt)
     if max_dt is not None:
         dt = min(dt, max_dt)
+    floor = config.positivity_floor
     u_new = None
-    for _ in range(config.max_dt_halvings + 1):
+    for halvings in range(config.max_dt_halvings + 1):
         u_new = solver.solve(u_old + dt * r, dt)
-        if u_new.min() >= config.positivity_floor:
+        # NaN fails both tests, +inf the second
+        if floor <= u_new.min() and u_new.max() < math.inf:
             return SimState(t=state.t + dt, u=Field(grid, u_new),
                             step=state.step + 1,
-                            dt_next=min(2.0 * dt, config.dt))
+                            dt_next=min(2.0 * dt, config.dt), halvings=halvings)
         dt *= 0.5
-    node = int(np.argmin(u_new))
+    finite = np.isfinite(u_new)
+    node = int(np.argmin(finite)) if not finite.all() else int(np.argmin(u_new))
+    value = f"{u_new[node]:.3g}" if finite[node] else f"non-finite {u_new[node]}"
     raise StepFailure(
         f"step rejected {config.max_dt_halvings} times at t={state.t:.6g}: "
-        f"node {node} reaches {u_new[node]:.3g} even at dt={2 * dt:.3g}")
+        f"node {node} reaches {value} even at dt={2 * dt:.3g}")
 
 
 def run(u0: Field, grid: Grid, kernel: Kernel | None, config: SimConfig,
@@ -161,6 +180,8 @@ def run(u0: Field, grid: Grid, kernel: Kernel | None, config: SimConfig,
     u0 must be nonnegative and not identically zero; zero nodes are lifted to
     the positivity floor before the first step, mirroring the instant
     positivity of the continuous flow and keeping V finite from the start.
+    The trace metadata records ``steps_rejected``, the halvings summed over
+    the run, and ``dt_min``, the smallest step a halving reached (dt if none).
     """
     vals = np.asarray(u0.values, dtype=float)
     if not np.all(np.isfinite(vals)):
@@ -199,10 +220,15 @@ def run(u0: Field, grid: Grid, kernel: Kernel | None, config: SimConfig,
     record(state, 0.0)
     trace.add_snapshot(0, 0.0, state.u)
     eps = 1e-12 * max(1.0, config.t_end)
+    steps_rejected, dt_min = 0, config.dt
     while state.t < config.t_end - eps:
         t_prev = state.t
         state = step_imex(state, grid, kernel, config, solver=solver,
                           max_dt=config.t_end - state.t)
+        if state.halvings:
+            steps_rejected += state.halvings
+            # a halved step is at most dt / 2, so dt_next is exactly twice it
+            dt_min = min(dt_min, 0.5 * state.dt_next)
         record(state, state.t - t_prev)
         if config.snapshot_every and state.step % config.snapshot_every == 0:
             trace.add_snapshot(state.step, state.t, state.u)
@@ -210,4 +236,5 @@ def run(u0: Field, grid: Grid, kernel: Kernel | None, config: SimConfig,
             observer(state)
     if not trace.snapshots or trace.snapshots[-1].step != state.step:
         trace.add_snapshot(state.step, state.t, state.u)
+    trace.metadata.update(steps_rejected=steps_rejected, dt_min=dt_min)
     return state, trace

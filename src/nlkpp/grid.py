@@ -65,7 +65,7 @@ class Grid:
 
     @property
     def n_nodes(self) -> int:
-        return int(np.prod(self.counts))
+        return self.weights.size
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -125,12 +125,15 @@ class Field:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).ravel()
+        values = self.values
+        if not (type(values) is np.ndarray and values.ndim == 1
+                and values.dtype == np.float64):
+            values = np.asarray(values, dtype=float).ravel()
+            object.__setattr__(self, "values", values)
         if values.size != self.grid.n_nodes:
             raise ShapeError(
                 f"field has {values.size} values for a grid with "
                 f"{self.grid.n_nodes} nodes")
-        object.__setattr__(self, "values", values)
 
     @classmethod
     def constant(cls, grid: Grid, value: float) -> "Field":

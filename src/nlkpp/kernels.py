@@ -268,7 +268,7 @@ def apply_kernel(kernel: Kernel, field: Field, method: str = "auto") -> Field:
     which picks FFT only when the grid is large enough for it to win.
     """
     grid = kernel.grid
-    if not field.grid.same_layout(grid):
+    if field.grid is not grid and not field.grid.same_layout(grid):
         raise ShapeError("field does not live on the kernel's grid")
     if method == "auto":
         method = "fft" if (kernel.is_convolution

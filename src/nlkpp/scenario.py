@@ -12,7 +12,8 @@ Artifacts written by :func:`run_scenario` into the output directory:
 * ``final_field.bin``  binary field (see :mod:`nlkpp.fieldio`)
 * ``snapshots/``       periodic binary fields, ``snap_<step>.bin``
 * ``summary.csv``      one row of headline numbers
-* ``run_meta.json``    scenario echo plus solver metadata
+* ``run_meta.json``    scenario echo plus run metadata (solver, stability,
+                       ``steps_rejected`` and ``dt_min`` of the step loop)
 
 The output directory is resolved as: explicit argument, then the
 ``NLKPP_OUT`` environment variable, then the scenario's own setting.
@@ -506,7 +507,7 @@ def _run_scenario_inner(scenario: Scenario, out_dir, quiet: bool,
         _write_csv(out / "summary.csv", SUMMARY_COLUMNS, [summary])
     if "meta" in arts:
         (out / "run_meta.json").write_text(
-            json.dumps({"scenario": scenario.raw, "metadata": meta},
+            json.dumps({"scenario": scenario.raw, "metadata": trace.metadata},
                        indent=2, default=str) + "\n")
 
     if not quiet:

@@ -82,6 +82,17 @@ def test_step_failure_maps_to_exit_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_non_finite_step_is_exit_3(tmp_path, capsys):
+    doc = scenario_doc()
+    doc["grid"]["counts"] = 64
+    doc["initial"] = {"kind": "constant", "value": 1e300}
+    doc["sim"] = {"mu": 1e10, "dt": 1.0, "t_end": 3.0}
+    code = main(["simulate", write(tmp_path, doc, "overflow.json"),
+                 "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_certify_writes_certificates(tmp_path, capsys):
     path = write(tmp_path, scenario_doc(), "sc.json")
     code = main(["certify", path, "--out", str(tmp_path / "cert")])

@@ -216,3 +216,25 @@ class TestSupDistance:
         vals = np.ones(unit_grid.n_nodes)
         vals[5] = 0.9
         assert sup_distance_to_one(Field(unit_grid, vals)) == pytest.approx(0.1)
+
+
+class TestNonFiniteFields:
+    """A NaN node fails every comparison, so it must not pass a positivity check."""
+
+    @pytest.fixture
+    def nan_field(self, unit_grid):
+        vals = np.ones(unit_grid.n_nodes)
+        vals[5] = np.nan
+        return Field(unit_grid, vals)
+
+    def test_lyapunov_value_rejects_nan(self, nan_field):
+        with pytest.raises(DomainError, match="node 5"):
+            lyapunov_value(nan_field)
+
+    def test_dissipation_rejects_nan(self, nan_field, balanced_gaussian):
+        with pytest.raises(DomainError, match="node 5"):
+            dissipation(nan_field, balanced_gaussian, 1.0)
+
+    def test_sup_distance_rejects_nan(self, nan_field):
+        with pytest.raises(DomainError, match="node 5"):
+            sup_distance_to_one(nan_field)

@@ -75,6 +75,59 @@ class TestStepImex:
         with pytest.raises(StepFailure, match="node"):
             run(Field.constant(unit_grid, 4.0), unit_grid, None, cfg)
 
+    def test_non_finite_step_is_step_failure(self):
+        # K[u] u overflows to -inf, the solve turns it into NaN; the step
+        # must be rejected, never accepted, and fail through the budget
+        grid = build_uniform_grid((0, 1), 64)
+        kern = symmetrize_and_normalize(sample_convolution_kernel(
+            KernelProfile("gaussian", 0.2), grid))
+        cfg = SimConfig(mu=1e10, dt=1.0, t_end=3.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(StepFailure, match="node 0 reaches non-finite"):
+                run(Field.constant(grid, 1e300), grid, kern, cfg)
+
+
+@pytest.fixture(scope="module")
+def stiff_tophat():
+    """Past the Turing onset at a step that the growing pattern cannot keep."""
+    grid = build_uniform_grid((0, 5), 256)
+    kern = symmetrize_and_normalize(sample_convolution_kernel(
+        KernelProfile("tophat", 1.0), grid))
+    u0 = Field.from_function(grid, lambda x: 1 + 0.01 * np.cos(7 * np.pi * x / 5))
+    return grid, kern, u0, SimConfig(mu=400.0, dt=5e-3, t_end=1.0, snapshot_every=0)
+
+
+class TestRunBookkeeping:
+    def test_one_call_per_accepted_step(self, stiff_tophat, monkeypatch):
+        # the benchmark's spans wrap these names; their counts must keep
+        # meaning one step, one record, one solve per attempt
+        import nlkpp.diagnostics
+        import nlkpp.dynamics
+
+        calls = dict.fromkeys(("step_imex", "dissipation", "lyapunov_value", "solve"), 0)
+
+        def counting(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        for name in ("step_imex", "dissipation", "lyapunov_value"):
+            wrapper = counting(name, getattr(nlkpp.dynamics, name))
+            for module in (nlkpp.dynamics, nlkpp.diagnostics):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(DiffusionSolver, "solve",
+                            counting("solve", DiffusionSolver.solve))
+        grid, kern, u0, cfg = stiff_tophat
+        state, trace = run(u0, grid, kern, cfg)
+        assert calls["step_imex"] == state.step
+        assert calls["dissipation"] == calls["lyapunov_value"] == state.step + 1
+        assert trace.metadata["steps_rejected"] > 0
+        assert calls["solve"] == state.step + trace.metadata["steps_rejected"]
+        assert trace.metadata["dt_min"] == pytest.approx(
+            trace.column("dt_used")[1:].min())
+
 
 class TestRun:
     def test_rejects_negative_initial(self, unit_grid, balanced_gaussian):
@@ -228,6 +281,21 @@ class TestDiffusionSolver:
         rhs = np.where((x[:, 0] < 5) & (x[:, 1] < 9), 1.0, 1e-14)
         for dt in (1e-2, 5e-3):
             assert solver.solve(rhs, dt).min() >= 1e-14
+
+    @pytest.mark.parametrize("r", [0.25, 32.0, 1e4])
+    def test_1d_matches_solve_banded(self, unit_grid, rng, r):
+        # r = dt / h^2; above r = 2 the LU pivots at the Neumann end row
+        # (ensemble runs sit at r = 32)
+        from scipy.linalg import solve_banded
+        solver = DiffusionSolver(unit_grid)
+        dt = r * unit_grid.spacing[0] ** 2
+        rhs = rng.uniform(0.5, 2.0, unit_grid.n_nodes)
+        rhs[::3] = 1e-14 * rng.uniform(1.0, 1.01, rhs[::3].size)
+        kept = rhs.copy()
+        for step in (dt, dt / 2, dt):
+            expected = solve_banded((1, 1), solver._band(step), rhs)
+            assert np.array_equal(solver.solve(rhs, step), expected)
+        assert np.array_equal(rhs, kept)
 
     def test_matches_sparse_solve(self, solver_grid, rng):
         from scipy.sparse import identity

@@ -189,6 +189,30 @@ class TestRunScenario:
             run_scenario(parse_scenario_dict(doc), out_dir=tmp_path / "mu",
                          quiet=True)
 
+    def test_rejected_steps_are_recorded(self, tmp_path):
+        doc = {"grid": {"extents": [0.0, 5.0], "counts": 256},
+               "kernel": {"family": "tophat", "sigma": 1.0},
+               "initial": {"kind": "cosine", "amplitude": 0.01,
+                           "mode": "most_unstable"},
+               "sim": {"mu": 400.0, "dt": 5e-3, "t_end": 1.0},
+               "output": {"artifacts": ["meta"]}}
+        run_scenario(parse_scenario_dict(doc), out_dir=tmp_path / "stiff",
+                     quiet=True)
+        meta = json.loads((tmp_path / "stiff/run_meta.json").read_text())
+        assert meta["metadata"]["steps_rejected"] > 0
+        assert meta["metadata"]["dt_min"] < 5e-3
+
+    def test_relaxation_records_no_rejections(self, tmp_path):
+        doc = minimal_doc(initial={"kind": "random_uniform", "low": 0.5,
+                                   "high": 1.5, "seed": 3},
+                          output={"artifacts": ["meta"]})
+        run_scenario(parse_scenario_dict(doc), out_dir=tmp_path / "relax",
+                     quiet=True)
+        meta = json.loads((tmp_path / "relax/run_meta.json").read_text())
+        assert meta["metadata"]["steps_rejected"] == 0
+        assert meta["metadata"]["dt_min"] == 1e-3
+        assert meta["metadata"]["solver"] == "tridiagonal"
+
     def test_stability_switched_off_is_recorded(self, tmp_path):
         doc = minimal_doc(output={"artifacts": ["meta"], "stability": False})
         run_scenario(parse_scenario_dict(doc), out_dir=tmp_path / "off",
