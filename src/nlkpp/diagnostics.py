@@ -105,13 +105,20 @@ class Trace:
         return trace
 
 
+def _finite(value: float, u: np.ndarray) -> float:
+    """``value``, unless it is not finite because a node is not (a value that
+    overflows on finite nodes is returned as it is)."""
+    if not abs(value) < math.inf:
+        finite = np.isfinite(u)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise DomainError(f"finite field required; node {i} has value {u[i]}")
+    return value
+
+
 def sup_distance_to_one(field: Field) -> float:
     """max_i |u_i - 1|, the uniform distance to the homogeneous state."""
-    dist = float(abs(field.values - 1.0).max())
-    if not dist < math.inf:  # a NaN or infinite node
-        i = int(np.argmin(np.isfinite(field.values)))
-        raise DomainError(f"finite field required; node {i} has value {field.values[i]}")
-    return dist
+    return _finite(float(abs(field.values - 1.0).max()), field.values)
 
 
 def _require_positive(u: np.ndarray) -> None:
@@ -125,7 +132,7 @@ def lyapunov_value(field: Field) -> float:
     """V(u) = sum of w * (u - 1 - ln u); nonnegative, zero only at u = 1."""
     u = field.values
     _require_positive(u)
-    return float(field.grid.weights @ (u - 1.0 - np.log(u)))
+    return _finite(float(field.grid.weights @ (u - 1.0 - np.log(u))), u)
 
 
 class Dissipation(NamedTuple):
@@ -178,7 +185,7 @@ def dissipation(field: Field, kernel: Kernel | None, mu: float,
                 "only holds then)")
         kg = apply_kernel(kernel, Field(grid, g)).values
         d_kernel = mu * float(grid.weights @ (g * kg))
-    return Dissipation(d_grad + d_kernel, d_grad, d_kernel)
+    return Dissipation(_finite(d_grad + d_kernel, u), d_grad, d_kernel)
 
 
 def decay_identity_residual(trace: Trace, step_index: int) -> float:

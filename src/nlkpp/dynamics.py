@@ -181,7 +181,9 @@ def run(u0: Field, grid: Grid, kernel: Kernel | None, config: SimConfig,
     the positivity floor before the first step, mirroring the instant
     positivity of the continuous flow and keeping V finite from the start.
     The trace metadata records ``steps_rejected``, the halvings summed over
-    the run, and ``dt_min``, the smallest step a halving reached (dt if none).
+    the run, and ``dt_min``, the smallest step a halving reached (dt if none);
+    ``kernel_apply`` says which matvec ran (``dense``, ``fft`` or ``none``), and
+    ``balance_iterations`` / ``balance_deviation`` copy the kernel's balancing.
     """
     vals = np.asarray(u0.values, dtype=float)
     if not np.all(np.isfinite(vals)):
@@ -204,7 +206,12 @@ def run(u0: Field, grid: Grid, kernel: Kernel | None, config: SimConfig,
         "dt": config.dt,
         "local_mode": config.local_mode,
         "kernel_normalization": kernel.normalization if kernel else "none",
+        "kernel_apply": ("none" if kernel is None or config.local_mode
+                         else kernel.apply_method),
     }
+    if kernel is not None:
+        base_meta.update(balance_iterations=kernel.balance_iterations,
+                         balance_deviation=kernel.balance_deviation)
     base_meta.update(metadata or {})
     trace = Trace(metadata=base_meta,
                   context=SimContext(grid, kernel, config.mu, config.local_mode))
@@ -217,23 +224,26 @@ def run(u0: Field, grid: Grid, kernel: Kernel | None, config: SimConfig,
                          mass=integrate(st.u), min_u=float(st.u.values.min()),
                          dt_used=dt_used)
 
-    record(state, 0.0)
     trace.add_snapshot(0, 0.0, state.u)
     eps = 1e-12 * max(1.0, config.t_end)
     steps_rejected, dt_min = 0, config.dt
-    while state.t < config.t_end - eps:
-        t_prev = state.t
-        state = step_imex(state, grid, kernel, config, solver=solver,
-                          max_dt=config.t_end - state.t)
-        if state.halvings:
-            steps_rejected += state.halvings
-            # a halved step is at most dt / 2, so dt_next is exactly twice it
-            dt_min = min(dt_min, 0.5 * state.dt_next)
-        record(state, state.t - t_prev)
-        if config.snapshot_every and state.step % config.snapshot_every == 0:
-            trace.add_snapshot(state.step, state.t, state.u)
-        for observer in observers:
-            observer(state)
+    # an overflowing reaction is rejected and reported by step_imex; numpy's
+    # own warnings about it would only precede that message
+    with np.errstate(over="ignore", invalid="ignore"):
+        record(state, 0.0)
+        while state.t < config.t_end - eps:
+            t_prev = state.t
+            state = step_imex(state, grid, kernel, config, solver=solver,
+                              max_dt=config.t_end - state.t)
+            if state.halvings:
+                steps_rejected += state.halvings
+                # a halved step is at most dt / 2, so dt_next is exactly twice it
+                dt_min = min(dt_min, 0.5 * state.dt_next)
+            record(state, state.t - t_prev)
+            if config.snapshot_every and state.step % config.snapshot_every == 0:
+                trace.add_snapshot(state.step, state.t, state.u)
+            for observer in observers:
+                observer(state)
     if not trace.snapshots or trace.snapshots[-1].step != state.step:
         trace.add_snapshot(state.step, state.t, state.u)
     trace.metadata.update(steps_rejected=steps_rejected, dt_min=dt_min)

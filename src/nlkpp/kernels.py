@@ -20,9 +20,11 @@ w @ K one instead; that does not pin K[1], so its kernels are labelled
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field as _field, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg import LinAlgError, eigh
 
 from .errors import BalancingError, KernelError, ShapeError, ValidationError
 from .grid import Field, Grid
@@ -34,6 +36,13 @@ MEXICAN_HAT_WIDTH_FACTOR = 2.0
 
 # below this many nodes a dense matvec beats FFT overhead
 _FFT_AUTO_THRESHOLD = 2048
+
+# From this many nodes on, the eigen certificate asks scipy's LAPACK for the
+# smallest eigenpair alone (0.14 s against 0.34 s for numpy's full eigh at
+# 1024, 7.6 s against 12.8 s at 4096). Below it numpy's full eigh is kept: the
+# scipy call wakes scipy's own OpenBLAS thread pool, which then spins for about
+# 0.1 s of CPU, more than the smaller solve saves.
+_SUBSET_EIGH_MIN_NODES = 1024
 
 
 @dataclass(frozen=True)
@@ -79,25 +88,107 @@ class KernelProfile:
         return np.asarray(self.func(z), dtype=float)
 
 
-@dataclass(eq=False)
+class _Stencil:
+    """A profile over all node offsets of a grid, and its real FFT.
+
+    Both are built on first use and shared by a convolution kernel and the
+    kernels normalized from it. Applying the stencil is the zero-padded linear
+    convolution whose "valid" part is sum_j phi(x_i - x_j) v_j: with padded
+    length at least 2n - 1 per axis the circular convolution does not wrap
+    there (circulant embedding of the Toeplitz / block-Toeplitz matrix).
+    """
+
+    def __init__(self, profile: KernelProfile, grid: Grid):
+        self.profile = profile
+        self.grid = grid
+        self._shape: tuple[int, ...] = ()
+        self._spectrum: np.ndarray | None = None
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        grid = self.grid
+        if grid.dim == 1:
+            (n,), (h,) = grid.counts, grid.spacing
+            table = self.profile(np.arange(-(n - 1), n) * h)
+        else:
+            (n0, n1), (h0, h1) = grid.counts, grid.spacing
+            z0 = np.arange(-(n0 - 1), n0) * h0
+            z1 = np.arange(-(n1 - 1), n1) * h1
+            table = self.profile(np.hypot(z0[:, None], z1[None, :]))
+        return np.asarray(table, dtype=float)
+
+    def convolve(self, values: np.ndarray) -> np.ndarray:
+        from scipy import fft  # deferred: costly import, FFT path only
+
+        counts = self.grid.counts
+        if self._spectrum is None:
+            self._shape = tuple(fft.next_fast_len(2 * n - 1, real=True) for n in counts)
+            self._spectrum = fft.rfftn(self.table, self._shape)
+        full = fft.irfftn(self._spectrum * fft.rfftn(values.reshape(counts), self._shape),
+                          self._shape)
+        return full[tuple(slice(n - 1, 2 * n - 1) for n in counts)].ravel()
+
+    def dense(self) -> np.ndarray:
+        """phi(x_i - x_j) at every node pair; in 2D phi of the Euclidean offset."""
+        pts = self.grid.nodes
+        if self.grid.dim == 1:
+            offsets = pts[:, 0][:, None] - pts[:, 0][None, :]
+        else:
+            # sqrt(dx^2 + dy^2) as np.linalg.norm(axis=-1) computes it, without
+            # its (n, n, 2) temporary
+            offsets = np.square(pts[:, None, 0] - pts[None, :, 0])
+            offsets += np.square(pts[:, None, 1] - pts[None, :, 1])
+            np.sqrt(offsets, out=offsets)
+        return np.asarray(self.profile(offsets), dtype=float)
+
+
 class Kernel:
     """A kernel sampled on a grid.
 
     ``matrix[i, j]`` approximates K(x_i, x_j) including any normalization
-    scalings applied so far. For convolution kernels the profile plus the
-    row/column scaling vectors are kept so that application can run through a
-    zero-padded FFT instead of the dense matrix. Treat instances as immutable;
-    the normalization operations return new kernels.
+    scalings applied so far. A convolution kernel is its profile plus row and
+    column scaling vectors, K = diag(row_scale) phi(x_i - x_j) diag(col_scale);
+    its dense ``matrix`` is built on first use (the dense apply below
+    ``_FFT_AUTO_THRESHOLD`` nodes, the eigen certificate, the linearization,
+    ``normalize_columns``) and kept from then on, so it appears in
+    ``vars(kernel)`` only once built. ``apply_method`` is what
+    :func:`apply_kernel` runs by default: ``"fft"`` for convolution kernels of
+    at least ``_FFT_AUTO_THRESHOLD`` nodes, where it beats the dense matvec,
+    else ``"dense"``. ``balance_iterations`` and ``balance_deviation`` are set
+    by :func:`symmetrize_and_normalize`. Treat instances as immutable; the
+    normalization operations return new kernels.
     """
 
-    grid: Grid
-    matrix: np.ndarray
-    profile: KernelProfile | None = None
-    is_convolution: bool = False
-    normalization: str = "none"  # none | columns | balanced
-    row_scale: np.ndarray | None = None
-    col_scale: np.ndarray | None = None
-    _offset_table: np.ndarray | None = _field(default=None, init=False, repr=False)
+    def __init__(self, grid: Grid, matrix: np.ndarray | None = None,
+                 profile: KernelProfile | None = None, is_convolution: bool = False,
+                 normalization: str = "none",  # none | columns | balanced
+                 row_scale: np.ndarray | None = None,
+                 col_scale: np.ndarray | None = None):
+        if is_convolution and profile is None:
+            raise ValidationError("a convolution kernel needs its profile")
+        if matrix is None and not is_convolution:
+            raise ValidationError("a kernel needs a matrix unless it is a convolution")
+        self.grid = grid
+        self.profile = profile
+        self.is_convolution = is_convolution
+        self.normalization = normalization
+        self.row_scale = row_scale
+        self.col_scale = col_scale
+        self.apply_method = ("fft" if is_convolution and grid.n_nodes >= _FFT_AUTO_THRESHOLD
+                             else "dense")
+        self.balance_iterations: int | None = None
+        self.balance_deviation: float | None = None
+        self._stencil = None if profile is None else _Stencil(profile, grid)
+        if matrix is not None:
+            self.matrix = matrix
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense K_ij; a convolution kernel builds it here on first use."""
+        raw = self._stencil.dense()
+        if self.normalization == "none":
+            return raw
+        return np.outer(self.row_scale, self.col_scale) * raw
 
     @property
     def normalized(self) -> bool:
@@ -109,17 +200,28 @@ class Kernel:
         return self.profile.family if self.profile is not None else "general"
 
     @property
-    def min_entry(self) -> float:
-        return float(self.matrix.min())
-
-    @property
     def strictly_positive(self) -> bool:
-        """Whether K > 0 pointwise on the grid (assumed, not required, by the theory)."""
-        return self.min_entry > 0.0
+        """Whether K > 0 pointwise on the grid (assumed, not required, by the theory).
+
+        A convolution kernel's scalings are positive, so its profile over the
+        grid's offsets decides, without building the matrix.
+        """
+        values = self._stencil.table if self.is_convolution else self.matrix
+        return float(values.min()) > 0.0
 
     def __repr__(self) -> str:
         return (f"Kernel(family={self.family}, n={self.grid.n_nodes}, "
                 f"normalization={self.normalization})")
+
+
+def _derive(kernel: Kernel, matrix: np.ndarray | None, **changes) -> Kernel:
+    """``kernel`` with ``changes``, sharing its offset table and spectrum."""
+    fields = dict(profile=kernel.profile, is_convolution=kernel.is_convolution,
+                  normalization=kernel.normalization, row_scale=kernel.row_scale,
+                  col_scale=kernel.col_scale)
+    out = Kernel(kernel.grid, matrix, **(fields | changes))
+    out._stencil = kernel._stencil
+    return out
 
 
 def _check_finite(matrix: np.ndarray) -> None:
@@ -151,19 +253,22 @@ def sample_general_kernel(func: Callable, grid: Grid) -> Kernel:
 
 
 def sample_convolution_kernel(profile: KernelProfile, grid: Grid) -> Kernel:
-    """Sample K_ij = phi(x_i - x_j); in 2D phi acts on the Euclidean offset."""
-    pts = grid.nodes
-    if grid.dim == 1:
-        offsets = pts[:, 0][:, None] - pts[:, 0][None, :]
-    else:
-        offsets = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-    matrix = np.asarray(profile(offsets), dtype=float)
-    _check_finite(matrix)
-    if profile.family in ("gaussian", "tophat", "exponential") and matrix.min() < 0:
-        raise KernelError(f"{profile.family} profile produced negative entries")
+    """K_ij = phi(x_i - x_j); in 2D phi acts on the Euclidean offset.
+
+    Only the profile over the grid's offsets is evaluated here, and checked;
+    the dense matrix is built when a dense consumer first asks for it.
+    """
     ones = np.ones(grid.n_nodes)
-    return Kernel(grid, matrix, profile=profile, is_convolution=True,
-                  row_scale=ones, col_scale=ones.copy())
+    kernel = Kernel(grid, profile=profile, is_convolution=True,
+                    row_scale=ones, col_scale=ones.copy())
+    table = kernel._stencil.table
+    if not np.all(np.isfinite(table)):
+        k = np.unravel_index(int(np.argmin(np.isfinite(table))), table.shape)
+        offset = tuple(int(i) - (n - 1) for i, n in zip(k, grid.counts))
+        raise KernelError(f"kernel value at node offset {offset} is not finite")
+    if profile.family in ("gaussian", "tophat", "exponential") and table.min() < 0:
+        raise KernelError(f"{profile.family} profile produced negative entries")
+    return kernel
 
 
 def normalize_columns(kernel: Kernel) -> Kernel:
@@ -188,7 +293,16 @@ def normalize_columns(kernel: Kernel) -> Kernel:
             f"{support[j]} nonzero entries; the profile is unresolved on this grid")
     matrix = kernel.matrix / sums[None, :]
     col = None if kernel.col_scale is None else kernel.col_scale / sums
-    return replace(kernel, matrix=matrix, normalization="columns", col_scale=col)
+    return _derive(kernel, matrix, normalization="columns", col_scale=col)
+
+
+def _symmetric_by_construction(kernel: Kernel) -> bool:
+    """A convolution kernel with an even stencil and equal row and column scalings."""
+    if not kernel.is_convolution or kernel.row_scale is None:
+        return False
+    table = kernel._stencil.table
+    return (np.array_equal(kernel.row_scale, kernel.col_scale)
+            and np.array_equal(table, table[(slice(None, None, -1),) * table.ndim]))
 
 
 def symmetrize_and_normalize(kernel: Kernel, max_iterations: int = 5000,
@@ -197,67 +311,88 @@ def symmetrize_and_normalize(kernel: Kernel, max_iterations: int = 5000,
 
     The input must be entrywise nonnegative with no zero row or column. A
     symmetric input is scaled by a single vector, so symmetry is preserved
-    exactly; a nonsymmetric input gets the usual alternating row/column
-    scaling.
+    exactly; its products K @ (w d) run through the kernel's own matvec (FFT
+    for large convolution kernels, which then stay matrix-free). A
+    nonsymmetric input gets the usual alternating row/column scaling on its
+    dense matrix. The result records ``balance_iterations`` (scalings
+    computed) and ``balance_deviation`` (the final max |sum - 1|).
     """
-    K = kernel.matrix
-    if K.min() < 0:
-        raise KernelError("balancing requires an entrywise nonnegative kernel")
     w = kernel.grid.weights
-    if np.any(K @ w <= 0) or np.any(w @ K <= 0):
-        raise KernelError("balancing requires no zero row or column")
+    symmetric = _symmetric_by_construction(kernel)
+    if symmetric:
+        # positive scalings: the stencil's signs are the matrix's
+        if kernel._stencil.table.min() < 0:
+            raise KernelError("balancing requires an entrywise nonnegative kernel")
+        sums = _matvec(kernel, w)
+        if np.any(sums <= 0):  # K = K^T: the column sums are the row sums
+            raise KernelError("balancing requires no zero row or column")
+    else:
+        K = kernel.matrix
+        if K.min() < 0:
+            raise KernelError("balancing requires an entrywise nonnegative kernel")
+        sums = K @ w
+        if np.any(sums <= 0) or np.any(w @ K <= 0):
+            raise KernelError("balancing requires no zero row or column")
+        symmetric = np.array_equal(K, K.T)
 
-    if np.array_equal(K, K.T):
-        d = 1.0 / np.sqrt(K @ w)
-        err = math.inf
-        for _ in range(max_iterations):
-            s = d * (K @ (w * d))
+    err = math.inf
+    iterations = 0
+    if symmetric:
+        d = 1.0 / np.sqrt(sums)
+        while iterations < max_iterations:
+            iterations += 1
+            s = d * _matvec(kernel, w * d)
             err = float(np.max(np.abs(s - 1.0)))
             if err <= tol:
                 break
             d = d / np.sqrt(s)
-        if err > tol:
-            raise BalancingError(
-                f"balancing stalled at deviation {err:.3g} after "
-                f"{max_iterations} iterations (tol {tol:.3g})")
-        matrix = np.outer(d, d) * K
-        row, col = d, d
     else:
         r = np.ones(kernel.grid.n_nodes)
-        err = math.inf
-        for _ in range(max_iterations):
+        while iterations < max_iterations:
+            iterations += 1
             c = 1.0 / ((w * r) @ K)
             r = 1.0 / (K @ (w * c))
             err = float(np.max(np.abs(c * ((w * r) @ K) - 1.0)))
             if err <= tol:
                 break
-        if err > tol:
-            raise BalancingError(
-                f"balancing stalled at deviation {err:.3g} after "
-                f"{max_iterations} iterations (tol {tol:.3g})")
+    if err > tol:
+        raise BalancingError(
+            f"balancing stalled at deviation {err:.3g} after "
+            f"{max_iterations} iterations (tol {tol:.3g})")
+
+    if not symmetric:
         matrix = (r[:, None] * K) * c[None, :]
         row, col = r, c
-
+    else:
+        row = col = d
+        # scale the matrix if the dense matvec built it; otherwise the result
+        # stays matrix-free and builds diag(row) phi diag(col) on demand
+        matrix = np.outer(d, d) * kernel.matrix if "matrix" in vars(kernel) else None
     new_row = None if kernel.row_scale is None else kernel.row_scale * row
     new_col = None if kernel.col_scale is None else kernel.col_scale * col
-    return replace(kernel, matrix=matrix, normalization="balanced",
-                   row_scale=new_row, col_scale=new_col)
+    balanced = _derive(kernel, matrix, normalization="balanced",
+                       row_scale=new_row, col_scale=new_col)
+    balanced.balance_iterations = iterations
+    balanced.balance_deviation = err
+    return balanced
 
 
-def _offset_table(kernel: Kernel) -> np.ndarray:
-    """Profile values over all node offsets, the FFT path's convolution stencil."""
-    if kernel._offset_table is None:
-        grid = kernel.grid
-        if grid.dim == 1:
-            (n,), (h,) = grid.counts, grid.spacing
-            table = kernel.profile(np.arange(-(n - 1), n) * h)
-        else:
-            (n0, n1), (h0, h1) = grid.counts, grid.spacing
-            z0 = np.arange(-(n0 - 1), n0) * h0
-            z1 = np.arange(-(n1 - 1), n1) * h1
-            table = kernel.profile(np.hypot(z0[:, None], z1[None, :]))
-        kernel._offset_table = np.asarray(table, dtype=float)
-    return kernel._offset_table
+def _matvec(kernel: Kernel, values: np.ndarray, method: str = "auto") -> np.ndarray:
+    """K @ values, dense or through the convolution stencil."""
+    if method == "auto":
+        method = kernel.apply_method
+    if method == "dense":
+        return kernel.matrix @ values
+    if method != "fft":
+        raise ValidationError(f"unknown apply method {method!r}")
+    if not kernel.is_convolution:
+        raise ValidationError("fft application needs a convolution kernel")
+    if kernel.col_scale is not None:
+        values = values * kernel.col_scale
+    out = kernel._stencil.convolve(values)
+    if kernel.row_scale is not None:
+        out = kernel.row_scale * out
+    return out
 
 
 def apply_kernel(kernel: Kernel, field: Field, method: str = "auto") -> Field:
@@ -265,30 +400,13 @@ def apply_kernel(kernel: Kernel, field: Field, method: str = "auto") -> Field:
 
     ``method`` is ``"dense"``, ``"fft"`` (zero-padded linear convolution,
     available for convolution kernels on these uniform grids), or ``"auto"``
-    which picks FFT only when the grid is large enough for it to win.
+    which runs ``kernel.apply_method``: FFT only when the grid is large
+    enough for it to win.
     """
     grid = kernel.grid
     if field.grid is not grid and not field.grid.same_layout(grid):
         raise ShapeError("field does not live on the kernel's grid")
-    if method == "auto":
-        method = "fft" if (kernel.is_convolution
-                           and grid.n_nodes >= _FFT_AUTO_THRESHOLD) else "dense"
-    if method == "dense":
-        return Field(grid, kernel.matrix @ (grid.weights * field.values))
-    if method != "fft":
-        raise ValidationError(f"unknown apply method {method!r}")
-    if not kernel.is_convolution or kernel.profile is None:
-        raise ValidationError("fft application needs a convolution kernel")
-    from scipy.signal import fftconvolve  # deferred: costly import, FFT path only
-
-    src = grid.weights * field.values
-    if kernel.col_scale is not None:
-        src = src * kernel.col_scale
-    out = fftconvolve(_offset_table(kernel), src.reshape(grid.shape),
-                      mode="valid").ravel()
-    if kernel.row_scale is not None:
-        out = kernel.row_scale * out
-    return Field(grid, out)
+    return Field(grid, _matvec(kernel, grid.weights * field.values, method))
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,7 +436,8 @@ def certify_positivity_eigen(kernel: Kernel, tol: float = 1e-9) -> PositivityCer
 
     Forms M = D_w K D_w, symmetrizes, and checks the smallest eigenvalue
     against ``-tol * max(1, ||M||_inf)`` so discretization noise near zero
-    cannot flip the verdict.
+    cannot flip the verdict. From ``_SUBSET_EIGH_MIN_NODES`` nodes on only
+    the smallest eigenpair is computed.
     """
     w = kernel.grid.weights
     M = (w[:, None] * kernel.matrix) * w[None, :]
@@ -326,8 +445,11 @@ def certify_positivity_eigen(kernel: Kernel, tol: float = 1e-9) -> PositivityCer
     scale = max(1.0, float(np.max(np.abs(M).sum(axis=1))))
     threshold = tol * scale
     try:
-        eigvals, eigvecs = np.linalg.eigh(S)
-    except np.linalg.LinAlgError:
+        if S.shape[0] >= _SUBSET_EIGH_MIN_NODES:
+            eigvals, eigvecs = eigh(S, subset_by_index=[0, 0])
+        else:
+            eigvals, eigvecs = np.linalg.eigh(S)
+    except LinAlgError:
         return PositivityCertificate("eigen", "inconclusive", math.nan, threshold)
     lam = float(eigvals[0])
     if lam >= -threshold:

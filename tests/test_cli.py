@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -87,10 +88,16 @@ def test_non_finite_step_is_exit_3(tmp_path, capsys):
     doc["grid"]["counts"] = 64
     doc["initial"] = {"kind": "constant", "value": 1e300}
     doc["sim"] = {"mu": 1e10, "dt": 1.0, "t_end": 3.0}
-    code = main(["simulate", write(tmp_path, doc, "overflow.json"),
-                 "--out", str(tmp_path / "o")])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["simulate", write(tmp_path, doc, "overflow.json"),
+                     "--out", str(tmp_path / "o")])
     assert code == 3
-    assert "non-finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "non-finite" in err
+    # numpy's overflow warnings would print ahead of the error message
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_certify_writes_certificates(tmp_path, capsys):
@@ -123,8 +130,14 @@ def test_sweep_bad_jobs(tmp_path, capsys):
 
 
 def test_import_leaves_scipy_signal_unloaded():
-    # scipy.signal is only needed by the FFT kernel path
-    code = "import sys, nlkpp.cli; print('scipy.signal' in sys.modules)"
+    # the FFT kernel path calls scipy.fft directly; nothing loads scipy.signal
+    code = ("import sys, nlkpp.cli\n"
+            "from nlkpp import *\n"
+            "g = build_uniform_grid(((0, 1), (0, 1)), (48, 48))\n"
+            "k = sample_convolution_kernel(KernelProfile('gaussian', 0.2), g)\n"
+            "assert k.apply_method == 'fft'\n"
+            "apply_kernel(k, Field.constant(g, 1.0))\n"
+            "print('scipy.signal' in sys.modules)")
     src = str(Path(nlkpp.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -238,3 +238,28 @@ class TestNonFiniteFields:
     def test_sup_distance_rejects_nan(self, nan_field):
         with pytest.raises(DomainError, match="node 5"):
             sup_distance_to_one(nan_field)
+
+    @pytest.fixture
+    def inf_field(self, unit_grid):
+        vals = np.ones(unit_grid.n_nodes)
+        vals[5] = np.inf
+        return Field(unit_grid, vals)
+
+    def test_lyapunov_value_rejects_inf(self, inf_field):
+        with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="node 5"):
+            lyapunov_value(inf_field)
+
+    def test_dissipation_rejects_inf(self, inf_field, balanced_gaussian):
+        with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="node 5"):
+            dissipation(inf_field, balanced_gaussian, 1.0)
+
+    def test_sup_distance_rejects_inf(self, inf_field):
+        with pytest.raises(DomainError, match="node 5"):
+            sup_distance_to_one(inf_field)
+
+    def test_overflow_on_finite_nodes_is_returned(self, unit_grid, balanced_gaussian):
+        # a huge but finite field is in the domain; its dissipation overflows
+        # and the step that follows is what fails (StepFailure)
+        with np.errstate(over="ignore"):
+            d = dissipation(Field.constant(unit_grid, 1e300), balanced_gaussian, 1.0)
+        assert d.total == math.inf

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlkpp import (BalancingError, Field, KernelError, KernelProfile,
+from nlkpp import (BalancingError, Field, Kernel, KernelError, KernelProfile,
                    ValidationError, apply_kernel, build_uniform_grid,
                    certify_positivity_bochner, certify_positivity_eigen,
                    normalize_columns, sample_convolution_kernel,
@@ -152,6 +152,87 @@ class TestNormalization:
         assert np.max(np.abs(balanced.matrix @ w - 1)) < 1e-11
 
 
+def _old_sample(profile, grid):
+    """K_ij = phi(x_i - x_j) as the dense sampler computed it."""
+    pts = grid.nodes
+    if grid.dim == 1:
+        offsets = pts[:, 0][:, None] - pts[:, 0][None, :]
+    else:
+        offsets = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+    return np.asarray(profile(offsets), dtype=float)
+
+
+def _old_balance(K, w, tol=1e-12):
+    """The dense symmetric Sinkhorn scaling d, with d_i K_ij d_j balanced."""
+    d = 1.0 / np.sqrt(K @ w)
+    for _ in range(5000):
+        s = d * (K @ (w * d))
+        if float(np.max(np.abs(s - 1.0))) <= tol:
+            return d
+        d = d / np.sqrt(s)
+    raise AssertionError("reference balancing did not converge")
+
+
+class TestMatrixFree:
+    @pytest.mark.parametrize("family", ["gaussian", "tophat"])
+    def test_dense_path_is_the_old_formula_1d(self, unit_grid, rng, family):
+        # below the FFT threshold every byte stays what the dense code gave
+        profile = KernelProfile(family, 0.2)
+        kern = symmetrize_and_normalize(sample_convolution_kernel(profile, unit_grid))
+        w = unit_grid.weights
+        K = _old_sample(profile, unit_grid)
+        d = _old_balance(K, w)
+        np.testing.assert_array_equal(kern.row_scale, d)
+        np.testing.assert_array_equal(kern.matrix, np.outer(d, d) * K)
+        u = rng.uniform(0.5, 1.5, unit_grid.n_nodes)
+        np.testing.assert_array_equal(apply_kernel(kern, Field(unit_grid, u)).values,
+                                      np.outer(d, d) * K @ (w * u))
+
+    def test_fft_balancing_matches_dense(self):
+        grid = build_uniform_grid(((0, 1), (0, 1)), (48, 48))  # 2304 nodes
+        profile = KernelProfile("gaussian", 0.15)
+        kern = symmetrize_and_normalize(sample_convolution_kernel(profile, grid))
+        assert kern.apply_method == "fft"
+        assert "matrix" not in vars(kern)
+        assert kern.strictly_positive and "matrix" not in vars(kern)
+        w = grid.weights
+        ones = apply_kernel(kern, Field.constant(grid, 1.0)).values
+        assert np.max(np.abs(ones - 1.0)) < 1e-12
+        K = _old_sample(profile, grid)
+        d = _old_balance(K, w)
+        assert np.max(np.abs(kern.row_scale - d)) < 1e-13 * np.max(d)
+        # the view is built on demand, by the dense formula, and then kept
+        np.testing.assert_array_equal(kern.matrix, np.outer(kern.row_scale,
+                                                            kern.col_scale) * K)
+        assert "matrix" in vars(kern)
+        assert np.max(np.abs(kern.matrix @ w - 1.0)) < 1e-12
+
+    def test_balancing_records_iterations_and_deviation(self, unit_grid):
+        kern = sample_convolution_kernel(KernelProfile("gaussian", 0.2), unit_grid)
+        balanced = symmetrize_and_normalize(kern)
+        n = balanced.balance_iterations
+        assert symmetrize_and_normalize(kern, max_iterations=n).balance_iterations == n
+        with pytest.raises(BalancingError):
+            symmetrize_and_normalize(kern, max_iterations=n - 1)
+        row_sums = balanced.matrix @ unit_grid.weights
+        assert balanced.balance_deviation <= 1e-12
+        assert balanced.balance_deviation == pytest.approx(
+            np.max(np.abs(row_sums - 1.0)), abs=1e-15)
+
+    def test_non_finite_profile_rejected(self):
+        grid = build_uniform_grid(((0, 1), (0, 1)), (4, 5))
+        prof = KernelProfile("custom", 1.0, func=lambda z: 1.0 / z)
+        with np.errstate(divide="ignore"), pytest.raises(KernelError,
+                                                         match=r"offset \(0, 0\)"):
+            sample_convolution_kernel(prof, grid)
+
+    def test_needs_a_matrix_or_a_profile(self, unit_grid):
+        with pytest.raises(ValidationError, match="profile"):
+            Kernel(unit_grid, np.eye(128), is_convolution=True)
+        with pytest.raises(ValidationError, match="matrix"):
+            Kernel(unit_grid, profile=KernelProfile("gaussian", 0.2))
+
+
 class TestApplyKernel:
     def test_balanced_kernel_fixes_constants(self, unit_grid, balanced_gaussian):
         out = apply_kernel(balanced_gaussian, Field.constant(unit_grid, 1.0))
@@ -212,6 +293,20 @@ class TestEigenCertificate:
         w = unit_grid.weights
         quad = (w * f) @ (balanced_tophat.matrix @ (w * f))
         assert quad == pytest.approx(cert.witness, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [128, 1024])  # full eigh, then one eigenpair
+    def test_witness_is_the_smallest_eigenvalue(self, n):
+        grid = build_uniform_grid((0, 1), n)
+        kern = symmetrize_and_normalize(
+            sample_convolution_kernel(KernelProfile("tophat", 0.2), grid))
+        w = grid.weights
+        M = (w[:, None] * kern.matrix) * w[None, :]
+        smallest = np.linalg.eigvalsh(0.5 * (M + M.T))[0]
+        cert = certify_positivity_eigen(kern)
+        assert cert.verdict == "not_positive"
+        assert cert.witness == pytest.approx(smallest, rel=1e-10)
+        f = cert.violating_direction
+        assert (w * f) @ (kern.matrix @ (w * f)) == pytest.approx(smallest, rel=1e-10)
 
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=20)

@@ -1,13 +1,20 @@
+import copy
+import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nlkpp import (Field, ValidationError, build_uniform_grid, certify_scenario,
-                   parse_scenario, parse_scenario_dict, parse_sweep_dict,
+from nlkpp import (Field, Kernel, ValidationError, build_kernel,
+                   build_uniform_grid, certify_scenario, parse_scenario,
+                   parse_scenario_dict, parse_sweep, parse_sweep_dict,
                    read_csv_rows, read_field, run_scenario, run_sweep,
                    write_field)
 from nlkpp.diagnostics import Trace
+from nlkpp.scenario import build_grid
+
+SCENARIOS = sorted((Path(__file__).parents[1] / "scenarios").glob("*.json"))
 
 
 def minimal_doc(**overrides):
@@ -25,6 +32,20 @@ def write_doc(tmp_path, doc, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.name)
+def test_committed_scenario_parses(path):
+    if "parameters" not in json.loads(path.read_text()):
+        parse_scenario(path)
+        return
+    spec = parse_sweep(path)
+    for values in itertools.product(*(p.values for p in spec.parameters)):
+        raw = copy.deepcopy(spec.base)
+        for param, value in zip(spec.parameters, values):
+            section, key = param.path.split(".")
+            raw[section][key] = value
+        parse_scenario_dict(raw, base_dir=spec.base_dir)
 
 
 class TestParsing:
@@ -212,6 +233,46 @@ class TestRunScenario:
         assert meta["metadata"]["steps_rejected"] == 0
         assert meta["metadata"]["dt_min"] == 1e-3
         assert meta["metadata"]["solver"] == "tridiagonal"
+
+    @pytest.mark.parametrize("counts,apply", [(48, "dense"), ([48, 48], "fft")],
+                             ids=["1d", "2d"])
+    def test_kernel_path_and_balancing_are_recorded(self, tmp_path, counts, apply):
+        extents = [0, 1] if apply == "dense" else [[0, 1], [0, 1]]
+        doc = minimal_doc(grid={"extents": extents, "counts": counts},
+                          output={"artifacts": ["meta"]})
+        doc["kernel"]["certify"] = False
+        doc["sim"]["t_end"] = 2e-3
+        sc = parse_scenario_dict(doc)
+        kernel, _ = build_kernel(sc.kernel, build_grid(sc.grid))
+        run_scenario(sc, out_dir=tmp_path / "k", quiet=True)
+        meta = json.loads((tmp_path / "k/run_meta.json").read_text())["metadata"]
+        assert meta["kernel_apply"] == apply
+        assert meta["balance_iterations"] == kernel.balance_iterations > 0
+        assert meta["balance_deviation"] == kernel.balance_deviation <= 1e-12
+
+    def test_local_mode_records_no_kernel_apply(self, tmp_path):
+        doc = minimal_doc(output={"artifacts": ["meta"]})
+        doc["sim"]["local_mode"] = True
+        run_scenario(parse_scenario_dict(doc), out_dir=tmp_path / "l", quiet=True)
+        meta = json.loads((tmp_path / "l/run_meta.json").read_text())["metadata"]
+        assert meta["kernel_apply"] == "none"
+
+    def test_matrix_free_run_builds_no_matrix(self, tmp_path, monkeypatch):
+        # at 48 x 48 = 2304 nodes the kernel applies by FFT; with certify and
+        # stability off nothing needs the dense matrix, so none may be built
+        monkeypatch.setattr(Kernel, "matrix", property(
+            lambda self: pytest.fail("dense kernel matrix built")))
+        doc = minimal_doc(grid={"extents": [[0, 1], [0, 1]], "counts": [48, 48]},
+                          initial={"kind": "random_uniform", "low": 0.5,
+                                   "high": 1.5, "seed": 2},
+                          output={"artifacts": ["meta", "trace"]})
+        doc["kernel"]["certify"] = False
+        doc["sim"]["t_end"] = 1e-2
+        run_scenario(parse_scenario_dict(doc), out_dir=tmp_path / "mf", quiet=True)
+        meta = json.loads((tmp_path / "mf/run_meta.json").read_text())["metadata"]
+        assert meta["kernel_strictly_positive"] is True
+        V = Trace.from_csv(tmp_path / "mf/trace.csv").column("V")
+        assert len(V) == 11 and np.all(np.diff(V) <= 0)
 
     def test_stability_switched_off_is_recorded(self, tmp_path):
         doc = minimal_doc(output={"artifacts": ["meta"], "stability": False})
