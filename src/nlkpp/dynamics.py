@@ -9,14 +9,15 @@ Lyapunov bookkeeping. The accepted step size recovers by doubling back up to
 the configured dt.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, get_lapack_funcs
+from scipy.linalg import get_lapack_funcs
 
 from .diagnostics import SimContext, Trace, dissipation, lyapunov_value, sup_distance_to_one
-from .errors import StepFailure, ValidationError
+from .errors import NumericalError, StepFailure, ValidationError
 from .grid import Field, Grid, integrate
 from .kernels import Kernel, apply_kernel
 
@@ -48,7 +49,7 @@ class SimConfig:
             raise ValidationError("max_dt_halvings must be >= 0")
 
 
-_gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.empty(1),))
+_pbtrf, _pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), (np.empty(1),))
 
 
 @dataclass(eq=False)
@@ -86,62 +87,59 @@ def reaction_term(u: Field, kernel: Kernel | None, mu: float,
 class DiffusionSolver:
     """Exact solver for (I - dt L) u = rhs with the ghost-node Neumann Laplacian.
 
-    Both dims eliminate an M-matrix band, so each node is accurate relative to
-    its own size (a transform solve is accurate only to eps * max|rhs| and
-    pushes nodes at the positivity floor below it). 2D factors the symmetric
-    W (I - dt L), W the trapezoid weights, by banded Cholesky and solves for
-    u - min(rhs): the substitutions then add nonnegative terms only, so
-    min(u) >= min(rhs) holds exactly, as the maximum principle says. 1D keeps
-    the LAPACK ``gttrf`` LU of the band, which gives bit for bit what
-    ``solve_banded`` (``gtsv``) gives. Factors are cached per dt. Inputs are
-    not checked for finiteness; a non-finite right-hand side gives a
-    non-finite solution, which the step rejects.
+    It factors the symmetric W (I - dt L), W the trapezoid weights, by banded
+    Cholesky (LAPACK ``pbtrf``; bandwidth 1 in 1D, n1 in 2D) and solves for
+    u - min(rhs). Scaled by W the matrix is a symmetric M-matrix and Cholesky
+    does not pivot, so the factor's signs are exact and both substitutions add
+    nonnegative terms only: min(u) >= min(rhs) holds exactly, as the maximum
+    principle says, and each node is accurate relative to its own size (a
+    transform solve is accurate only to eps * max|rhs| and pushes nodes at the
+    positivity floor below it). Factors are cached per dt. Inputs are not
+    checked for finiteness; a non-finite right-hand side gives a non-finite
+    solution, which the step rejects.
     """
+
+    name = "banded_cholesky"
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        self.name = "tridiagonal" if grid.dim == 1 else "banded_cholesky"
-        self._factors: dict[float, tuple] = {}
+        self._factors: dict[float, np.ndarray] = {}
 
-    def _factor(self, dt: float) -> tuple:
+    def _factor(self, dt: float) -> np.ndarray:
         factor = self._factors.get(dt)
         if factor is None:
-            ab = self._band(dt)
-            if self.grid.dim == 1:
-                # I - dt L is strictly diagonally dominant: the LU cannot break down
-                factor = _gttrf(ab[2, :-1], ab[1], ab[0, 1:])[:5]
-            else:
-                factor = (cholesky_banded(ab), False)
+            factor, info = _pbtrf(self._band(dt), overwrite_ab=1)
+            if info != 0:
+                raise NumericalError(
+                    f"banded Cholesky of W (I - dt L) failed at dt={dt:.3g} "
+                    f"(LAPACK pbtrf info {info})")
             self._factors[dt] = factor
         return factor
 
     def _band(self, dt: float) -> np.ndarray:
-        """(I - dt L) as a (1, 1) band in 1D, the upper band of W (I - dt L) in 2D."""
-        if self.grid.dim == 1:
-            n = self.grid.counts[0]
-            r = dt / self.grid.spacing[0] ** 2
-            ab = np.zeros((3, n))
-            ab[1, :] = 1.0 + 2.0 * r
-            ab[0, 1] = -2.0 * r
-            ab[0, 2:] = -r
-            ab[2, n - 2] = -2.0 * r
-            ab[2, : n - 2] = -r
-            return ab
-        (n0, n1), (h0, h1) = self.grid.counts, self.grid.spacing
-        ab = np.zeros((n1 + 1, n0 * n1))
-        up, left = ab[0], ab[n1 - 1]  # couplings to the (i-1, j) and (i, j-1) nodes
-        up[n1:] = np.tile(-dt / h0 * self.grid.axis_weights(1), n0 - 1)
-        left.reshape(n0, n1)[:, 1:] = -dt / h1 * self.grid.axis_weights(0)[:, None]
-        # W L has zero row sums, so the diagonal is w minus the row's couplings
-        ab[n1] = self.grid.weights - up - np.roll(up, -n1) - left - np.roll(left, -1)
+        """The upper band of W (I - dt L) in LAPACK storage, diagonal last."""
+        grid = self.grid
+        bw = grid.n_nodes // grid.counts[0]  # axis 0's stride, the widest coupling
+        ab = np.zeros((bw + 1, grid.n_nodes))
+        diag = grid.weights
+        for axis, (n, h) in enumerate(zip(grid.counts, grid.spacing)):
+            # a node couples to the one a stride back along the axis, if any,
+            # with -dt/h times the other axes' trapezoid weights
+            back = np.full(n, -dt / h)
+            back[0] = 0.0
+            factors = [grid.axis_weights(other) for other in range(grid.dim)]
+            factors[axis] = back
+            stride = math.prod(grid.counts[axis + 1:])
+            row = ab[bw - stride]
+            row[:] = functools.reduce(np.multiply.outer, factors).ravel()
+            # W L has zero row sums, so the diagonal is w minus the row's couplings
+            diag = diag - row - np.roll(row, -stride)
+        ab[bw] = diag
         return ab
 
     def solve(self, rhs: np.ndarray, dt: float) -> np.ndarray:
-        if self.grid.dim == 1:
-            return _gttrs(*self._factor(dt), rhs)[0]
         floor = rhs.min()
-        shifted = self.grid.weights * (rhs - floor)
-        return floor + cho_solve_banded(self._factor(dt), shifted, check_finite=False)
+        return floor + _pbtrs(self._factor(dt), self.grid.weights * (rhs - floor))[0]
 
 
 def step_imex(state: SimState, grid: Grid, kernel: Kernel | None,

@@ -9,6 +9,7 @@ both properties are what the Lyapunov bookkeeping in :mod:`nlkpp.diagnostics`
 relies on.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,19 +21,27 @@ Extents = tuple[tuple[float, float], ...]
 
 
 def _normalize_extents(extents) -> Extents:
-    arr = np.asarray(extents, dtype=float)
+    try:
+        arr = np.asarray(extents, dtype=float)
+    except (TypeError, ValueError):  # ragged or not numeric: fails the shape test
+        arr = np.empty(0)
     if arr.shape == (2,):
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] not in (1, 2):
         raise ValidationError(
             f"extents must be (lo, hi) or one/two (lo, hi) pairs, got {extents!r}")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"extents must be finite, got {extents!r}")
     return tuple((float(lo), float(hi)) for lo, hi in arr)
 
 
 def _normalize_counts(counts, dim: int) -> tuple[int, ...]:
     if np.isscalar(counts):
         counts = (counts,)
-    counts = tuple(int(n) for n in counts)
+    try:
+        counts = tuple(operator.index(n) for n in counts)
+    except TypeError:
+        raise ValidationError(f"counts must be integers, got {counts!r}") from None
     if len(counts) != dim:
         raise ValidationError(
             f"counts has {len(counts)} entries for a {dim}-dimensional domain")

@@ -21,9 +21,11 @@ The output directory is resolved as: explicit argument, then the
 
 import copy
 import csv
+import itertools
 import json
 import math
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -84,6 +86,9 @@ class _Section:
 def _as_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"'{where}' must be a number, got {value!r}")
+    # json.loads reads NaN, Infinity and integers beyond the float range
+    if not abs(value) <= sys.float_info.max:
+        raise ValidationError(f"'{where}' must be finite, got {value!r}")
     return float(value)
 
 
@@ -97,12 +102,6 @@ def _as_bool(value, where: str) -> bool:
     if not isinstance(value, bool):
         raise ValidationError(f"'{where}' must be true or false, got {value!r}")
     return value
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    extents: tuple[tuple[float, float], ...]
-    counts: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -142,7 +141,7 @@ class OutputSpec:
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    grid: GridSpec
+    grid: Grid
     kernel: KernelSpec | None
     initial: InitialSpec
     sim: SimConfig
@@ -151,31 +150,22 @@ class Scenario:
     base_dir: str = "."
 
 
-def _parse_grid(raw) -> GridSpec:
+def _parse_grid(raw) -> Grid:
+    """JSON types only; build_uniform_grid checks shapes, counts and extents."""
     sec = _Section(raw, "grid")
-    extents_raw = sec.take("extents")
-    counts_raw = sec.take("counts")
+    extents = sec.take("extents")
+    counts = sec.take("counts")
     sec.finish()
+    if not isinstance(extents, list):
+        raise ValidationError("grid.extents must be [lo, hi] or a list of such pairs")
+    extents = [[_as_number(v, "grid.extents") for v in pair] if isinstance(pair, list)
+               else _as_number(pair, "grid.extents") for pair in extents]
+    counts = [_as_int(c, "grid.counts")
+              for c in (counts if isinstance(counts, list) else [counts])]
     try:
-        arr = np.asarray(extents_raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"grid.extents is not numeric: {exc}") from exc
-    if arr.shape == (2,):
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] not in (1, 2):
-        raise ValidationError("grid.extents must be [lo, hi] or one/two such pairs")
-    extents = tuple((float(lo), float(hi)) for lo, hi in arr)
-    counts = counts_raw if isinstance(counts_raw, list) else [counts_raw]
-    counts = tuple(_as_int(c, "grid.counts") for c in counts)
-    if len(counts) != len(extents):
-        raise ValidationError("grid.counts must have one entry per axis")
-    for n in counts:
-        if n < 3:
-            raise ValidationError(f"grid.counts entries must be >= 3, got {n}")
-    for lo, hi in extents:
-        if not hi > lo:
-            raise ValidationError(f"grid.extents pair ({lo}, {hi}) is degenerate")
-    return GridSpec(extents, counts)
+        return build_uniform_grid(extents, counts)
+    except ValidationError as exc:
+        raise ValidationError(f"grid: {exc}") from exc
 
 
 def _parse_kernel(raw) -> KernelSpec:
@@ -185,12 +175,9 @@ def _parse_kernel(raw) -> KernelSpec:
         raise ValidationError(
             f"kernel.family must be one of gaussian/tophat/exponential/"
             f"mexican_hat, got {family!r}")
-    sigma = _as_number(sec.take("sigma"), "kernel.sigma")
-    if not sigma > 0:
-        raise ValidationError(f"kernel.sigma must be positive, got {sigma}")
-    spec = KernelSpec(
+    spec = KernelSpec(  # KernelProfile checks sigma when build_kernel makes it
         family=family,
-        sigma=sigma,
+        sigma=_as_number(sec.take("sigma"), "kernel.sigma"),
         inhibition_ratio=_as_number(sec.take("inhibition_ratio", 0.8),
                                     "kernel.inhibition_ratio"),
         normalization=sec.take("normalization", "balanced"),
@@ -312,10 +299,6 @@ def parse_scenario(path) -> Scenario:
     return parse_scenario_dict(raw, name=path.stem, base_dir=str(path.parent))
 
 
-def build_grid(spec: GridSpec) -> Grid:
-    return build_uniform_grid(spec.extents, spec.counts)
-
-
 def build_kernel(spec: KernelSpec, grid: Grid) -> tuple[Kernel, list[PositivityCertificate]]:
     """Sample, normalize, and (optionally) certify the scenario kernel."""
     # Temporary, belongs in _parse_kernel: perfbench/run.py counts a simulate
@@ -424,7 +407,7 @@ def run_scenario(scenario: Scenario, out_dir=None, quiet: bool = False) -> dict:
 
 def _run_scenario_inner(scenario: Scenario, out_dir, quiet: bool,
                         start: float) -> dict:
-    grid = build_grid(scenario.grid)
+    grid = scenario.grid
     kernel = None
     certificates: list[PositivityCertificate] = []
     if scenario.kernel is not None:
@@ -521,7 +504,7 @@ def certify_scenario(scenario: Scenario, out_dir=None, quiet: bool = False) -> l
     """Kernel-only path: build, normalize, certify, emit certificate.csv."""
     if scenario.kernel is None:
         raise ValidationError(f"scenario '{scenario.name}' has no kernel section")
-    grid = build_grid(scenario.grid)
+    grid = scenario.grid
     spec = replace(scenario.kernel, certify=True)
     _, certificates = build_kernel(spec, grid)
     out = resolve_output_dir(scenario, out_dir)
@@ -597,18 +580,10 @@ def _set_path(raw: dict, dotted: str, value) -> None:
 
 
 def _sweep_points(sweep: SweepSpec) -> list[dict]:
-    """Cartesian product of swept values, deterministic row order."""
-    points = []
-    if len(sweep.parameters) == 1:
-        (p,) = sweep.parameters
-        for v in p.values:
-            points.append({p.path: v})
-    else:
-        p0, p1 = sweep.parameters
-        for v0 in p0.values:
-            for v1 in p1.values:
-                points.append({p0.path: v0, p1.path: v1})
-    return points
+    """Cartesian product of swept values, the first parameter outermost."""
+    paths = [p.path for p in sweep.parameters]
+    return [dict(zip(paths, values))
+            for values in itertools.product(*(p.values for p in sweep.parameters))]
 
 
 def _run_sweep_point(args) -> dict:

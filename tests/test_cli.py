@@ -62,6 +62,24 @@ def test_invalid_scenario_field(tmp_path, capsys):
     assert "mu" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("sim", "t_end", float("inf")),
+    ("kernel", "sigma", float("inf")),
+    ("grid", "extents", [0.0, float("inf")]),
+    ("grid", "counts", 3.5),
+    ("sim", "mu", 10 ** 400),
+], ids=["t_end", "sigma", "extents", "counts", "huge_int"])
+def test_non_finite_or_fractional_input_is_exit_2(tmp_path, capsys, section,
+                                                   key, value):
+    doc = scenario_doc()
+    doc[section][key] = value  # json.dumps writes inf as Infinity
+    code = main(["simulate", write(tmp_path, doc, "bad.json"),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_column_normalization_is_exit_2(tmp_path, capsys):
     doc = scenario_doc()
     doc["kernel"]["normalization"] = "columns"

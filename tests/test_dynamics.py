@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from nlkpp import (Field, KernelProfile, SimConfig, StepFailure,
-                   ValidationError, build_uniform_grid, laplacian_matrix,
-                   normalize_columns, reaction_term, run,
+from nlkpp import (Field, KernelProfile, NumericalError, SimConfig,
+                   StepFailure, ValidationError, build_uniform_grid,
+                   laplacian_matrix, normalize_columns, reaction_term, run,
                    sample_convolution_kernel, step_imex,
                    symmetrize_and_normalize)
 from nlkpp.dynamics import DiffusionSolver, SimState
@@ -163,6 +163,17 @@ class TestRun:
                        balanced_gaussian, cfg)
         assert trace.column("sup_dist_one")[-1] < 1e-10
 
+    def test_zero_region_takes_full_steps_1d(self):
+        # the 1D counterpart of Test2D's case: far from the step the exact
+        # solution stays at the positivity floor, and no step may dip below it
+        grid = build_uniform_grid((0, 50), 128)
+        u0 = Field(grid, np.where(grid.nodes[:, 0] < 10, 1.0, 0.0))
+        cfg = SimConfig(mu=0.0, dt=1e-2, t_end=1.0, local_mode=True)
+        state, trace = run(u0, grid, None, cfg)
+        assert state.step == 100
+        assert trace.metadata["steps_rejected"] == 0
+        assert trace.column("min_u").min() >= cfg.positivity_floor
+
     def test_heat_decay_to_mean(self):
         # mu = 0: a single Neumann mode on top of a constant dies off,
         # leaving the mean value 2
@@ -273,19 +284,28 @@ class TestDiffusionSolver:
         for dt in (1e-300, 5e-301):
             np.testing.assert_allclose(solver.solve(rhs, dt), rhs, rtol=1e-10)
 
-    def test_keeps_the_minimum_2d(self):
+    @pytest.mark.parametrize("extents,counts", [
+        ((0, 50), 128),
+        (((0, 20), (0, 30)), (30, 33)),
+    ], ids=["1d", "2d"])
+    def test_keeps_the_minimum(self, extents, counts):
         # the discrete maximum principle, exactly: min(u) >= min(rhs)
-        grid = build_uniform_grid(((0, 20), (0, 30)), (30, 33))
+        grid = build_uniform_grid(extents, counts)
         solver = DiffusionSolver(grid)
         x = grid.nodes
-        rhs = np.where((x[:, 0] < 5) & (x[:, 1] < 9), 1.0, 1e-14)
+        rhs = np.where((x[:, 0] < 5) & (x[:, -1] < 9), 1.0, 1e-14)
         for dt in (1e-2, 5e-3):
             assert solver.solve(rhs, dt).min() >= 1e-14
 
+    def test_failed_factorization_is_numerical_error(self, solver_grid):
+        # I - dt L is indefinite for dt < 0, so the Cholesky breaks down
+        with pytest.raises(NumericalError, match="pbtrf"):
+            DiffusionSolver(solver_grid).solve(np.ones(solver_grid.n_nodes), -1.0)
+
     @pytest.mark.parametrize("r", [0.25, 32.0, 1e4])
     def test_1d_matches_solve_banded(self, unit_grid, rng, r):
-        # r = dt / h^2; above r = 2 the LU pivots at the Neumann end row
-        # (ensemble runs sit at r = 32)
+        # r = dt / h^2 (ensemble runs sit at r = 32); every node, the ones at
+        # 1e-14 included, agrees with an LU solve of I - dt L to its own size
         from scipy.linalg import solve_banded
         solver = DiffusionSolver(unit_grid)
         dt = r * unit_grid.spacing[0] ** 2
@@ -293,8 +313,12 @@ class TestDiffusionSolver:
         rhs[::3] = 1e-14 * rng.uniform(1.0, 1.01, rhs[::3].size)
         kept = rhs.copy()
         for step in (dt, dt / 2, dt):
-            expected = solve_banded((1, 1), solver._band(step), rhs)
-            assert np.array_equal(solver.solve(rhs, step), expected)
+            a = np.eye(unit_grid.n_nodes) - step * laplacian_matrix(unit_grid).toarray()
+            band = np.stack([np.r_[0, a.diagonal(1)], a.diagonal(),
+                             np.r_[a.diagonal(-1), 0]])
+            expected = solve_banded((1, 1), band, rhs)
+            u = solver.solve(rhs, step)
+            assert np.all(np.abs(u - expected) <= 1e-12 * np.abs(expected))
         assert np.array_equal(rhs, kept)
 
     def test_matches_sparse_solve(self, solver_grid, rng):

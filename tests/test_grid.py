@@ -32,6 +32,20 @@ class TestBuildUniformGrid:
         with pytest.raises(ValidationError, match="degenerate"):
             build_uniform_grid((2, 1), 5)
 
+    @pytest.mark.parametrize("counts", [3.7, 3.0, "5", (4, 4.5)],
+                             ids=["3.7", "3.0", "str", "pair"])
+    def test_rejects_non_integer_counts(self, counts):
+        extents = (0, 1) if np.isscalar(counts) else ((0, 1), (0, 1))
+        with pytest.raises(ValidationError, match="integers"):
+            build_uniform_grid(extents, counts)
+
+    @pytest.mark.parametrize("extents,counts", [
+        ((0, np.inf), 5), ((np.nan, 1), 5), (((0, 1), (-np.inf, 0)), (5, 5)),
+    ], ids=["inf", "nan", "2d"])
+    def test_rejects_non_finite_extents(self, extents, counts):
+        with pytest.raises(ValidationError, match="finite"):
+            build_uniform_grid(extents, counts)
+
     @given(n=st.integers(3, 60), lo=st.floats(-5, 5),
            width=st.floats(0.01, 10))
     def test_weights_positive_and_sum_to_measure(self, n, lo, width):

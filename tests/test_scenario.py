@@ -12,7 +12,6 @@ from nlkpp import (Field, Kernel, ValidationError, build_kernel,
                    read_csv_rows, read_field, run_scenario, run_sweep,
                    write_field)
 from nlkpp.diagnostics import Trace
-from nlkpp.scenario import build_grid
 
 SCENARIOS = sorted((Path(__file__).parents[1] / "scenarios").glob("*.json"))
 
@@ -232,7 +231,7 @@ class TestRunScenario:
         meta = json.loads((tmp_path / "relax/run_meta.json").read_text())
         assert meta["metadata"]["steps_rejected"] == 0
         assert meta["metadata"]["dt_min"] == 1e-3
-        assert meta["metadata"]["solver"] == "tridiagonal"
+        assert meta["metadata"]["solver"] == "banded_cholesky"
 
     @pytest.mark.parametrize("counts,apply", [(48, "dense"), ([48, 48], "fft")],
                              ids=["1d", "2d"])
@@ -243,7 +242,7 @@ class TestRunScenario:
         doc["kernel"]["certify"] = False
         doc["sim"]["t_end"] = 2e-3
         sc = parse_scenario_dict(doc)
-        kernel, _ = build_kernel(sc.kernel, build_grid(sc.grid))
+        kernel, _ = build_kernel(sc.kernel, sc.grid)
         run_scenario(sc, out_dir=tmp_path / "k", quiet=True)
         meta = json.loads((tmp_path / "k/run_meta.json").read_text())["metadata"]
         assert meta["kernel_apply"] == apply
