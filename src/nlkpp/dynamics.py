@@ -172,7 +172,7 @@ def step_imex(state: SimState, grid: Grid, kernel: Kernel | None,
 
 
 def run(u0: Field, grid: Grid, kernel: Kernel | None, config: SimConfig,
-        observers=(), metadata: dict | None = None) -> tuple[SimState, Trace]:
+        metadata: dict | None = None) -> tuple[SimState, Trace]:
     """Integrate from u0 to t_end, recording a diagnostics row per step.
 
     u0 must be nonnegative and not identically zero; zero nodes are lifted to
@@ -240,8 +240,6 @@ def run(u0: Field, grid: Grid, kernel: Kernel | None, config: SimConfig,
             record(state, state.t - t_prev)
             if config.snapshot_every and state.step % config.snapshot_every == 0:
                 trace.add_snapshot(state.step, state.t, state.u)
-            for observer in observers:
-                observer(state)
     if not trace.snapshots or trace.snapshots[-1].step != state.step:
         trace.add_snapshot(state.step, state.t, state.u)
     trace.metadata.update(steps_rejected=steps_rejected, dt_min=dt_min)

@@ -76,21 +76,6 @@ class Grid:
     def n_nodes(self) -> int:
         return self.weights.size
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.counts
-
-    @property
-    def measure(self) -> float:
-        out = 1.0
-        for lo, hi in self.extents:
-            out *= hi - lo
-        return out
-
-    def axis_coords(self, axis: int) -> np.ndarray:
-        lo, hi = self.extents[axis]
-        return np.linspace(lo, hi, self.counts[axis])
-
     def axis_weights(self, axis: int) -> np.ndarray:
         return _trapezoid_weights(self.counts[axis], self.spacing[axis])
 
@@ -162,32 +147,6 @@ def integrate(field: Field) -> float:
     return float(field.grid.weights @ field.values)
 
 
-def _lap1d(u: np.ndarray, h: float) -> np.ndarray:
-    out = np.empty_like(u)
-    out[1:-1] = u[2:] - 2.0 * u[1:-1] + u[:-2]
-    out[0] = 2.0 * (u[1] - u[0])
-    out[-1] = 2.0 * (u[-2] - u[-1])
-    return out / h**2
-
-
-def apply_neumann_laplacian(field: Field) -> Field:
-    """Second-order Laplacian with ghost-node reflection at the boundary."""
-    grid = field.grid
-    if grid.dim == 1:
-        return Field(grid, _lap1d(field.values, grid.spacing[0]))
-    n0, n1 = grid.counts
-    h0, h1 = grid.spacing
-    u = field.values.reshape(n0, n1)
-    lap = np.zeros_like(u)
-    lap[1:-1, :] += (u[2:, :] - 2.0 * u[1:-1, :] + u[:-2, :]) / h0**2
-    lap[0, :] += 2.0 * (u[1, :] - u[0, :]) / h0**2
-    lap[-1, :] += 2.0 * (u[-2, :] - u[-1, :]) / h0**2
-    lap[:, 1:-1] += (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / h1**2
-    lap[:, 0] += 2.0 * (u[:, 1] - u[:, 0]) / h1**2
-    lap[:, -1] += 2.0 * (u[:, -2] - u[:, -1]) / h1**2
-    return Field(grid, lap.ravel())
-
-
 def _lap1d_matrix(n: int, h: float) -> sparse.csr_matrix:
     main = np.full(n, -2.0)
     lower = np.ones(n - 1)
@@ -198,7 +157,8 @@ def _lap1d_matrix(n: int, h: float) -> sparse.csr_matrix:
 
 
 def laplacian_matrix(grid: Grid) -> sparse.csr_matrix:
-    """Sparse matrix L with L @ f == apply_neumann_laplacian(f). Row sums are zero."""
+    """Second-order Laplacian with ghost-node reflection at the boundary, as a
+    sparse matrix acting on node values. Row sums are zero."""
     if grid.dim == 1:
         return _lap1d_matrix(grid.counts[0], grid.spacing[0])
     L0 = _lap1d_matrix(grid.counts[0], grid.spacing[0])

@@ -92,7 +92,7 @@ class _Stencil:
     """A profile over all node offsets of a grid, and its real FFT.
 
     Both are built on first use and shared by a convolution kernel and the
-    kernels normalized from it. Applying the stencil is the zero-padded linear
+    kernel balanced from it. Applying the stencil is the zero-padded linear
     convolution whose "valid" part is sum_j phi(x_i - x_j) v_j: with padded
     length at least 2n - 1 per axis the circular convolution does not wrap
     there (circulant embedding of the Toeplitz / block-Toeplitz matrix).
@@ -146,12 +146,13 @@ class Kernel:
     """A kernel sampled on a grid.
 
     ``matrix[i, j]`` approximates K(x_i, x_j) including any normalization
-    scalings applied so far. A convolution kernel is its profile plus row and
-    column scaling vectors, K = diag(row_scale) phi(x_i - x_j) diag(col_scale);
-    its dense ``matrix`` is built on first use (the dense apply below
-    ``_FFT_AUTO_THRESHOLD`` nodes, the eigen certificate, the linearization,
-    ``normalize_columns``) and kept from then on, so it appears in
-    ``vars(kernel)`` only once built. ``apply_method`` is what
+    scalings applied so far. A convolution kernel is its ``profile`` plus one
+    ``scale`` vector, K = diag(scale) phi(x_i - x_j) diag(scale), where
+    ``scale`` is None until balancing; its dense ``matrix`` is built on first
+    use (the dense apply below ``_FFT_AUTO_THRESHOLD`` nodes, the eigen
+    certificate, the linearization, ``normalize_columns``) and kept from then
+    on, so it appears in ``vars(kernel)`` only once built. Every other kernel
+    has no profile and is its dense ``matrix`` alone. ``apply_method`` is what
     :func:`apply_kernel` runs by default: ``"fft"`` for convolution kernels of
     at least ``_FFT_AUTO_THRESHOLD`` nodes, where it beats the dense matvec,
     else ``"dense"``. ``balance_iterations`` and ``balance_deviation`` are set
@@ -160,22 +161,17 @@ class Kernel:
     """
 
     def __init__(self, grid: Grid, matrix: np.ndarray | None = None,
-                 profile: KernelProfile | None = None, is_convolution: bool = False,
+                 profile: KernelProfile | None = None,
                  normalization: str = "none",  # none | columns | balanced
-                 row_scale: np.ndarray | None = None,
-                 col_scale: np.ndarray | None = None):
-        if is_convolution and profile is None:
-            raise ValidationError("a convolution kernel needs its profile")
-        if matrix is None and not is_convolution:
-            raise ValidationError("a kernel needs a matrix unless it is a convolution")
+                 scale: np.ndarray | None = None):
+        if matrix is None and profile is None:
+            raise ValidationError("a kernel needs a matrix or a convolution profile")
         self.grid = grid
         self.profile = profile
-        self.is_convolution = is_convolution
         self.normalization = normalization
-        self.row_scale = row_scale
-        self.col_scale = col_scale
-        self.apply_method = ("fft" if is_convolution and grid.n_nodes >= _FFT_AUTO_THRESHOLD
-                             else "dense")
+        self.scale = scale
+        self.apply_method = ("fft" if profile is not None
+                             and grid.n_nodes >= _FFT_AUTO_THRESHOLD else "dense")
         self.balance_iterations: int | None = None
         self.balance_deviation: float | None = None
         self._stencil = None if profile is None else _Stencil(profile, grid)
@@ -186,9 +182,11 @@ class Kernel:
     def matrix(self) -> np.ndarray:
         """Dense K_ij; a convolution kernel builds it here on first use."""
         raw = self._stencil.dense()
-        if self.normalization == "none":
-            return raw
-        return np.outer(self.row_scale, self.col_scale) * raw
+        return raw if self.scale is None else np.outer(self.scale, self.scale) * raw
+
+    @property
+    def is_convolution(self) -> bool:
+        return self.profile is not None
 
     @property
     def normalized(self) -> bool:
@@ -203,25 +201,15 @@ class Kernel:
     def strictly_positive(self) -> bool:
         """Whether K > 0 pointwise on the grid (assumed, not required, by the theory).
 
-        A convolution kernel's scalings are positive, so its profile over the
+        A convolution kernel's scaling is positive, so its profile over the
         grid's offsets decides, without building the matrix.
         """
-        values = self._stencil.table if self.is_convolution else self.matrix
+        values = self.matrix if self.profile is None else self._stencil.table
         return float(values.min()) > 0.0
 
     def __repr__(self) -> str:
         return (f"Kernel(family={self.family}, n={self.grid.n_nodes}, "
                 f"normalization={self.normalization})")
-
-
-def _derive(kernel: Kernel, matrix: np.ndarray | None, **changes) -> Kernel:
-    """``kernel`` with ``changes``, sharing its offset table and spectrum."""
-    fields = dict(profile=kernel.profile, is_convolution=kernel.is_convolution,
-                  normalization=kernel.normalization, row_scale=kernel.row_scale,
-                  col_scale=kernel.col_scale)
-    out = Kernel(kernel.grid, matrix, **(fields | changes))
-    out._stencil = kernel._stencil
-    return out
 
 
 def _check_finite(matrix: np.ndarray) -> None:
@@ -258,9 +246,7 @@ def sample_convolution_kernel(profile: KernelProfile, grid: Grid) -> Kernel:
     Only the profile over the grid's offsets is evaluated here, and checked;
     the dense matrix is built when a dense consumer first asks for it.
     """
-    ones = np.ones(grid.n_nodes)
-    kernel = Kernel(grid, profile=profile, is_convolution=True,
-                    row_scale=ones, col_scale=ones.copy())
+    kernel = Kernel(grid, profile=profile)
     table = kernel._stencil.table
     if not np.all(np.isfinite(table)):
         k = np.unravel_index(int(np.argmin(np.isfinite(table))), table.shape)
@@ -276,6 +262,7 @@ def normalize_columns(kernel: Kernel) -> Kernel:
 
     This does not make K[1] = 1, so the result is not ``normalized`` and the
     dynamics refuse it; use :func:`symmetrize_and_normalize` for simulation.
+    The result is a dense kernel without a profile.
 
     Columns whose sampled support is only the diagonal node cannot represent
     any neighbour interaction at this resolution (a tophat narrower than the
@@ -291,18 +278,15 @@ def normalize_columns(kernel: Kernel) -> Kernel:
         raise KernelError(
             f"degenerate kernel: column {j} has weighted sum {sums[j]:.3g} and "
             f"{support[j]} nonzero entries; the profile is unresolved on this grid")
-    matrix = kernel.matrix / sums[None, :]
-    col = None if kernel.col_scale is None else kernel.col_scale / sums
-    return _derive(kernel, matrix, normalization="columns", col_scale=col)
+    return Kernel(kernel.grid, kernel.matrix / sums[None, :], normalization="columns")
 
 
 def _symmetric_by_construction(kernel: Kernel) -> bool:
-    """A convolution kernel with an even stencil and equal row and column scalings."""
-    if not kernel.is_convolution or kernel.row_scale is None:
+    """A convolution kernel with an even stencil."""
+    if kernel.profile is None:
         return False
     table = kernel._stencil.table
-    return (np.array_equal(kernel.row_scale, kernel.col_scale)
-            and np.array_equal(table, table[(slice(None, None, -1),) * table.ndim]))
+    return np.array_equal(table, table[(slice(None, None, -1),) * table.ndim])
 
 
 def symmetrize_and_normalize(kernel: Kernel, max_iterations: int = 5000,
@@ -312,10 +296,12 @@ def symmetrize_and_normalize(kernel: Kernel, max_iterations: int = 5000,
     The input must be entrywise nonnegative with no zero row or column. A
     symmetric input is scaled by a single vector, so symmetry is preserved
     exactly; its products K @ (w d) run through the kernel's own matvec (FFT
-    for large convolution kernels, which then stay matrix-free). A
-    nonsymmetric input gets the usual alternating row/column scaling on its
-    dense matrix. The result records ``balance_iterations`` (scalings
-    computed) and ``balance_deviation`` (the final max |sum - 1|).
+    for large convolution kernels, which then stay matrix-free), and a
+    convolution kernel's ``scale`` absorbs d. A nonsymmetric input gets the
+    usual alternating row/column scaling on its dense matrix, and the result
+    is that scaled matrix without a profile. The result records
+    ``balance_iterations`` (scalings computed) and ``balance_deviation`` (the
+    final max |sum - 1|).
     """
     w = kernel.grid.weights
     symmetric = _symmetric_by_construction(kernel)
@@ -361,17 +347,16 @@ def symmetrize_and_normalize(kernel: Kernel, max_iterations: int = 5000,
             f"{max_iterations} iterations (tol {tol:.3g})")
 
     if not symmetric:
-        matrix = (r[:, None] * K) * c[None, :]
-        row, col = r, c
+        balanced = Kernel(kernel.grid, (r[:, None] * K) * c[None, :],
+                          normalization="balanced")
     else:
-        row = col = d
         # scale the matrix if the dense matvec built it; otherwise the result
-        # stays matrix-free and builds diag(row) phi diag(col) on demand
+        # stays matrix-free and builds diag(scale) phi diag(scale) on demand
         matrix = np.outer(d, d) * kernel.matrix if "matrix" in vars(kernel) else None
-    new_row = None if kernel.row_scale is None else kernel.row_scale * row
-    new_col = None if kernel.col_scale is None else kernel.col_scale * col
-    balanced = _derive(kernel, matrix, normalization="balanced",
-                       row_scale=new_row, col_scale=new_col)
+        scale = None if kernel.profile is None else (
+            d if kernel.scale is None else kernel.scale * d)
+        balanced = Kernel(kernel.grid, matrix, kernel.profile, "balanced", scale)
+        balanced._stencil = kernel._stencil  # share the offset table and spectrum
     balanced.balance_iterations = iterations
     balanced.balance_deviation = err
     return balanced
@@ -385,14 +370,11 @@ def _matvec(kernel: Kernel, values: np.ndarray, method: str = "auto") -> np.ndar
         return kernel.matrix @ values
     if method != "fft":
         raise ValidationError(f"unknown apply method {method!r}")
-    if not kernel.is_convolution:
+    if kernel.profile is None:
         raise ValidationError("fft application needs a convolution kernel")
-    if kernel.col_scale is not None:
-        values = values * kernel.col_scale
-    out = kernel._stencil.convolve(values)
-    if kernel.row_scale is not None:
-        out = kernel.row_scale * out
-    return out
+    if kernel.scale is None:
+        return kernel._stencil.convolve(values)
+    return kernel.scale * kernel._stencil.convolve(kernel.scale * values)
 
 
 def apply_kernel(kernel: Kernel, field: Field, method: str = "auto") -> Field:

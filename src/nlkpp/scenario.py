@@ -359,13 +359,11 @@ def _build_initial(scenario: Scenario, grid: Grid, jacobian: np.ndarray | None,
     raise ValidationError(f"unhandled initial kind {spec.kind!r}")
 
 
-def resolve_output_dir(scenario: Scenario, out_dir=None) -> Path:
+def resolve_output_dir(out_dir, fallback) -> Path:
+    """``out_dir`` if given, else ``NLKPP_OUT`` if set, else ``fallback``."""
     if out_dir is not None:
         return Path(out_dir)
-    env = os.environ.get(OUTPUT_DIR_ENV)
-    if env:
-        return Path(env)
-    return Path(scenario.output.directory)
+    return Path(os.environ.get(OUTPUT_DIR_ENV) or fallback)
 
 
 def _fmt(value) -> str:
@@ -471,7 +469,7 @@ def _run_scenario_inner(scenario: Scenario, out_dir, quiet: bool,
         "wall_time_s": wall,
     }
 
-    out = resolve_output_dir(scenario, out_dir)
+    out = resolve_output_dir(out_dir, scenario.output.directory)
     arts = scenario.output.artifacts
     out.mkdir(parents=True, exist_ok=True)
     if "trace" in arts:
@@ -507,7 +505,7 @@ def certify_scenario(scenario: Scenario, out_dir=None, quiet: bool = False) -> l
     grid = scenario.grid
     spec = replace(scenario.kernel, certify=True)
     _, certificates = build_kernel(spec, grid)
-    out = resolve_output_dir(scenario, out_dir)
+    out = resolve_output_dir(out_dir, scenario.output.directory)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "certificate.csv", CERTIFICATE_COLUMNS,
                _certificate_rows(certificates, grid, scenario.kernel))
@@ -622,8 +620,7 @@ def run_sweep(sweep: SweepSpec, jobs: int = 1, out_dir=None,
     worker count; wall times are deliberately left out of that file so its
     bytes are reproducible.
     """
-    root = Path(out_dir) if out_dir is not None else \
-        Path(os.environ.get(OUTPUT_DIR_ENV) or sweep.directory)
+    root = resolve_output_dir(out_dir, sweep.directory)
     root.mkdir(parents=True, exist_ok=True)
     points = _sweep_points(sweep)
     tasks = [(i, sweep.base, assignment, str(root / f"point_{i:03d}"),

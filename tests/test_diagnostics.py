@@ -104,6 +104,21 @@ class TestDecayIdentity:
         ratio = maxres[0] / maxres[1]
         assert 1.7 <= ratio <= 2.3
 
+    def test_residual_halves_with_dt_2d(self):
+        grid = build_uniform_grid(((0, 1), (0, 1)), (20, 20))
+        kern = symmetrize_and_normalize(
+            sample_convolution_kernel(KernelProfile("gaussian", 0.3), grid))
+        u0 = Field.from_function(
+            grid, lambda x, y: 1.0 + 0.5 * np.cos(np.pi * x) * np.cos(np.pi * y))
+        maxres = []
+        for dt in (4e-3, 2e-3, 1e-3):
+            cfg = SimConfig(mu=1.0, dt=dt, t_end=0.5, snapshot_every=1)
+            _, trace = run(u0, grid, kern, cfg)
+            maxres.append(max(decay_identity_residual(trace, k)
+                              for k in range(len(trace) - 1)))
+        for coarse, fine in zip(maxres, maxres[1:]):
+            assert 1.7 <= coarse / fine <= 2.3
+
     def test_requires_per_step_snapshots(self, unit_grid, balanced_gaussian):
         cfg = SimConfig(mu=1.0, dt=1e-3, t_end=0.05, snapshot_every=10)
         _, trace = run(Field.constant(unit_grid, 0.5), unit_grid,

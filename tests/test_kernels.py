@@ -182,7 +182,7 @@ class TestMatrixFree:
         w = unit_grid.weights
         K = _old_sample(profile, unit_grid)
         d = _old_balance(K, w)
-        np.testing.assert_array_equal(kern.row_scale, d)
+        np.testing.assert_array_equal(kern.scale, d)
         np.testing.assert_array_equal(kern.matrix, np.outer(d, d) * K)
         u = rng.uniform(0.5, 1.5, unit_grid.n_nodes)
         np.testing.assert_array_equal(apply_kernel(kern, Field(unit_grid, u)).values,
@@ -200,10 +200,9 @@ class TestMatrixFree:
         assert np.max(np.abs(ones - 1.0)) < 1e-12
         K = _old_sample(profile, grid)
         d = _old_balance(K, w)
-        assert np.max(np.abs(kern.row_scale - d)) < 1e-13 * np.max(d)
+        assert np.max(np.abs(kern.scale - d)) < 1e-13 * np.max(d)
         # the view is built on demand, by the dense formula, and then kept
-        np.testing.assert_array_equal(kern.matrix, np.outer(kern.row_scale,
-                                                            kern.col_scale) * K)
+        np.testing.assert_array_equal(kern.matrix, np.outer(kern.scale, kern.scale) * K)
         assert "matrix" in vars(kern)
         assert np.max(np.abs(kern.matrix @ w - 1.0)) < 1e-12
 
@@ -227,10 +226,24 @@ class TestMatrixFree:
             sample_convolution_kernel(prof, grid)
 
     def test_needs_a_matrix_or_a_profile(self, unit_grid):
-        with pytest.raises(ValidationError, match="profile"):
-            Kernel(unit_grid, np.eye(128), is_convolution=True)
-        with pytest.raises(ValidationError, match="matrix"):
-            Kernel(unit_grid, profile=KernelProfile("gaussian", 0.2))
+        with pytest.raises(ValidationError, match="matrix or a convolution profile"):
+            Kernel(unit_grid)
+        assert not Kernel(unit_grid, np.eye(128)).is_convolution
+        kern = Kernel(unit_grid, profile=KernelProfile("gaussian", 0.2))
+        assert kern.is_convolution and kern.scale is None
+
+    def test_dense_only_results_have_no_profile(self, unit_grid):
+        # neither result is diag(s) phi diag(s), so neither keeps the profile
+        gaussian = sample_convolution_kernel(KernelProfile("gaussian", 0.2), unit_grid)
+        shifted = sample_convolution_kernel(
+            KernelProfile("custom", 0.2, func=lambda z: np.exp(-(z - 0.05) ** 2 / 0.08)),
+            unit_grid)
+        f = Field.constant(unit_grid, 1.0)
+        for kern in (normalize_columns(gaussian), symmetrize_and_normalize(shifted)):
+            assert kern.profile is None and not kern.is_convolution
+            assert kern.apply_method == "dense"
+            with pytest.raises(ValidationError, match="convolution"):
+                apply_kernel(kern, f, method="fft")
 
 
 class TestApplyKernel:
@@ -253,7 +266,7 @@ class TestApplyKernel:
 
     def test_fft_matches_dense_2d(self, rng):
         grid = build_uniform_grid(((0, 1), (0, 1.5)), (14, 19))
-        kern = normalize_columns(
+        kern = symmetrize_and_normalize(
             sample_convolution_kernel(KernelProfile("gaussian", 0.3), grid))
         f = Field(grid, rng.uniform(0.1, 2, grid.n_nodes))
         dense = apply_kernel(kern, f, method="dense").values
@@ -322,10 +335,7 @@ class TestEigenCertificate:
     @pytest.mark.parametrize("c", [0.5, 2.0, 10.0])
     def test_scaling_covariance(self, balanced_tophat, c):
         base = certify_positivity_eigen(balanced_tophat)
-        scaled_kernel = type(balanced_tophat)(
-            grid=balanced_tophat.grid, matrix=c * balanced_tophat.matrix,
-            profile=balanced_tophat.profile, is_convolution=False,
-            normalization="none")
+        scaled_kernel = Kernel(balanced_tophat.grid, c * balanced_tophat.matrix)
         scaled = certify_positivity_eigen(scaled_kernel)
         assert scaled.verdict == base.verdict == "not_positive"
         assert scaled.witness == pytest.approx(c * base.witness, rel=1e-9)

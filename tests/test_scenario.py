@@ -157,6 +157,9 @@ class TestRunScenario:
         sc = parse_scenario_dict(minimal_doc())
         run_scenario(sc, quiet=True)
         assert (target / "trace.csv").exists()
+        monkeypatch.setenv("NLKPP_OUT", str(tmp_path / "certify"))
+        certify_scenario(sc, quiet=True)
+        assert (tmp_path / "certify/certificate.csv").exists()
 
     def test_file_initial_round_trip(self, tmp_path):
         grid = build_uniform_grid((0, 1), 48)
@@ -308,6 +311,12 @@ class TestSweep:
         solo = run_scenario(sc, out_dir=tmp_path / "solo", quiet=True)
         assert rows[0]["final_V"] == solo["final_V"]
         assert rows[0]["final_sup_dist_one"] == solo["final_sup_dist_one"]
+
+    def test_env_var_overrides_directory(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("NLKPP_OUT", str(tmp_path / "from_env"))
+        run_sweep(parse_sweep_dict(self.base_sweep(values=(1.0,))), quiet=True)
+        assert (tmp_path / "from_env/sweep_summary.csv").exists()
+        assert (tmp_path / "from_env/point_000/trace.csv").exists()
 
     def test_point_failures_recorded_and_sweep_continues(self, tmp_path):
         sweep = parse_sweep_dict(self.base_sweep(values=(-1.0, 1.0)))
