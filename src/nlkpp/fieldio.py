@@ -6,6 +6,7 @@ extents (two f64 each), then node values as f64 in row-major order. Values
 round-trip bit-exactly.
 """
 
+import math
 import struct
 from pathlib import Path
 
@@ -53,10 +54,11 @@ def read_field(path) -> Field:
         lo, hi = struct.unpack_from("<2d", raw, offset)
         offset += 16
         extents.append((lo, hi))
-    n = int(np.prod(counts))
-    if len(raw) < offset + 8 * n:
-        raise ValidationError(f"{path}: truncated field file "
-                              f"(expected {n} values)")
+    n = math.prod(counts)  # a Python int: header counts cannot wrap around
+    if len(raw) != offset + 8 * n:
+        raise ValidationError(f"{path}: truncated or overlong field file "
+                              f"({len(raw) - offset} value bytes, counts {counts} "
+                              f"need {8 * n})")
     values = np.frombuffer(raw, dtype="<f8", count=n, offset=offset)
     grid = build_uniform_grid(extents, counts)
     return Field(grid, values.copy())

@@ -108,15 +108,8 @@ def _as_bool(value, where: str) -> bool:
 class KernelSpec:
     family: str
     sigma: float
-    inhibition_ratio: float = 0.8
     normalization: str = "balanced"  # the only accepted value
     certify: bool = True
-    eigen_tol: float = 1e-9
-    bochner_tol: float = 1e-9
-    bochner_half_width: float | None = None
-    bochner_samples: int = 2048
-    balance_tol: float = 1e-12
-    balance_max_iterations: int = 5000
 
 
 @dataclass(frozen=True)
@@ -171,26 +164,15 @@ def _parse_grid(raw) -> Grid:
 def _parse_kernel(raw) -> KernelSpec:
     sec = _Section(raw, "kernel")
     family = sec.take("family")
-    if family not in ("gaussian", "tophat", "exponential", "mexican_hat"):
+    # mexican_hat is signed, so it cannot be balanced: Python API only
+    if family not in ("gaussian", "tophat", "exponential"):
         raise ValidationError(
-            f"kernel.family must be one of gaussian/tophat/exponential/"
-            f"mexican_hat, got {family!r}")
+            f"kernel.family must be one of gaussian/tophat/exponential, got {family!r}")
     spec = KernelSpec(  # KernelProfile checks sigma when build_kernel makes it
         family=family,
         sigma=_as_number(sec.take("sigma"), "kernel.sigma"),
-        inhibition_ratio=_as_number(sec.take("inhibition_ratio", 0.8),
-                                    "kernel.inhibition_ratio"),
         normalization=sec.take("normalization", "balanced"),
         certify=_as_bool(sec.take("certify", True), "kernel.certify"),
-        eigen_tol=_as_number(sec.take("eigen_tol", 1e-9), "kernel.eigen_tol"),
-        bochner_tol=_as_number(sec.take("bochner_tol", 1e-9), "kernel.bochner_tol"),
-        bochner_half_width=(None if (hw := sec.take("bochner_half_width", None)) is None
-                            else _as_number(hw, "kernel.bochner_half_width")),
-        bochner_samples=_as_int(sec.take("bochner_samples", 2048),
-                                "kernel.bochner_samples"),
-        balance_tol=_as_number(sec.take("balance_tol", 1e-12), "kernel.balance_tol"),
-        balance_max_iterations=_as_int(sec.take("balance_max_iterations", 5000),
-                                       "kernel.balance_max_iterations"),
     )
     sec.finish()
     return spec
@@ -210,6 +192,8 @@ def _parse_initial(raw) -> InitialSpec:
         seed = _as_int(sec.take("seed", 0), "initial.seed")
         if not 0 <= low <= high:
             raise ValidationError("initial.low/high must satisfy 0 <= low <= high")
+        if seed < 0:
+            raise ValidationError("initial.seed must be >= 0")
         spec = InitialSpec(kind=kind, low=low, high=high, seed=seed)
     elif kind == "cosine":
         amplitude = _as_number(sec.take("amplitude", 0.01), "initial.amplitude")
@@ -238,9 +222,6 @@ def _parse_sim(raw) -> SimConfig:
         t_end=_as_number(sec.take("t_end"), "sim.t_end"),
         snapshot_every=_as_int(sec.take("snapshot_every", 100), "sim.snapshot_every"),
         local_mode=_as_bool(sec.take("local_mode", False), "sim.local_mode"),
-        positivity_floor=_as_number(sec.take("positivity_floor", 1e-14),
-                                    "sim.positivity_floor"),
-        max_dt_halvings=_as_int(sec.take("max_dt_halvings", 40), "sim.max_dt_halvings"),
     )
     sec.finish()
     return config
@@ -308,17 +289,12 @@ def build_kernel(spec: KernelSpec, grid: Grid) -> tuple[Kernel, list[PositivityC
             f"kernel.normalization must be 'balanced', got {spec.normalization!r}: "
             "u = 1 is a steady state only when the weighted row sums K[1] are "
             "one, which column normalization does not give")
-    profile = KernelProfile(spec.family, spec.sigma,
-                            inhibition_ratio=spec.inhibition_ratio)
-    kernel = symmetrize_and_normalize(sample_convolution_kernel(profile, grid),
-                                      spec.balance_max_iterations, spec.balance_tol)
+    profile = KernelProfile(spec.family, spec.sigma)
+    kernel = symmetrize_and_normalize(sample_convolution_kernel(profile, grid))
     certificates: list[PositivityCertificate] = []
     if spec.certify:
-        certificates.append(certify_positivity_eigen(kernel, tol=spec.eigen_tol))
-        certificates.append(certify_positivity_bochner(
-            profile, n_samples=spec.bochner_samples,
-            half_width=spec.bochner_half_width, tol=spec.bochner_tol,
-            dim=grid.dim))
+        certificates.append(certify_positivity_eigen(kernel))
+        certificates.append(certify_positivity_bochner(profile, dim=grid.dim))
     return kernel, certificates
 
 
@@ -626,8 +602,11 @@ def run_sweep(sweep: SweepSpec, jobs: int = 1, out_dir=None,
     tasks = [(i, sweep.base, assignment, str(root / f"point_{i:03d}"),
               sweep.base_dir)
              for i, assignment in enumerate(points)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the fork start method starts every worker up front, so ask for no more
+    # than there are points
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_sweep_point, tasks))
     else:
         rows = [_run_sweep_point(task) for task in tasks]

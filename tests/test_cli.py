@@ -80,6 +80,46 @@ def test_non_finite_or_fractional_input_is_exit_2(tmp_path, capsys, section,
     assert not (tmp_path / "o").exists()
 
 
+# keys the scenario schema once read; the Python API keeps each as an argument
+REMOVED_KEYS = [("kernel", "inhibition_ratio", 0.8), ("kernel", "eigen_tol", 1e-9),
+                ("kernel", "bochner_tol", 1e-9), ("kernel", "bochner_half_width", 50.0),
+                ("kernel", "bochner_samples", 2048), ("kernel", "balance_tol", 1e-12),
+                ("kernel", "balance_max_iterations", 5000),
+                ("sim", "positivity_floor", 1e-14), ("sim", "max_dt_halvings", 40)]
+
+
+@pytest.mark.parametrize("section,key,value", REMOVED_KEYS,
+                         ids=[key for _, key, _ in REMOVED_KEYS])
+def test_removed_key_is_unknown(tmp_path, capsys, section, key, value):
+    doc = scenario_doc()
+    doc[section][key] = value
+    code = main(["simulate", write(tmp_path, doc, "removed.json"),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"unknown key '{key}' in '{section}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "certify"])
+def test_mexican_hat_is_refused_while_parsing(tmp_path, capsys, command):
+    doc = scenario_doc()
+    doc["kernel"]["family"] = "mexican_hat"
+    code = main([command, write(tmp_path, doc, "hat.json"),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "kernel.family" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_negative_seed_is_exit_2(tmp_path, capsys):
+    doc = scenario_doc()
+    doc["initial"] = {"kind": "random_uniform", "low": 0.5, "high": 1.5, "seed": -1}
+    code = main(["simulate", write(tmp_path, doc, "seed.json"),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "initial.seed" in capsys.readouterr().err
+
+
 def test_column_normalization_is_exit_2(tmp_path, capsys):
     doc = scenario_doc()
     doc["kernel"]["normalization"] = "columns"
@@ -92,8 +132,7 @@ def test_column_normalization_is_exit_2(tmp_path, capsys):
 def test_step_failure_maps_to_exit_3(tmp_path, capsys):
     doc = scenario_doc()
     del doc["kernel"]
-    doc["sim"] = {"mu": 1e15, "dt": 1.0, "t_end": 1.0, "local_mode": True,
-                  "max_dt_halvings": 8}
+    doc["sim"] = {"mu": 1e15, "dt": 1.0, "t_end": 1.0, "local_mode": True}
     doc["initial"] = {"kind": "constant", "value": 4.0}
     code = main(["simulate", write(tmp_path, doc, "explode.json"),
                  "--out", str(tmp_path / "o")])

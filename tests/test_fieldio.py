@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 
 from nlkpp import Field, ValidationError, build_uniform_grid, read_field, write_field
@@ -49,3 +51,27 @@ def test_truncated_rejected(tmp_path):
     path.write_bytes(path.read_bytes()[:-10])
     with pytest.raises(ValidationError, match="truncated"):
         read_field(path)
+
+
+def crafted_file(counts, n_values):
+    dim = len(counts)
+    return (b"NLKPPFLD" + struct.pack("<II", 1, 0) + struct.pack("<I", dim)
+            + struct.pack(f"<{dim}I", *counts) + struct.pack("<2d", 0.0, 1.0) * dim
+            + bytes(8 * n_values))
+
+
+@pytest.mark.parametrize("counts,n_values", [
+    ((2 ** 32 - 1, 2 ** 32 - 1), 5),  # the count product wraps in int64
+    ((8,), 9),
+], ids=["overflowing_counts", "trailing_bytes"])
+def test_value_bytes_must_match_header(tmp_path, counts, n_values):
+    path = tmp_path / "crafted.bin"
+    path.write_bytes(crafted_file(counts, n_values))
+    with pytest.raises(ValidationError, match="truncated or overlong"):
+        read_field(path)
+
+
+def test_crafted_header_reads_back(tmp_path):
+    path = tmp_path / "crafted.bin"
+    path.write_bytes(crafted_file((8,), 8))
+    assert read_field(path).grid.counts == (8,)

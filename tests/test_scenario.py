@@ -325,6 +325,41 @@ class TestSweep:
         assert "mu" in rows[0]["error"]
         assert rows[1]["status"] == "ok"
 
+    def test_negative_seed_fails_its_point_only(self, tmp_path):
+        spec = self.base_sweep()
+        spec["parameters"] = [{"path": "initial.seed", "values": [1, -2]}]
+        rows = run_sweep(parse_sweep_dict(spec), out_dir=tmp_path / "s", quiet=True)
+        assert [r["status"] for r in rows] == ["ok", "validation_error"]
+        assert "initial.seed" in rows[1]["error"]
+        summary = read_csv_rows(tmp_path / "s/sweep_summary.csv")
+        assert [(r["point"], r["status"]) for r in summary] == \
+            [("0", "ok"), ("1", "validation_error")]
+
+    def test_pool_is_no_larger_than_the_sweep(self, tmp_path, monkeypatch):
+        asked = []
+
+        class RecordingPool:  # runs the points inline, starts no process
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("nlkpp.scenario.ProcessPoolExecutor", RecordingPool)
+        rows = run_sweep(parse_sweep_dict(self.base_sweep()), jobs=64,
+                         out_dir=tmp_path / "two", quiet=True)
+        assert asked == [2]
+        assert [r["status"] for r in rows] == ["ok", "ok"]
+        run_sweep(parse_sweep_dict(self.base_sweep(values=(1.0,))), jobs=64,
+                  out_dir=tmp_path / "one", quiet=True)
+        assert asked == [2]  # one point runs inline
+
     def test_parallel_output_independent_of_jobs(self, tmp_path):
         spec = self.base_sweep(values=(0.5, 1.0, 2.0))
         rows_serial = run_sweep(parse_sweep_dict(spec),

@@ -1,6 +1,7 @@
-"""The README's example scripts run to completion on small inputs."""
+"""The README's example scripts and its Python API example run to completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,16 +13,27 @@ import nlkpp
 ROOT = Path(__file__).parents[1]
 
 
+def run_python(args, cwd):
+    src = str(Path(nlkpp.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          cwd=cwd, env=env, timeout=120)
+
+
 @pytest.mark.parametrize("script,args", [
     ("convergence_study.py", ["--n", "32", "--t-end", "0.5"]),
     ("theorem_demo.py", ["--n", "32", "--t-end", "1"]),
     ("turing_onset.py", ["--n", "64"]),
 ], ids=["convergence_study", "theorem_demo", "turing_onset"])
 def test_example_script_runs(tmp_path, script, args):
-    src = str(Path(nlkpp.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
-                         capture_output=True, text=True, cwd=tmp_path, env=env,
-                         timeout=120)
+    out = run_python([str(ROOT / "scripts" / script), *args], tmp_path)
+    assert out.returncode == 0, out.stderr
+
+
+def test_readme_python_example_runs(tmp_path):
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(),
+                        re.DOTALL)
+    assert len(blocks) == 1
+    out = run_python(["-c", blocks[0]], tmp_path)
     assert out.returncode == 0, out.stderr
