@@ -145,10 +145,10 @@ def dissipation(field: Field, kernel: Kernel | None, mu: float,
                 local_mode: bool = False) -> Dissipation:
     """Decay rate of V: an edge-based gradient term plus the kernel quadratic form.
 
-    The gradient term sums (du/h)^2 / u_mid^2 over grid edges with the edge
-    midpoint average in the denominator; that pairing matches the Neumann
-    Laplacian under summation by parts to second order, which is what makes
-    the decay identity testable. The kernel part is
+    The gradient term sums c du^2 / u_mid^2 over the edges of ``Grid.edges``
+    with the edge midpoint average in the denominator; that pairing matches
+    the Neumann Laplacian of those edges under summation by parts to second
+    order, which is what makes the decay identity testable. The kernel part is
     mu * sum_ij w_i w_j K_ij (1 - u_i)(1 - u_j); in local mode it collapses to
     mu * integral of (1 - u)^2.
     """
@@ -157,23 +157,10 @@ def dissipation(field: Field, kernel: Kernel | None, mu: float,
     grid = field.grid
 
     d_grad = 0.0
-    if grid.dim == 1:
-        h = grid.spacing[0]
-        du = u[1:] - u[:-1]
-        mid = 0.5 * (u[1:] + u[:-1])
-        d_grad = float((du * du / (mid * mid)).sum() / h)
-    else:
-        n0, n1 = grid.counts
-        h0, h1 = grid.spacing
-        U = u.reshape(n0, n1)
-        w0 = grid.axis_weights(0)
-        w1 = grid.axis_weights(1)
-        du = np.diff(U, axis=0)
-        mid = 0.5 * (U[1:, :] + U[:-1, :])
-        d_grad += float(np.sum((du * du / (mid * mid)) * w1[None, :]) / h0)
-        du = np.diff(U, axis=1)
-        mid = 0.5 * (U[:, 1:] + U[:, :-1])
-        d_grad += float(np.sum((du * du / (mid * mid)) * w0[:, None]) / h1)
+    for stride, c in grid.edges:
+        du = u[stride:] - u[:-stride]
+        mid = 0.5 * (u[stride:] + u[:-stride])
+        d_grad += float((c[stride:] * (du * du / (mid * mid))).sum())
 
     g = 1.0 - u
     if local_mode or kernel is None:

@@ -9,7 +9,6 @@ Lyapunov bookkeeping. The accepted step size recovers by doubling back up to
 the configured dt.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -117,24 +116,17 @@ class DiffusionSolver:
         return factor
 
     def _band(self, dt: float) -> np.ndarray:
-        """The upper band of W (I - dt L) in LAPACK storage, diagonal last."""
+        """The upper band of W (I - dt L) = W + dt G in LAPACK storage,
+        diagonal last; G is the graph Laplacian of ``grid.edges``."""
         grid = self.grid
-        bw = grid.n_nodes // grid.counts[0]  # axis 0's stride, the widest coupling
+        bw = grid.edges[0][0]  # axis 0's stride, the widest coupling
         ab = np.zeros((bw + 1, grid.n_nodes))
-        diag = grid.weights
-        for axis, (n, h) in enumerate(zip(grid.counts, grid.spacing)):
-            # a node couples to the one a stride back along the axis, if any,
-            # with -dt/h times the other axes' trapezoid weights
-            back = np.full(n, -dt / h)
-            back[0] = 0.0
-            factors = [grid.axis_weights(other) for other in range(grid.dim)]
-            factors[axis] = back
-            stride = math.prod(grid.counts[axis + 1:])
+        ab[bw] = grid.weights
+        for stride, c in grid.edges:
             row = ab[bw - stride]
-            row[:] = functools.reduce(np.multiply.outer, factors).ravel()
-            # W L has zero row sums, so the diagonal is w minus the row's couplings
-            diag = diag - row - np.roll(row, -stride)
-        ab[bw] = diag
+            row[:] = -dt * c
+            # G has zero row sums, so the diagonal is w minus the row's couplings
+            ab[bw] -= row + np.roll(row, -stride)
         return ab
 
     def solve(self, rhs: np.ndarray, dt: float) -> np.ndarray:

@@ -32,7 +32,10 @@ def write_field(path, field: Field) -> None:
 
 
 def read_field(path) -> Field:
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:  # missing, a directory, no permission
+        raise ValidationError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     if len(raw) < _HEADER.size + 4:
         raise ValidationError(f"{path}: truncated field file")
     magic, version, _ = _HEADER.unpack_from(raw, 0)

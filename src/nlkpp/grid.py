@@ -9,6 +9,8 @@ both properties are what the Lyapunov bookkeeping in :mod:`nlkpp.diagnostics`
 relies on.
 """
 
+import functools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -79,6 +81,23 @@ class Grid:
     def axis_weights(self, axis: int) -> np.ndarray:
         return _trapezoid_weights(self.counts[axis], self.spacing[axis])
 
+    @functools.cached_property
+    def edges(self) -> tuple[tuple[int, np.ndarray], ...]:
+        """The Neumann stencil as edges between neighbours, one ``(stride,
+        conductance)`` pair per axis: node j joins node j - stride with
+        conductance[j] = (product of the other axes' weights) / h, 0 where j
+        is first along the axis. With G their graph Laplacian, W L = -G."""
+        edges = []
+        for axis, h in enumerate(self.spacing):
+            factors = [np.ones(n) if b == axis else self.axis_weights(b)
+                       for b, n in enumerate(self.counts)]
+            c = functools.reduce(np.multiply.outer, factors) / h
+            np.moveaxis(c, axis, 0)[0] = 0.0
+            c = c.ravel()
+            c.setflags(write=False)
+            edges.append((math.prod(self.counts[axis + 1:]), c))
+        return tuple(edges)
+
     def same_layout(self, other: "Grid") -> bool:
         return self.counts == other.counts and self.extents == other.extents
 
@@ -147,22 +166,15 @@ def integrate(field: Field) -> float:
     return float(field.grid.weights @ field.values)
 
 
-def _lap1d_matrix(n: int, h: float) -> sparse.csr_matrix:
-    main = np.full(n, -2.0)
-    lower = np.ones(n - 1)
-    upper = np.ones(n - 1)
-    upper[0] = 2.0
-    lower[-1] = 2.0
-    return (sparse.diags([lower, main, upper], offsets=[-1, 0, 1]) / h**2).tocsr()
-
-
 def laplacian_matrix(grid: Grid) -> sparse.csr_matrix:
     """Second-order Laplacian with ghost-node reflection at the boundary, as a
-    sparse matrix acting on node values. Row sums are zero."""
-    if grid.dim == 1:
-        return _lap1d_matrix(grid.counts[0], grid.spacing[0])
-    L0 = _lap1d_matrix(grid.counts[0], grid.spacing[0])
-    L1 = _lap1d_matrix(grid.counts[1], grid.spacing[1])
-    eye0 = sparse.identity(grid.counts[0], format="csr")
-    eye1 = sparse.identity(grid.counts[1], format="csr")
-    return (sparse.kron(L0, eye1) + sparse.kron(eye0, L1)).tocsr()
+    sparse matrix acting on node values: L = -W^-1 G, with G the graph
+    Laplacian of ``grid.edges``. Row sums are zero."""
+    w = grid.weights
+    diagonals, offsets = [], []
+    degree = np.zeros(grid.n_nodes)
+    for stride, c in grid.edges:
+        diagonals += [c[stride:] / w[:-stride], c[stride:] / w[stride:]]
+        offsets += [stride, -stride]
+        degree += c + np.roll(c, -stride)
+    return sparse.diags([-degree / w, *diagonals], [0, *offsets], format="csr")

@@ -21,7 +21,7 @@ w @ K one instead; that does not pin K[1], so its kernels are labelled
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigh
@@ -106,16 +106,12 @@ class _Stencil:
 
     @cached_property
     def table(self) -> np.ndarray:
-        grid = self.grid
-        if grid.dim == 1:
-            (n,), (h,) = grid.counts, grid.spacing
-            table = self.profile(np.arange(-(n - 1), n) * h)
-        else:
-            (n0, n1), (h0, h1) = grid.counts, grid.spacing
-            z0 = np.arange(-(n0 - 1), n0) * h0
-            z1 = np.arange(-(n1 - 1), n1) * h1
-            table = self.profile(np.hypot(z0[:, None], z1[None, :]))
-        return np.asarray(table, dtype=float)
+        """phi at every node offset (i - j) h, stored at index (n - 1) + i - j
+        per axis; in 2D phi of the Euclidean offset."""
+        axes = [np.arange(1 - n, n) * h
+                for n, h in zip(self.grid.counts, self.grid.spacing)]
+        return np.asarray(self.profile(reduce(np.hypot, np.ix_(*axes))),
+                          dtype=float)
 
     def convolve(self, values: np.ndarray) -> np.ndarray:
         from scipy import fft  # deferred: costly import, FFT path only
@@ -129,17 +125,14 @@ class _Stencil:
         return full[tuple(slice(n - 1, 2 * n - 1) for n in counts)].ravel()
 
     def dense(self) -> np.ndarray:
-        """phi(x_i - x_j) at every node pair; in 2D phi of the Euclidean offset."""
-        pts = self.grid.nodes
-        if self.grid.dim == 1:
-            offsets = pts[:, 0][:, None] - pts[:, 0][None, :]
-        else:
-            # sqrt(dx^2 + dy^2) as np.linalg.norm(axis=-1) computes it, without
-            # its (n, n, 2) temporary
-            offsets = np.square(pts[:, None, 0] - pts[None, :, 0])
-            offsets += np.square(pts[:, None, 1] - pts[None, :, 1])
-            np.sqrt(offsets, out=offsets)
-        return np.asarray(self.profile(offsets), dtype=float)
+        """The matrix ``convolve`` applies: entry (i, j) is ``table`` at offset
+        i - j on each axis, Toeplitz in 1D and block-Toeplitz in 2D."""
+        counts, table = self.grid.counts, self.table
+        # the flat index of a pair's offset is the centre's plus i's minus j's
+        nodes = np.ravel_multi_index(np.indices(counts).reshape(len(counts), -1),
+                                     table.shape)
+        centre = np.ravel_multi_index([n - 1 for n in counts], table.shape)
+        return table.ravel()[np.subtract.outer(nodes + centre, nodes)]
 
 
 class Kernel:
@@ -147,8 +140,9 @@ class Kernel:
 
     ``matrix[i, j]`` approximates K(x_i, x_j) including any normalization
     scalings applied so far. A convolution kernel is its ``profile`` plus one
-    ``scale`` vector, K = diag(scale) phi(x_i - x_j) diag(scale), where
-    ``scale`` is None until balancing; its dense ``matrix`` is built on first
+    ``scale`` vector, K = diag(scale) Phi diag(scale) with Phi the Toeplitz
+    (block-Toeplitz in 2D) matrix of the profile's offset table, where
+    ``scale`` is None until balancing; its dense ``matrix`` is gathered on first
     use (the dense apply below ``_FFT_AUTO_THRESHOLD`` nodes, the eigen
     certificate, the linearization, ``normalize_columns``) and kept from then
     on, so it appears in ``vars(kernel)`` only once built. Every other kernel
@@ -244,7 +238,7 @@ def sample_convolution_kernel(profile: KernelProfile, grid: Grid) -> Kernel:
     """K_ij = phi(x_i - x_j); in 2D phi acts on the Euclidean offset.
 
     Only the profile over the grid's offsets is evaluated here, and checked;
-    the dense matrix is built when a dense consumer first asks for it.
+    the dense matrix is gathered from it when a dense consumer first asks.
     """
     kernel = Kernel(grid, profile=profile)
     table = kernel._stencil.table

@@ -263,10 +263,12 @@ def parse_scenario_dict(raw: dict, name: str = "scenario",
 
 def _load_json(path) -> dict:
     path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"{path}: no such file")
     try:
         return json.loads(path.read_text())
+    except OSError as exc:  # missing, a directory, no permission
+        raise ValidationError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: "
@@ -520,6 +522,8 @@ def parse_sweep_dict(raw: dict, base_dir: str = ".") -> SweepSpec:
     params_raw = top.take("parameters")
     directory = str(top.take("directory", "sweep_out"))
     top.finish()
+    if not isinstance(base, dict):
+        raise ValidationError("'base' must be a scenario object")
     if not isinstance(params_raw, list) or not 1 <= len(params_raw) <= 2:
         raise ValidationError("'parameters' must list one or two swept parameters")
     params = []
@@ -531,14 +535,16 @@ def parse_sweep_dict(raw: dict, base_dir: str = ".") -> SweepSpec:
         if len(path.split(".")) != 2:
             raise ValidationError(
                 f"parameter path must look like 'section.key', got {path!r}")
+        section = path.split(".")[0]
+        if not isinstance(base.get(section, {}), dict):
+            raise ValidationError(
+                f"parameter '{path}': base section '{section}' is not an object")
         if not isinstance(values, list) or not values:
             raise ValidationError(f"parameter '{path}' needs a non-empty value list")
         for v in values:
             if isinstance(v, float) and not math.isfinite(v):
                 raise ValidationError(f"parameter '{path}' has non-finite value")
         params.append(SweepParameter(path, tuple(values)))
-    if not isinstance(base, dict):
-        raise ValidationError("'base' must be a scenario object")
     return SweepSpec(base=base, parameters=tuple(params), directory=directory,
                      base_dir=base_dir)
 

@@ -54,6 +54,23 @@ def test_missing_scenario_is_validation_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_missing_initial_field_file_is_exit_2(tmp_path, capsys):
+    doc = scenario_doc()
+    doc["initial"] = {"kind": "file", "path": "nope.bin"}
+    assert main(["simulate", write(tmp_path, doc, "sc.json")]) == 2
+    assert "nope.bin" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["directory", "binary"])
+def test_unreadable_scenario_is_exit_2(tmp_path, capsys, kind):
+    path = tmp_path
+    if kind == "binary":
+        path = tmp_path / "sc.json"
+        path.write_bytes(b"\x80\x81 not text")
+    assert main(["simulate", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
 def test_invalid_scenario_field(tmp_path, capsys):
     doc = scenario_doc()
     doc["sim"]["mu"] = -2.0
@@ -178,6 +195,15 @@ def test_sweep_cli(tmp_path):
     assert code == 0
     text = (tmp_path / "sw/sweep_summary.csv").read_text()
     assert text.count("ok") == 2
+
+
+def test_sweep_into_a_non_object_section_is_exit_2(tmp_path, capsys):
+    sweep = {"base": dict(scenario_doc(), name="base"),
+             "parameters": [{"path": "name.tag", "values": ["a", "b"]}]}
+    code = main(["sweep", write(tmp_path, sweep, "sw.json"),
+                 "--out", str(tmp_path / "sw")])
+    assert code == 2
+    assert "name.tag" in capsys.readouterr().err
 
 
 def test_sweep_bad_jobs(tmp_path, capsys):

@@ -151,6 +151,16 @@ class TestLaplacianMatrix:
         WL = grid.weights[:, None] * L
         assert np.max(np.abs(WL - WL.T)) <= 1e-13 * np.max(np.abs(WL))
 
+    @pytest.mark.parametrize("grid", [build_uniform_grid((-1, 2), 40),
+                                      build_uniform_grid(((0, 1), (0, 0.5)), (9, 7))],
+                             ids=["1d", "2d"])
+    def test_summation_by_parts_on_the_edges(self, grid, rng):
+        f = rng.uniform(-1, 1, grid.n_nodes)
+        edge_sum = sum(float(c[stride:] @ (f[stride:] - f[:-stride]) ** 2)
+                       for stride, c in grid.edges)
+        form = -float((grid.weights * f) @ (laplacian_matrix(grid) @ f))
+        assert edge_sum == pytest.approx(form, rel=1e-12)
+
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=25)
     def test_negative_semidefinite_and_mass_free(self, seed, unit_grid):

@@ -77,13 +77,22 @@ class TestSampling:
         assert kern.matrix[0, 1] == 1.0  # offset 0.25 <= 0.3
         assert kern.matrix[0, 2] == 0.0  # offset 0.5 > 0.3
 
-    def test_convolution_is_toeplitz_in_1d(self):
-        grid = build_uniform_grid((0, 1), 12)
-        kern = sample_convolution_kernel(KernelProfile("exponential", 0.2), grid)
-        first_col = kern.matrix[:, 0]
-        for k in range(12):
-            np.testing.assert_allclose(np.diag(kern.matrix, -k), first_col[k],
-                                       atol=0)
+    def test_convolution_is_toeplitz_in_1d(self, rng):
+        # the tophat's edge falls on the offset 51 h of this grid: the dense
+        # matrix, the FFT path and the offset table must all agree there
+        grid = build_uniform_grid((0, 5), 256)
+        profile = KernelProfile("tophat", 1.0)
+        kern = sample_convolution_kernel(profile, grid)
+        for k in range(-255, 256):
+            diagonal = np.diag(kern.matrix, k)
+            np.testing.assert_array_equal(diagonal, diagonal[0])
+        i = np.arange(256)
+        assert np.array_equal(kern.matrix, kern._stencil.table[255 + i[:, None] - i])
+        balanced = symmetrize_and_normalize(kern)
+        u = Field(grid, rng.uniform(0.5, 1.5, grid.n_nodes))
+        np.testing.assert_allclose(apply_kernel(balanced, u, method="dense").values,
+                                   apply_kernel(balanced, u, method="fft").values,
+                                   rtol=0, atol=1e-12)
 
     def test_2d_uses_euclidean_offset(self):
         grid = build_uniform_grid(((0, 1), (0, 1)), (3, 3))
@@ -152,14 +161,13 @@ class TestNormalization:
         assert np.max(np.abs(balanced.matrix @ w - 1)) < 1e-11
 
 
-def _old_sample(profile, grid):
-    """K_ij = phi(x_i - x_j) as the dense sampler computed it."""
-    pts = grid.nodes
-    if grid.dim == 1:
-        offsets = pts[:, 0][:, None] - pts[:, 0][None, :]
-    else:
-        offsets = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-    return np.asarray(profile(offsets), dtype=float)
+def _table_sample(profile, grid):
+    """K_ij = phi at the offset (i - j) h of each axis, the Toeplitz / BTTB
+    matrix of the offset table (Euclidean offset in 2D)."""
+    index = np.indices(grid.counts).reshape(grid.dim, -1)
+    offsets = [np.subtract.outer(i, i) * h for i, h in zip(index, grid.spacing)]
+    z = offsets[0] if grid.dim == 1 else np.hypot(*offsets)
+    return np.asarray(profile(z), dtype=float)
 
 
 def _old_balance(K, w, tol=1e-12):
@@ -180,7 +188,7 @@ class TestMatrixFree:
         profile = KernelProfile(family, 0.2)
         kern = symmetrize_and_normalize(sample_convolution_kernel(profile, unit_grid))
         w = unit_grid.weights
-        K = _old_sample(profile, unit_grid)
+        K = _table_sample(profile, unit_grid)
         d = _old_balance(K, w)
         np.testing.assert_array_equal(kern.scale, d)
         np.testing.assert_array_equal(kern.matrix, np.outer(d, d) * K)
@@ -198,7 +206,7 @@ class TestMatrixFree:
         w = grid.weights
         ones = apply_kernel(kern, Field.constant(grid, 1.0)).values
         assert np.max(np.abs(ones - 1.0)) < 1e-12
-        K = _old_sample(profile, grid)
+        K = _table_sample(profile, grid)
         d = _old_balance(K, w)
         assert np.max(np.abs(kern.scale - d)) < 1e-13 * np.max(d)
         # the view is built on demand, by the dense formula, and then kept

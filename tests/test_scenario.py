@@ -78,7 +78,7 @@ class TestParsing:
             parse_scenario(path)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ValidationError, match="no such file"):
+        with pytest.raises(ValidationError, match="No such file"):
             parse_scenario(tmp_path / "absent.json")
 
     def test_kernel_required_unless_local(self):
@@ -334,6 +334,20 @@ class TestSweep:
         summary = read_csv_rows(tmp_path / "s/sweep_summary.csv")
         assert [(r["point"], r["status"]) for r in summary] == \
             [("0", "ok"), ("1", "validation_error")]
+
+    def test_unreadable_initial_file_fails_its_point_only(self, tmp_path):
+        grid = build_uniform_grid((0.0, 1.0), 48)
+        write_field(tmp_path / "good.bin", Field.constant(grid, 0.5))
+        spec = self.base_sweep()
+        spec["base"]["initial"] = {"kind": "file", "path": "good.bin"}
+        spec["parameters"] = [{"path": "initial.path",
+                               "values": ["nope.bin", ".", "good.bin"]}]
+        run_sweep(parse_sweep_dict(spec, base_dir=str(tmp_path)),
+                  out_dir=tmp_path / "s", quiet=True)
+        summary = read_csv_rows(tmp_path / "s/sweep_summary.csv")
+        assert [(r["point"], r["status"]) for r in summary] == \
+            [("0", "validation_error"), ("1", "validation_error"), ("2", "ok")]
+        assert "nope.bin" in summary[0]["error"]
 
     def test_pool_is_no_larger_than_the_sweep(self, tmp_path, monkeypatch):
         asked = []
