@@ -5,8 +5,10 @@ only at u = 1. Along trajectories its decay rate splits into a gradient part
 and a kernel quadratic-form part; the latter is nonnegative exactly when the
 kernel certifies positive, which is the mechanism behind global convergence
 to 1. ``decay_identity_residual`` measures how well a discrete trajectory
-honours that identity, and the linearization utilities locate the Turing
-instability when the positivity hypothesis fails.
+honours that identity; it reads two rows of the trace, so a ``trace.csv``
+loaded with ``Trace.from_csv`` can be checked as well as a run in memory. The
+linearization utilities locate the Turing instability when the positivity
+hypothesis fails. Throughout, ``kernel=None`` is local mode: K[u] = u.
 """
 
 import csv
@@ -32,31 +34,19 @@ class Snapshot:
     field: Field
 
 
-@dataclass(eq=False)
-class SimContext:
-    """What a trace needs to re-evaluate its own diagnostics."""
-    grid: Grid
-    kernel: Kernel | None
-    mu: float
-    local_mode: bool = False
-
-
 class Trace:
     """Per-step diagnostics rows plus periodic field snapshots.
 
-    Appended by the running simulation, read-only afterwards. ``context`` is
-    the in-memory simulation context; it is not serialized, so traces loaded
-    from CSV carry rows and metadata only.
+    Appended by the running simulation, read-only afterwards. Traces loaded
+    from CSV carry the rows only.
     """
 
     columns = TRACE_COLUMNS
 
-    def __init__(self, metadata: dict | None = None,
-                 context: SimContext | None = None):
+    def __init__(self, metadata: dict | None = None):
         self._rows: list[tuple] = []
         self.snapshots: list[Snapshot] = []
         self.metadata: dict = dict(metadata or {})
-        self.context = context
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -77,12 +67,6 @@ class Trace:
     def as_array(self) -> np.ndarray:
         return np.array(self._rows, dtype=float).reshape(len(self._rows),
                                                          len(TRACE_COLUMNS))
-
-    def snapshot_for_step(self, step: int) -> Snapshot | None:
-        for snap in self.snapshots:
-            if snap.step == step:
-                return snap
-        return None
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -141,16 +125,15 @@ class Dissipation(NamedTuple):
     kernel_part: float
 
 
-def dissipation(field: Field, kernel: Kernel | None, mu: float,
-                local_mode: bool = False) -> Dissipation:
+def dissipation(field: Field, kernel: Kernel | None, mu: float) -> Dissipation:
     """Decay rate of V: an edge-based gradient term plus the kernel quadratic form.
 
     The gradient term sums c du^2 / u_mid^2 over the edges of ``Grid.edges``
     with the edge midpoint average in the denominator; that pairing matches
     the Neumann Laplacian of those edges under summation by parts to second
     order, which is what makes the decay identity testable. The kernel part is
-    mu * sum_ij w_i w_j K_ij (1 - u_i)(1 - u_j); in local mode it collapses to
-    mu * integral of (1 - u)^2.
+    mu * sum_ij w_i w_j K_ij (1 - u_i)(1 - u_j); in local mode (no kernel) it
+    collapses to mu * integral of (1 - u)^2.
     """
     u = field.values
     _require_positive(u)
@@ -163,7 +146,7 @@ def dissipation(field: Field, kernel: Kernel | None, mu: float,
         d_grad += float((c[stride:] * (du * du / (mid * mid))).sum())
 
     g = 1.0 - u
-    if local_mode or kernel is None:
+    if kernel is None:
         d_kernel = mu * float(grid.weights @ (g * g))
     else:
         if not kernel.normalized:
@@ -176,44 +159,33 @@ def dissipation(field: Field, kernel: Kernel | None, mu: float,
 
 
 def decay_identity_residual(trace: Trace, step_index: int) -> float:
-    """| (V_{k+1} - V_k)/dt + D at the half-step average field |.
+    """| (V_{k+1} - V_k)/(t_{k+1} - t_k) + (D_k + D_{k+1})/2 |, k = step_index.
 
-    Needs per-step snapshots (run with ``snapshot_every=1``) and the trace's
-    in-memory simulation context.
+    The trapezoid of the recorded dissipation over one step; it reads the
+    trace's own ``t``, ``V`` and ``D_total`` rows and nothing else.
     """
     if not 0 <= step_index < len(trace) - 1:
         raise IndexError(
             f"need rows {step_index} and {step_index + 1}, trace has {len(trace)}")
-    ctx = trace.context
-    if ctx is None:
-        raise ValidationError("trace carries no simulation context")
-    snap0 = trace.snapshot_for_step(step_index)
-    snap1 = trace.snapshot_for_step(step_index + 1)
-    if snap0 is None or snap1 is None:
-        raise ValidationError(
-            "per-step snapshots missing; rerun with snapshot_every=1")
     row0, row1 = trace.row(step_index), trace.row(step_index + 1)
-    dt = row1["t"] - row0["t"]
-    mid = Field(ctx.grid, 0.5 * (snap0.field.values + snap1.field.values))
-    d_mid = dissipation(mid, ctx.kernel, ctx.mu, ctx.local_mode).total
-    return abs((row1["V"] - row0["V"]) / dt + d_mid)
+    return abs((row1["V"] - row0["V"]) / (row1["t"] - row0["t"])
+               + 0.5 * (row0["D_total"] + row1["D_total"]))
 
 
-def linearization_matrix(grid: Grid, kernel: Kernel, mu: float) -> np.ndarray:
-    """Derivative of the dynamics at u = 1: J v = Lap v - mu K[v].
+def linearization_matrix(grid: Grid, kernel: Kernel | None,
+                         mu: float) -> np.ndarray:
+    """Derivative of the dynamics at u = 1: J v = Lap v - mu K[v], with
+    K[v] = v in local mode (no kernel).
 
     The kernel must be normalized (K[1] = 1), otherwise u = 1 is not a steady
     state to linearize about.
     """
+    L = laplacian_matrix(grid).toarray()
+    if kernel is None:
+        return L - mu * np.eye(grid.n_nodes)
     if not kernel.normalized:
         raise ValidationError("linearization needs a normalized kernel")
-    L = laplacian_matrix(grid).toarray()
     return L - mu * (kernel.matrix * grid.weights[None, :])
-
-
-def local_linearization_matrix(grid: Grid, mu: float) -> np.ndarray:
-    """Derivative at u = 1 in the local (classical logistic) limit: Lap - mu I."""
-    return laplacian_matrix(grid).toarray() - mu * np.eye(grid.n_nodes)
 
 
 def spectral_abscissa(matrix: np.ndarray) -> float:
@@ -225,23 +197,20 @@ def spectral_abscissa(matrix: np.ndarray) -> float:
     return float(eigvals.real.max())
 
 
-def cosine_mode_rates(grid: Grid, jacobian: np.ndarray,
-                      max_mode: int | None = None) -> np.ndarray:
-    """Weighted Rayleigh quotients of J on cos(k pi x) modes along axis 0, k >= 1."""
-    n0 = grid.counts[0]
-    if max_mode is None:
-        max_mode = n0 - 2
+def cosine_mode_rates(grid: Grid, jacobian: np.ndarray) -> np.ndarray:
+    """Weighted Rayleigh quotients of J on cos(k pi x) modes along axis 0,
+    1 <= k <= n0 - 2."""
+    n_modes = grid.counts[0] - 2
     lo, hi = grid.extents[0]
     xhat = (grid.nodes[:, 0] - lo) / (hi - lo)
     w = grid.weights
-    rates = np.empty(max_mode)
-    for k in range(1, max_mode + 1):
+    rates = np.empty(n_modes)
+    for k in range(1, n_modes + 1):
         v = np.cos(k * np.pi * xhat)
         rates[k - 1] = float((w * v) @ (jacobian @ v) / ((w * v) @ v))
     return rates
 
 
-def most_unstable_cosine_mode(grid: Grid, jacobian: np.ndarray,
-                              max_mode: int | None = None) -> int:
+def most_unstable_cosine_mode(grid: Grid, jacobian: np.ndarray) -> int:
     """Index k >= 1 of the fastest-growing cosine perturbation of u = 1."""
-    return int(np.argmax(cosine_mode_rates(grid, jacobian, max_mode))) + 1
+    return int(np.argmax(cosine_mode_rates(grid, jacobian))) + 1

@@ -15,21 +15,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .diagnostics import SimContext, Trace, dissipation, lyapunov_value, sup_distance_to_one
-from .errors import NumericalError, StepFailure, ValidationError
+from .diagnostics import Trace, dissipation, lyapunov_value, sup_distance_to_one
+from .errors import NumericalError, ShapeError, StepFailure, ValidationError
 from .grid import Field, Grid, integrate
 from .kernels import Kernel, apply_kernel
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Run parameters. ``local_mode`` replaces K[u] by u (classical logistic)."""
+    """Run parameters."""
 
     mu: float
     dt: float
     t_end: float
     snapshot_every: int = 100
-    local_mode: bool = False
     positivity_floor: float = 1e-14
     max_dt_halvings: int = 40
 
@@ -64,18 +63,14 @@ class SimState:
     halvings: int = 0
 
 
-def reaction_term(u: Field, kernel: Kernel | None, mu: float,
-                  local_mode: bool = False) -> Field:
-    """mu (1 - K[u]) u, or mu (1 - u) u in local mode.
+def reaction_term(u: Field, kernel: Kernel | None, mu: float) -> Field:
+    """mu (1 - K[u]) u, or mu (1 - u) u in local mode (no kernel).
 
     The kernel must be normalized, otherwise 1 would not be a steady state
     and the whole Lyapunov story would be about the wrong equilibrium.
     """
-    if local_mode:
-        vals = mu * (1.0 - u.values) * u.values
-        return Field(u.grid, vals)
     if kernel is None:
-        raise ValidationError("reaction needs a kernel unless local_mode is set")
+        return Field(u.grid, mu * (1.0 - u.values) * u.values)
     if not kernel.normalized:
         raise ValidationError("reaction needs a normalized kernel "
                               "(balanced: weighted row sums K[1] equal to one)")
@@ -141,7 +136,7 @@ def step_imex(state: SimState, grid: Grid, kernel: Kernel | None,
     if solver is None:
         solver = DiffusionSolver(grid)
     u_old = state.u.values
-    r = reaction_term(state.u, kernel, config.mu, config.local_mode).values
+    r = reaction_term(state.u, kernel, config.mu).values
     dt = config.dt if state.dt_next is None else min(state.dt_next, config.dt)
     if max_dt is not None:
         dt = min(dt, max_dt)
@@ -167,14 +162,18 @@ def run(u0: Field, grid: Grid, kernel: Kernel | None, config: SimConfig,
         metadata: dict | None = None) -> tuple[SimState, Trace]:
     """Integrate from u0 to t_end, recording a diagnostics row per step.
 
-    u0 must be nonnegative and not identically zero; zero nodes are lifted to
-    the positivity floor before the first step, mirroring the instant
-    positivity of the continuous flow and keeping V finite from the start.
+    ``kernel=None`` is local mode: K[u] is replaced by u (classical
+    Fisher-KPP). u0 must lie on ``grid``, be nonnegative and not be
+    identically zero; zero nodes are lifted to the positivity floor before the
+    first step, mirroring the instant positivity of the continuous flow and
+    keeping V finite from the start.
     The trace metadata records ``steps_rejected``, the halvings summed over
     the run, and ``dt_min``, the smallest step a halving reached (dt if none);
     ``kernel_apply`` says which matvec ran (``dense``, ``fft`` or ``none``), and
     ``balance_iterations`` / ``balance_deviation`` copy the kernel's balancing.
     """
+    if not u0.grid.same_layout(grid):
+        raise ShapeError(f"initial datum lies on {u0.grid}, the run on {grid}")
     vals = np.asarray(u0.values, dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValidationError("initial datum has non-finite values")
@@ -183,8 +182,6 @@ def run(u0: Field, grid: Grid, kernel: Kernel | None, config: SimConfig,
             f"initial datum has negative node value {vals.min():.3g}")
     if not np.any(vals > 0):
         raise ValidationError("initial datum is identically zero")
-    if kernel is None and not config.local_mode:
-        raise ValidationError("a kernel is required unless local_mode is set")
 
     state = SimState(t=0.0, u=Field(grid, np.maximum(vals, config.positivity_floor)),
                      step=0, dt_next=config.dt)
@@ -194,20 +191,18 @@ def run(u0: Field, grid: Grid, kernel: Kernel | None, config: SimConfig,
         "solver": solver.name,
         "mu": config.mu,
         "dt": config.dt,
-        "local_mode": config.local_mode,
+        "local_mode": kernel is None,
         "kernel_normalization": kernel.normalization if kernel else "none",
-        "kernel_apply": ("none" if kernel is None or config.local_mode
-                         else kernel.apply_method),
+        "kernel_apply": kernel.apply_method if kernel else "none",
     }
     if kernel is not None:
         base_meta.update(balance_iterations=kernel.balance_iterations,
                          balance_deviation=kernel.balance_deviation)
     base_meta.update(metadata or {})
-    trace = Trace(metadata=base_meta,
-                  context=SimContext(grid, kernel, config.mu, config.local_mode))
+    trace = Trace(metadata=base_meta)
 
     def record(st: SimState, dt_used: float) -> None:
-        d = dissipation(st.u, kernel, config.mu, config.local_mode)
+        d = dissipation(st.u, kernel, config.mu)
         trace.append_row(t=st.t, V=lyapunov_value(st.u), D_total=d.total,
                          D_grad=d.grad, D_kernel=d.kernel_part,
                          sup_dist_one=sup_distance_to_one(st.u),

@@ -34,8 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fieldio
-from .diagnostics import (linearization_matrix, local_linearization_matrix,
-                          most_unstable_cosine_mode, spectral_abscissa)
+from .diagnostics import (linearization_matrix, most_unstable_cosine_mode,
+                          spectral_abscissa)
 from .dynamics import SimConfig, run
 from .errors import NumericalError, ValidationError
 from .grid import Field, Grid, build_uniform_grid
@@ -133,6 +133,9 @@ class OutputSpec:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A validated scenario. With ``local_mode`` the run and the linearization
+    get no kernel; a ``kernel`` section next to it is still built and certified."""
+
     name: str
     grid: Grid
     kernel: KernelSpec | None
@@ -141,6 +144,7 @@ class Scenario:
     output: OutputSpec
     raw: dict
     base_dir: str = "."
+    local_mode: bool = False
 
 
 def _parse_grid(raw) -> Grid:
@@ -214,17 +218,18 @@ def _parse_initial(raw) -> InitialSpec:
     return spec
 
 
-def _parse_sim(raw) -> SimConfig:
+def _parse_sim(raw) -> tuple[SimConfig, bool]:
+    """The run's settings and ``local_mode``."""
     sec = _Section(raw, "sim")
     config = SimConfig(  # validates mu, dt, t_end and the rest
         mu=_as_number(sec.take("mu"), "sim.mu"),
         dt=_as_number(sec.take("dt"), "sim.dt"),
         t_end=_as_number(sec.take("t_end"), "sim.t_end"),
         snapshot_every=_as_int(sec.take("snapshot_every", 100), "sim.snapshot_every"),
-        local_mode=_as_bool(sec.take("local_mode", False), "sim.local_mode"),
     )
+    local_mode = _as_bool(sec.take("local_mode", False), "sim.local_mode")
     sec.finish()
-    return config
+    return config, local_mode
 
 
 def _parse_output(raw) -> OutputSpec:
@@ -248,9 +253,9 @@ def parse_scenario_dict(raw: dict, name: str = "scenario",
     top = _Section(raw, "scenario")
     name = str(top.take("name", name))
     grid = _parse_grid(top.take("grid"))
-    sim = _parse_sim(top.take("sim"))
+    sim, local_mode = _parse_sim(top.take("sim"))
     kernel_raw = top.take("kernel", None)
-    if kernel_raw is None and not sim.local_mode:
+    if kernel_raw is None and not local_mode:
         raise ValidationError("a 'kernel' section is required unless sim.local_mode")
     kernel = _parse_kernel(kernel_raw) if kernel_raw is not None else None
     initial = _parse_initial(top.take("initial"))
@@ -258,7 +263,7 @@ def parse_scenario_dict(raw: dict, name: str = "scenario",
     top.finish()
     return Scenario(name=name, grid=grid, kernel=kernel, initial=initial,
                     sim=sim, output=output, raw=copy.deepcopy(raw),
-                    base_dir=base_dir)
+                    base_dir=base_dir, local_mode=local_mode)
 
 
 def _load_json(path) -> dict:
@@ -388,6 +393,7 @@ def _run_scenario_inner(scenario: Scenario, out_dir, quiet: bool,
     certificates: list[PositivityCertificate] = []
     if scenario.kernel is not None:
         kernel, certificates = build_kernel(scenario.kernel, grid)
+    run_kernel = None if scenario.local_mode else kernel
 
     jacobian = None
     abscissa = math.nan
@@ -396,10 +402,8 @@ def _run_scenario_inner(scenario: Scenario, out_dir, quiet: bool,
         skipped = "output.stability is false"
     elif grid.n_nodes > _STABILITY_MAX_NODES:
         skipped = f"{grid.n_nodes} nodes > {_STABILITY_MAX_NODES}"
-    elif scenario.sim.local_mode:
-        jacobian = local_linearization_matrix(grid, scenario.sim.mu)
     else:
-        jacobian = linearization_matrix(grid, kernel, scenario.sim.mu)
+        jacobian = linearization_matrix(grid, run_kernel, scenario.sim.mu)
     if jacobian is not None:
         abscissa = spectral_abscissa(jacobian)
 
@@ -421,7 +425,7 @@ def _run_scenario_inner(scenario: Scenario, out_dir, quiet: bool,
             meta["positivity_caveat"] = ("kernel has zero entries; certified "
                                          "positivity alone does not pin the limit")
 
-    state, trace = run(u0, grid, kernel, scenario.sim, metadata=meta)
+    state, trace = run(u0, grid, run_kernel, scenario.sim, metadata=meta)
 
     final_v = trace.column("V")[-1]
     final_sup = trace.column("sup_dist_one")[-1]

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from nlkpp import (DomainError, Field, KernelProfile, SimConfig,
                    build_uniform_grid, certify_positivity_eigen,
                    cosine_mode_rates, decay_identity_residual, dissipation,
-                   linearization_matrix, local_linearization_matrix,
-                   lyapunov_value, most_unstable_cosine_mode, run,
-                   sample_convolution_kernel, spectral_abscissa,
-                   sup_distance_to_one, symmetrize_and_normalize)
+                   linearization_matrix, lyapunov_value,
+                   most_unstable_cosine_mode, run, sample_convolution_kernel,
+                   spectral_abscissa, sup_distance_to_one,
+                   symmetrize_and_normalize)
 from nlkpp.diagnostics import Trace
 
 
@@ -80,8 +80,7 @@ class TestDissipation:
             assert d.grad >= 0.0
 
     def test_local_mode(self, unit_grid):
-        d = dissipation(Field.constant(unit_grid, 0.5), None, 3.0,
-                        local_mode=True)
+        d = dissipation(Field.constant(unit_grid, 0.5), None, 3.0)
         assert d.kernel_part == pytest.approx(3.0 * 0.25, rel=1e-12)
 
 
@@ -119,12 +118,17 @@ class TestDecayIdentity:
         for coarse, fine in zip(maxres, maxres[1:]):
             assert 1.7 <= coarse / fine <= 2.3
 
-    def test_requires_per_step_snapshots(self, unit_grid, balanced_gaussian):
-        cfg = SimConfig(mu=1.0, dt=1e-3, t_end=0.05, snapshot_every=10)
-        _, trace = run(Field.constant(unit_grid, 0.5), unit_grid,
-                       balanced_gaussian, cfg)
-        with pytest.raises(Exception, match="snapshot"):
-            decay_identity_residual(trace, 2)
+    def test_reads_trace_csv(self, tmp_path, unit_grid, balanced_gaussian, rng):
+        # no snapshots kept: the residual needs the trace rows only, and the
+        # CSV round trip is exact
+        cfg = SimConfig(mu=1.0, dt=1e-2, t_end=0.5, snapshot_every=0)
+        u0 = Field(unit_grid, rng.uniform(0.5, 1.5, unit_grid.n_nodes))
+        _, trace = run(u0, unit_grid, balanced_gaussian, cfg)
+        trace.to_csv(tmp_path / "trace.csv")
+        loaded = Trace.from_csv(tmp_path / "trace.csv")
+        for k in range(len(trace) - 1):
+            assert (decay_identity_residual(loaded, k)
+                    == decay_identity_residual(trace, k))
 
     def test_index_out_of_range(self, unit_grid, balanced_gaussian):
         cfg = SimConfig(mu=1.0, dt=1e-2, t_end=0.03, snapshot_every=1)
@@ -147,7 +151,7 @@ class TestLinearization:
 
     def test_local_analogue_shifts_spectrum(self, unit_grid):
         mu = 2.2
-        J = local_linearization_matrix(unit_grid, mu)
+        J = linearization_matrix(unit_grid, None, mu)
         assert spectral_abscissa(J) == pytest.approx(-mu, abs=1e-9)
 
     def test_gaussian_kernel_is_stable(self):

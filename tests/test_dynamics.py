@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from nlkpp import (Field, KernelProfile, NumericalError, SimConfig,
-                   StepFailure, ValidationError, build_uniform_grid,
+from nlkpp import (Field, KernelProfile, NumericalError, ShapeError,
+                   SimConfig, StepFailure, ValidationError, build_uniform_grid,
                    laplacian_matrix, normalize_columns, reaction_term, run,
                    sample_convolution_kernel, step_imex,
                    symmetrize_and_normalize)
@@ -24,8 +24,7 @@ class TestReactionTerm:
         np.testing.assert_allclose(r.values, 0.0, atol=0)
 
     def test_local_mode_value(self, unit_grid):
-        r = reaction_term(Field.constant(unit_grid, 0.5), None, 2.0,
-                          local_mode=True)
+        r = reaction_term(Field.constant(unit_grid, 0.5), None, 2.0)
         np.testing.assert_allclose(r.values, 0.5)
 
     def test_rejects_unnormalized_kernel(self, unit_grid):
@@ -62,7 +61,7 @@ class TestStepImex:
     def test_dt_halving_recovers(self, unit_grid):
         # reaction pushes u negative at the configured dt; the step must
         # halve, survive, and work its way back up to dt
-        cfg = SimConfig(mu=30.0, dt=0.05, t_end=2.0, local_mode=True)
+        cfg = SimConfig(mu=30.0, dt=0.05, t_end=2.0)
         state, trace = run(Field.constant(unit_grid, 3.0), unit_grid, None, cfg)
         dts = trace.column("dt_used")[1:]
         assert dts.min() < 0.05
@@ -70,8 +69,7 @@ class TestStepImex:
         assert trace.column("min_u").min() > 0
 
     def test_step_failure_after_halving_budget(self, unit_grid):
-        cfg = SimConfig(mu=1e15, dt=1.0, t_end=1.0, local_mode=True,
-                        max_dt_halvings=10)
+        cfg = SimConfig(mu=1e15, dt=1.0, t_end=1.0, max_dt_halvings=10)
         with pytest.raises(StepFailure, match="node"):
             run(Field.constant(unit_grid, 4.0), unit_grid, None, cfg)
 
@@ -144,6 +142,13 @@ class TestRun:
         with pytest.raises(ValidationError, match="normalized"):
             run(Field.constant(unit_grid, 1.0), unit_grid, kern, cfg)
 
+    def test_rejects_datum_on_another_grid(self, unit_grid, balanced_gaussian):
+        # same node count, other extent: the datum must not be moved onto grid
+        other = build_uniform_grid((0, 5), unit_grid.n_nodes)
+        cfg = SimConfig(mu=1.0, dt=1e-2, t_end=0.05)
+        with pytest.raises(ShapeError, match="initial datum"):
+            run(Field.constant(other, 0.5), unit_grid, balanced_gaussian, cfg)
+
     def test_rejects_identically_zero(self, unit_grid, balanced_gaussian):
         cfg = SimConfig(mu=1.0, dt=1e-2, t_end=0.1)
         with pytest.raises(ValidationError, match="identically zero"):
@@ -168,7 +173,7 @@ class TestRun:
         # solution stays at the positivity floor, and no step may dip below it
         grid = build_uniform_grid((0, 50), 128)
         u0 = Field(grid, np.where(grid.nodes[:, 0] < 10, 1.0, 0.0))
-        cfg = SimConfig(mu=0.0, dt=1e-2, t_end=1.0, local_mode=True)
+        cfg = SimConfig(mu=0.0, dt=1e-2, t_end=1.0)
         state, trace = run(u0, grid, None, cfg)
         assert state.step == 100
         assert trace.metadata["steps_rejected"] == 0
@@ -179,8 +184,7 @@ class TestRun:
         # leaving the mean value 2
         grid = build_uniform_grid((0, 1), 101)
         u0 = Field.from_function(grid, lambda x: np.cos(np.pi * x) + 2.0)
-        state, _ = run(u0, grid, None, SimConfig(mu=0.0, dt=1e-2, t_end=5.0,
-                                                 local_mode=True))
+        state, _ = run(u0, grid, None, SimConfig(mu=0.0, dt=1e-2, t_end=5.0))
         assert np.max(np.abs(state.u.values - 2.0)) < 1e-3
 
     def test_time_grid_lands_on_t_end(self, unit_grid, balanced_gaussian):
@@ -210,8 +214,7 @@ class TestRun:
         u0 = Field.from_function(
             grid, lambda x: 1 + 0.3 * np.cos(3 * np.pi * x) + 0.2 * np.cos(np.pi * x))
         cfg = SimConfig(mu=1.0, dt=1e-3, t_end=1.0)
-        local_state, _ = run(u0, grid, None,
-                             SimConfig(mu=1.0, dt=1e-3, t_end=1.0, local_mode=True))
+        local_state, _ = run(u0, grid, None, cfg)
         diffs = []
         for mult in (8, 4):
             kern = symmetrize_and_normalize(sample_convolution_kernel(

@@ -259,6 +259,23 @@ class TestRunScenario:
         meta = json.loads((tmp_path / "l/run_meta.json").read_text())["metadata"]
         assert meta["kernel_apply"] == "none"
 
+    def test_local_mode_certifies_its_kernel_but_does_not_run_it(self, tmp_path):
+        doc = minimal_doc(initial={"kind": "random_uniform", "low": 0.5,
+                                   "high": 1.5, "seed": 3})
+        doc["sim"]["local_mode"] = True
+        run_scenario(parse_scenario_dict(doc), out_dir=tmp_path / "k", quiet=True)
+        del doc["kernel"]
+        run_scenario(parse_scenario_dict(doc), out_dir=tmp_path / "n", quiet=True)
+        certs = read_csv_rows(tmp_path / "k/certificate.csv")
+        assert {c["method"] for c in certs} == {"eigen", "bochner"}
+        assert not (tmp_path / "n/certificate.csv").exists()
+        assert (tmp_path / "k/trace.csv").read_bytes() == \
+            (tmp_path / "n/trace.csv").read_bytes()
+        meta = json.loads((tmp_path / "k/run_meta.json").read_text())["metadata"]
+        assert meta["local_mode"] is True
+        assert meta["kernel_normalization"] == "none"
+        assert "balance_iterations" not in meta
+
     def test_matrix_free_run_builds_no_matrix(self, tmp_path, monkeypatch):
         # at 48 x 48 = 2304 nodes the kernel applies by FFT; with certify and
         # stability off nothing needs the dense matrix, so none may be built
