@@ -64,10 +64,6 @@ class Trace:
         idx = TRACE_COLUMNS.index(name)
         return np.array([r[idx] for r in self._rows])
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self._rows, dtype=float).reshape(len(self._rows),
-                                                         len(TRACE_COLUMNS))
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -80,12 +76,19 @@ class Trace:
         trace = cls()
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = tuple(next(reader))
+            header = tuple(next(reader, ()))
             if header != TRACE_COLUMNS:
                 raise ValidationError(
                     f"{Path(path).name}: unexpected trace header {header}")
             for row in reader:
-                trace._rows.append(tuple(float(v) for v in row))
+                try:
+                    if len(row) != len(TRACE_COLUMNS):
+                        raise ValueError(
+                            f"{len(row)} fields, expected {len(TRACE_COLUMNS)}")
+                    trace._rows.append(tuple(float(v) for v in row))
+                except ValueError as exc:
+                    raise ValidationError(
+                        f"{Path(path).name}, line {reader.line_num}: {exc}") from None
         return trace
 
 

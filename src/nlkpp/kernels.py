@@ -29,10 +29,7 @@ from scipy.linalg import LinAlgError, eigh
 from .errors import BalancingError, KernelError, ShapeError, ValidationError
 from .grid import Field, Grid
 
-FAMILIES = ("gaussian", "tophat", "exponential", "mexican_hat", "custom")
-
-# width ratio of the subtracted (inhibitory) gaussian in the mexican hat
-MEXICAN_HAT_WIDTH_FACTOR = 2.0
+FAMILIES = ("gaussian", "tophat", "exponential", "custom")
 
 # below this many nodes a dense matvec beats FFT overhead
 _FFT_AUTO_THRESHOLD = 2048
@@ -49,18 +46,13 @@ _SUBSET_EIGH_MIN_NODES = 1024
 class KernelProfile:
     """Even profile phi(z) of a convolution kernel K(x, y) = phi(x - y).
 
-    ``sigma`` is the length scale. The mexican hat is the difference of two
-    gaussians, the wider one (width ``MEXICAN_HAT_WIDTH_FACTOR * sigma``)
-    scaled by ``inhibition_ratio`` and subtracted; its transform dips negative
-    exactly when ``inhibition_ratio >= 1 / MEXICAN_HAT_WIDTH_FACTOR``, which
-    makes it a convenient positivity-violating specimen. The tophat is not
-    Lipschitz; it is kept as the canonical discontinuous, positivity-violating
-    example.
+    ``sigma`` is the length scale. The tophat is not Lipschitz; it is kept as
+    the canonical discontinuous, positivity-violating example. A ``custom``
+    profile evaluates ``func``, which may be signed or asymmetric.
     """
 
     family: str
     sigma: float
-    inhibition_ratio: float = 0.8
     func: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
@@ -81,10 +73,6 @@ class KernelProfile:
             return (np.abs(z) <= s).astype(float)
         if self.family == "exponential":
             return np.exp(-np.abs(z) / s)
-        if self.family == "mexican_hat":
-            wide = MEXICAN_HAT_WIDTH_FACTOR * s
-            return (np.exp(-(z * z) / (2.0 * s * s))
-                    - self.inhibition_ratio * np.exp(-(z * z) / (2.0 * wide * wide)))
         return np.asarray(self.func(z), dtype=float)
 
 
@@ -179,10 +167,6 @@ class Kernel:
         return raw if self.scale is None else np.outer(self.scale, self.scale) * raw
 
     @property
-    def is_convolution(self) -> bool:
-        return self.profile is not None
-
-    @property
     def normalized(self) -> bool:
         """Whether K[1] = 1, which only balancing guarantees."""
         return self.normalization == "balanced"
@@ -246,8 +230,6 @@ def sample_convolution_kernel(profile: KernelProfile, grid: Grid) -> Kernel:
         k = np.unravel_index(int(np.argmin(np.isfinite(table))), table.shape)
         offset = tuple(int(i) - (n - 1) for i, n in zip(k, grid.counts))
         raise KernelError(f"kernel value at node offset {offset} is not finite")
-    if profile.family in ("gaussian", "tophat", "exponential") and table.min() < 0:
-        raise KernelError(f"{profile.family} profile produced negative entries")
     return kernel
 
 
@@ -444,9 +426,6 @@ def default_half_width(profile: KernelProfile, tol: float = 1e-9) -> float:
         return 2.0 * s
     if profile.family == "exponential":
         return 1.5 * s * math.log(1.0 / eps)
-    if profile.family == "mexican_hat":
-        wide = MEXICAN_HAT_WIDTH_FACTOR * s
-        return 1.5 * wide * math.sqrt(2.0 * math.log(1.0 / eps))
     raise ValidationError("custom profiles need an explicit half_width")
 
 

@@ -39,7 +39,7 @@ from .diagnostics import (linearization_matrix, most_unstable_cosine_mode,
 from .dynamics import SimConfig, run
 from .errors import NumericalError, ValidationError
 from .grid import Field, Grid, build_uniform_grid
-from .kernels import (Kernel, KernelProfile, PositivityCertificate,
+from .kernels import (FAMILIES, Kernel, KernelProfile, PositivityCertificate,
                       certify_positivity_bochner, certify_positivity_eigen,
                       sample_convolution_kernel, symmetrize_and_normalize)
 
@@ -168,10 +168,10 @@ def _parse_grid(raw) -> Grid:
 def _parse_kernel(raw) -> KernelSpec:
     sec = _Section(raw, "kernel")
     family = sec.take("family")
-    # mexican_hat is signed, so it cannot be balanced: Python API only
-    if family not in ("gaussian", "tophat", "exponential"):
+    families = [f for f in FAMILIES if f != "custom"]  # a custom profile is code
+    if family not in families:
         raise ValidationError(
-            f"kernel.family must be one of gaussian/tophat/exponential, got {family!r}")
+            f"kernel.family must be one of {'/'.join(families)}, got {family!r}")
     spec = KernelSpec(  # KernelProfile checks sigma when build_kernel makes it
         family=family,
         sigma=_as_number(sec.take("sigma"), "kernel.sigma"),
@@ -413,9 +413,11 @@ def _run_scenario_inner(scenario: Scenario, out_dir, quiet: bool,
             "spectral_abscissa": abscissa}
     if skipped is not None:
         meta["stability_skipped"] = skipped
+    cert_fields = {}
     for cert in certificates:
-        meta[f"{cert.method}_verdict"] = cert.verdict
-        meta[f"{cert.method}_witness"] = cert.witness
+        cert_fields[f"{cert.method}_verdict"] = cert.verdict
+        cert_fields[f"{cert.method}_witness"] = cert.witness
+    meta.update(cert_fields)
     if kernel is not None:
         meta["kernel_strictly_positive"] = kernel.strictly_positive
         if not kernel.strictly_positive and any(
@@ -439,14 +441,10 @@ def _run_scenario_inner(scenario: Scenario, out_dir, quiet: bool,
         "final_V": float(final_v),
         "final_mass": float(trace.column("mass")[-1]),
         "min_u": float(trace.column("min_u").min()),
-        "eigen_verdict": next((c.verdict for c in certificates
-                               if c.method == "eigen"), ""),
-        "eigen_witness": next((c.witness for c in certificates
-                               if c.method == "eigen"), ""),
-        "bochner_verdict": next((c.verdict for c in certificates
-                                 if c.method == "bochner"), ""),
-        "bochner_witness": next((c.witness for c in certificates
-                                 if c.method == "bochner"), ""),
+        "eigen_verdict": cert_fields.get("eigen_verdict", ""),
+        "eigen_witness": cert_fields.get("eigen_witness", ""),
+        "bochner_verdict": cert_fields.get("bochner_verdict", ""),
+        "bochner_witness": cert_fields.get("bochner_witness", ""),
         "spectral_abscissa": abscissa,
         "wall_time_s": wall,
     }

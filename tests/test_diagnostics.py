@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlkpp import (DomainError, Field, KernelProfile, SimConfig,
-                   build_uniform_grid, certify_positivity_eigen,
-                   cosine_mode_rates, decay_identity_residual, dissipation,
-                   linearization_matrix, lyapunov_value,
-                   most_unstable_cosine_mode, run, sample_convolution_kernel,
-                   spectral_abscissa, sup_distance_to_one,
-                   symmetrize_and_normalize)
-from nlkpp.diagnostics import Trace
+                   ValidationError, build_uniform_grid,
+                   certify_positivity_eigen, cosine_mode_rates,
+                   decay_identity_residual, dissipation, linearization_matrix,
+                   lyapunov_value, most_unstable_cosine_mode, run,
+                   sample_convolution_kernel, spectral_abscissa,
+                   sup_distance_to_one, symmetrize_and_normalize)
+from nlkpp.diagnostics import TRACE_COLUMNS, Trace
 
 
 class TestLyapunovValue:
@@ -225,7 +225,26 @@ class TestTrace:
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         loaded = Trace.from_csv(path)
-        np.testing.assert_array_equal(loaded.as_array(), trace.as_array())
+        assert len(loaded) == len(trace)
+        for name in TRACE_COLUMNS:
+            np.testing.assert_array_equal(loaded.column(name), trace.column(name))
+
+    @pytest.mark.parametrize("row,problem", [
+        ("0.0,1.0,2.0,3.0,4.0", "5 fields, expected 9"),
+        ("0.0,1.0,2.0,3.0,4.0,5.0,6.0,abc,0.1", "could not convert string to float: 'abc'"),
+    ], ids=["short_row", "not_a_number"])
+    def test_csv_malformed_row_is_refused(self, tmp_path, row, problem):
+        good = ",".join(["0.0"] * len(TRACE_COLUMNS))
+        path = tmp_path / "trace.csv"
+        path.write_text("\n".join([",".join(TRACE_COLUMNS), good, row]) + "\n")
+        with pytest.raises(ValidationError, match=f"trace.csv, line 3: {problem}"):
+            Trace.from_csv(path)
+
+    def test_csv_empty_file_is_refused(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("")
+        with pytest.raises(ValidationError, match="unexpected trace header"):
+            Trace.from_csv(path)
 
 
 class TestSupDistance:

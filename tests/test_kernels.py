@@ -12,6 +12,21 @@ from nlkpp import (BalancingError, Field, Kernel, KernelError, KernelProfile,
                    sample_general_kernel, symmetrize_and_normalize)
 
 
+def difference_of_gaussians(sigma, ratio):
+    """A signed custom profile: a gaussian less ``ratio`` times one twice as
+    wide. Its transform dips negative exactly when ``ratio >= 1/2``, at
+    frequency zero."""
+    def func(z):
+        return (np.exp(-z * z / (2 * sigma**2))
+                - ratio * np.exp(-z * z / (8 * sigma**2)))
+    return KernelProfile("custom", sigma, func=func)
+
+
+def dog_half_width(sigma):
+    """Where the wider gaussian has decayed below 1e-9, times 1.5."""
+    return 3 * sigma * math.sqrt(2 * math.log(1e9))
+
+
 class TestProfiles:
     def test_families_at_zero(self):
         for family in ("gaussian", "tophat", "exponential"):
@@ -21,12 +36,13 @@ class TestProfiles:
         with pytest.raises(ValidationError):
             KernelProfile("gaussian", 0.0)
 
-    def test_unknown_family(self):
-        with pytest.raises(ValidationError):
-            KernelProfile("sombrero", 1.0)
+    @pytest.mark.parametrize("family", ["sombrero", "mexican_hat"])
+    def test_unknown_family(self, family):
+        with pytest.raises(ValidationError, match="unknown kernel family"):
+            KernelProfile(family, 1.0)
 
-    def test_mexican_hat_is_signed(self):
-        prof = KernelProfile("mexican_hat", 0.5, inhibition_ratio=0.8)
+    def test_difference_of_gaussians_is_signed(self):
+        prof = difference_of_gaussians(0.5, 0.8)
         z = np.linspace(0, 5, 200)
         vals = prof(z)
         assert vals[0] == pytest.approx(0.2)
@@ -38,7 +54,7 @@ class TestSampling:
         grid = build_uniform_grid((0, 1), 3)
         kern = sample_general_kernel(lambda x, y: 1.0 + 0.0 * x * y, grid)
         np.testing.assert_allclose(kern.matrix, 1.0)
-        assert not kern.is_convolution
+        assert kern.profile is None
 
     def test_general_kernel_pointwise(self):
         grid = build_uniform_grid((0, 1), 3)
@@ -141,8 +157,7 @@ class TestNormalization:
         assert np.max(np.abs(balanced.matrix - balanced.matrix.T)) < 1e-12
 
     def test_balancing_rejects_signed_kernels(self, unit_grid):
-        kern = sample_convolution_kernel(
-            KernelProfile("mexican_hat", 0.2, inhibition_ratio=0.8), unit_grid)
+        kern = sample_convolution_kernel(difference_of_gaussians(0.2, 0.8), unit_grid)
         with pytest.raises(KernelError, match="nonnegative"):
             symmetrize_and_normalize(kern)
 
@@ -236,9 +251,9 @@ class TestMatrixFree:
     def test_needs_a_matrix_or_a_profile(self, unit_grid):
         with pytest.raises(ValidationError, match="matrix or a convolution profile"):
             Kernel(unit_grid)
-        assert not Kernel(unit_grid, np.eye(128)).is_convolution
+        assert Kernel(unit_grid, np.eye(128)).profile is None
         kern = Kernel(unit_grid, profile=KernelProfile("gaussian", 0.2))
-        assert kern.is_convolution and kern.scale is None
+        assert kern.profile is not None and kern.scale is None
 
     def test_dense_only_results_have_no_profile(self, unit_grid):
         # neither result is diag(s) phi diag(s), so neither keeps the profile
@@ -248,7 +263,7 @@ class TestMatrixFree:
             unit_grid)
         f = Field.constant(unit_grid, 1.0)
         for kern in (normalize_columns(gaussian), symmetrize_and_normalize(shifted)):
-            assert kern.profile is None and not kern.is_convolution
+            assert kern.profile is None
             assert kern.apply_method == "dense"
             with pytest.raises(ValidationError, match="convolution"):
                 apply_kernel(kern, f, method="fft")
@@ -372,11 +387,12 @@ class TestBochnerCertificate:
         # the transform is 2 sin(w)/w, most negative near w = 4.4934
         assert cert.violating_frequency == pytest.approx(4.4934, abs=0.2)
 
-    def test_mexican_hat_threshold(self):
-        weak = KernelProfile("mexican_hat", 0.5, inhibition_ratio=0.3)
-        strong = KernelProfile("mexican_hat", 0.5, inhibition_ratio=0.8)
-        assert certify_positivity_bochner(weak).verdict == "positive"
-        cert = certify_positivity_bochner(strong)
+    def test_difference_of_gaussians_threshold(self):
+        weak = difference_of_gaussians(0.5, 0.3)
+        strong = difference_of_gaussians(0.5, 0.8)
+        assert certify_positivity_bochner(
+            weak, half_width=dog_half_width(0.5)).verdict == "positive"
+        cert = certify_positivity_bochner(strong, half_width=dog_half_width(0.5))
         assert cert.verdict == "not_positive"
         # amplitude excess of the wide gaussian hits hardest at frequency zero
         assert cert.violating_frequency == pytest.approx(0.0, abs=1e-9)
@@ -410,11 +426,12 @@ class TestCertificateConsistency:
         KernelProfile("gaussian", 0.15),
         KernelProfile("gaussian", 0.4),
         KernelProfile("exponential", 0.2),
-        KernelProfile("mexican_hat", 0.2, inhibition_ratio=0.3),
+        difference_of_gaussians(0.2, 0.3),
     ])
     @pytest.mark.parametrize("n", [32, 96])
     def test_bochner_positive_implies_eigen_positive(self, profile, n):
-        bochner = certify_positivity_bochner(profile)
+        half_width = dog_half_width(profile.sigma) if profile.family == "custom" else None
+        bochner = certify_positivity_bochner(profile, half_width=half_width)
         assert bochner.verdict == "positive"
         grid = build_uniform_grid((0, 1), n)
         kern = sample_convolution_kernel(profile, grid)

@@ -1,5 +1,7 @@
-"""The README's example scripts and its Python API example run to completion."""
+"""The README's example scripts run to completion, and its Python API example
+prints what its comments say."""
 
+import math
 import os
 import re
 import subprocess
@@ -37,3 +39,15 @@ def test_readme_python_example_runs(tmp_path):
     assert len(blocks) == 1
     out = run_python(["-c", blocks[0]], tmp_path)
     assert out.returncode == 0, out.stderr
+    # each print is commented with its output: a quoted string, or ~1e-k
+    expected = re.findall(r"^print\(.*#\s*(.+?)\s*$", blocks[0], re.MULTILINE)
+    printed = out.stdout.splitlines()
+    assert len(printed) == len(expected), out.stdout
+    for line, comment in zip(printed, expected):
+        magnitude = re.fullmatch(r"~1e(-?\d+)", comment)
+        if magnitude:
+            # within half a decade of 10^k
+            assert abs(math.log10(abs(float(line))) - int(magnitude[1])) <= 0.5, \
+                (line, comment)
+        else:
+            assert line == comment.strip('"'), (line, comment)
