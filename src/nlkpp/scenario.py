@@ -290,7 +290,7 @@ def parse_scenario(path) -> Scenario:
 def build_kernel(spec: KernelSpec, grid: Grid) -> tuple[Kernel, list[PositivityCertificate]]:
     """Sample, normalize, and (optionally) certify the scenario kernel."""
     # Temporary, belongs in _parse_kernel: perfbench/run.py counts a simulate
-    # that exits while parsing as a run until ROADMAP item 6 fixes it.
+    # that exits while parsing as a run until ROADMAP item 4 fixes it.
     if spec.normalization != "balanced":
         raise ValidationError(
             f"kernel.normalization must be 'balanced', got {spec.normalization!r}: "
@@ -417,6 +417,8 @@ def _run_scenario_inner(scenario: Scenario, out_dir, quiet: bool,
     for cert in certificates:
         cert_fields[f"{cert.method}_verdict"] = cert.verdict
         cert_fields[f"{cert.method}_witness"] = cert.witness
+        if cert.solver is not None:
+            cert_fields[f"{cert.method}_solver"] = cert.solver
     meta.update(cert_fields)
     if kernel is not None:
         meta["kernel_strictly_positive"] = kernel.strictly_positive

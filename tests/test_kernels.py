@@ -364,6 +364,80 @@ class TestEigenCertificate:
         assert scaled.witness == pytest.approx(c * base.witness, rel=1e-9)
 
 
+def _smallest_eigenvalue(kern):
+    w = kern.grid.weights
+    M = (w[:, None] * kern.matrix) * w[None, :]
+    S = 0.5 * (M + M.T)
+    return np.linalg.eigvalsh(S)[0], np.linalg.norm(S)
+
+
+class TestCirculantCertificate:
+    """Positive verdicts for even convolution stencils come from one FFT of a
+    circulant symbol, and their witness bounds the smallest eigenvalue below."""
+
+    @pytest.mark.parametrize("profile", [
+        KernelProfile("gaussian", 0.05),
+        KernelProfile("gaussian", 0.2),
+        KernelProfile("gaussian", 1.0),
+        KernelProfile("exponential", 0.2),
+        difference_of_gaussians(0.1, 0.2),  # signed, positive in 1D and 2D
+    ], ids=["gaussian_0.05", "gaussian_0.2", "gaussian_1", "exponential_0.2", "dog"])
+    @pytest.mark.parametrize("extents,counts", [
+        ((0, 1), 32), ((0, 1), 128), ((0, 1), 512),
+        (((0, 1), (0, 1)), (16, 16)),
+        (((0, 1), (0, 2)), (20, 24)),  # unequal spacing
+    ], ids=["32", "128", "512", "16x16", "20x24"])
+    def test_witness_is_a_lower_bound(self, profile, extents, counts):
+        grid = build_uniform_grid(extents, counts)
+        raw = sample_convolution_kernel(profile, grid)
+        kernels = [raw] if profile.family == "custom" else [
+            raw, symmetrize_and_normalize(raw)]
+        for kern in kernels:
+            cert = certify_positivity_eigen(kern)
+            smallest, norm = _smallest_eigenvalue(kern)
+            assert cert.witness <= smallest + 1e-15 * norm
+            dense = certify_positivity_eigen(Kernel(grid, kern.matrix))
+            assert dense.solver == "eigh"
+            assert cert.verdict == dense.verdict == "positive"
+            assert cert.tolerance == pytest.approx(dense.tolerance, rel=1e-12)
+
+    def test_64x64_builds_no_matrix(self):
+        grid = build_uniform_grid(((0, 1), (0, 1)), (64, 64))
+        kern = symmetrize_and_normalize(
+            sample_convolution_kernel(KernelProfile("gaussian", 0.2), grid))
+        cert = certify_positivity_eigen(kern)
+        assert cert.verdict == "positive"
+        assert cert.solver == "circulant_symbol"
+        assert "matrix" not in vars(kern)
+
+    def test_window_is_sized_by_decay(self):
+        # phi is still e^-2 two units out; a window reaching only 2n offsets
+        # (two units) would cut it off there and the symbol would dip below
+        # the tolerance
+        grid = build_uniform_grid((0, 1), 128)
+        kern = symmetrize_and_normalize(
+            sample_convolution_kernel(KernelProfile("gaussian", 1.0), grid))
+        cert = certify_positivity_eigen(kern)
+        assert (cert.verdict, cert.solver) == ("positive", "circulant_symbol")
+
+    def test_non_finite_window_takes_the_dense_path(self, unit_grid):
+        # finite on the grid's offsets (at most 1 apart), infinite beyond them
+        prof = KernelProfile("custom", 0.2, func=lambda z: np.where(
+            np.abs(z) <= 1.0, np.exp(-z * z / 0.08), np.inf))
+        cert = certify_positivity_eigen(sample_convolution_kernel(prof, unit_grid))
+        assert (cert.verdict, cert.solver) == ("positive", "eigh")
+        assert np.isfinite(cert.witness)
+
+    @pytest.mark.parametrize("kern_of", [
+        lambda g: sample_convolution_kernel(KernelProfile("tophat", 0.2), g),
+        lambda g: Kernel(g, np.ones((128, 128))),
+        # its decay window would hold more values than the 128 x 128 matrix
+        lambda g: sample_convolution_kernel(KernelProfile("gaussian", 10.0), g),
+    ], ids=["tophat", "general", "window_beyond_the_matrix"])
+    def test_other_kernels_take_the_dense_path(self, unit_grid, kern_of):
+        assert certify_positivity_eigen(kern_of(unit_grid)).solver == "eigh"
+
+
 class TestBochnerCertificate:
     def test_gaussian_positive(self):
         cert = certify_positivity_bochner(KernelProfile("gaussian", 1.0),

@@ -252,6 +252,21 @@ class TestRunScenario:
         assert meta["balance_iterations"] == kernel.balance_iterations > 0
         assert meta["balance_deviation"] == kernel.balance_deviation <= 1e-12
 
+    @pytest.mark.parametrize("family,verdict,solver", [
+        ("gaussian", "positive", "circulant_symbol"),
+        ("tophat", "not_positive", "eigh"),
+    ])
+    def test_eigen_solver_is_recorded(self, tmp_path, family, verdict, solver):
+        doc = minimal_doc(output={"artifacts": ["meta", "certificate"]})
+        doc["kernel"]["family"] = family
+        run_scenario(parse_scenario_dict(doc), out_dir=tmp_path / "e", quiet=True)
+        meta = json.loads((tmp_path / "e/run_meta.json").read_text())["metadata"]
+        assert (meta["eigen_verdict"], meta["eigen_solver"]) == (verdict, solver)
+        assert "bochner_solver" not in meta
+        rows = read_csv_rows(tmp_path / "e/certificate.csv")
+        assert list(rows[0]) == ["method", "verdict", "witness", "tolerance",
+                                 "grid_n", "kernel_family", "sigma"]
+
     def test_local_mode_records_no_kernel_apply(self, tmp_path):
         doc = minimal_doc(output={"artifacts": ["meta"]})
         doc["sim"]["local_mode"] = True
