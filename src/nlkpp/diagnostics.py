@@ -51,8 +51,11 @@ class Trace:
     def __len__(self) -> int:
         return len(self._rows)
 
-    def append_row(self, **values) -> None:
-        self._rows.append(tuple([float(values[c]) for c in TRACE_COLUMNS]))
+    def append_rows(self, **columns) -> None:
+        """Append one row per entry of the equally long ``TRACE_COLUMNS``
+        sequences given by name."""
+        self._rows.extend(zip(*(np.asarray(columns[c], dtype=float).tolist()
+                                for c in TRACE_COLUMNS)))
 
     def add_snapshot(self, step: int, t: float, field: Field) -> None:
         self.snapshots.append(Snapshot(step, t, field))
@@ -115,11 +118,41 @@ def _require_positive(u: np.ndarray) -> None:
             f"strictly positive field required; node {i} has value {u[i]:.6g}")
 
 
+def trace_rows(grid: Grid, u: np.ndarray, ku: np.ndarray,
+               mu: float) -> dict[str, np.ndarray]:
+    """Every ``TRACE_COLUMNS`` column but ``t`` and ``dt_used``, one entry per
+    row of ``u`` (shape (B, n_nodes)); ``ku`` holds K[u] of each row, or u
+    itself in local mode.
+
+    The rows are not checked: :func:`lyapunov_value` and :func:`dissipation`
+    check one field and then read their columns from here, and a run's own
+    states are positive and finite by construction. ``D_kernel`` is
+    mu * sum_i w_i (1 - u_i)(1 - K[u]_i), which for a normalized kernel is the
+    quadratic form mu * sum_ij w_i w_j K_ij (1 - u_i)(1 - u_j) up to the
+    balancing tolerance, and exactly the form of the reaction factor the
+    integrator uses; ``D_grad`` sums c du^2 / u_mid^2 over the edges of
+    ``Grid.edges`` with the edge midpoint average in the denominator. That
+    pairing matches the Neumann Laplacian of those edges under summation by
+    parts to second order, which is what makes the decay identity testable.
+    """
+    w = grid.weights
+    d_grad = np.zeros(u.shape[0])
+    for stride, c in grid.edges:
+        du = u[:, stride:] - u[:, :-stride]
+        mid = 0.5 * (u[:, stride:] + u[:, :-stride])
+        d_grad += (du * du / (mid * mid)) @ c[stride:]
+    d_kernel = mu * (((1.0 - u) * (1.0 - ku)) @ w)
+    return {"V": (u - 1.0 - np.log(u)) @ w, "D_total": d_grad + d_kernel,
+            "D_grad": d_grad, "D_kernel": d_kernel,
+            "sup_dist_one": abs(u - 1.0).max(axis=1), "mass": u @ w,
+            "min_u": u.min(axis=1)}
+
+
 def lyapunov_value(field: Field) -> float:
     """V(u) = sum of w * (u - 1 - ln u); nonnegative, zero only at u = 1."""
     u = field.values
     _require_positive(u)
-    return _finite(float(field.grid.weights @ (u - 1.0 - np.log(u))), u)
+    return _finite(float(trace_rows(field.grid, u[None], u[None], 0.0)["V"][0]), u)
 
 
 class Dissipation(NamedTuple):
@@ -129,36 +162,22 @@ class Dissipation(NamedTuple):
 
 
 def dissipation(field: Field, kernel: Kernel | None, mu: float) -> Dissipation:
-    """Decay rate of V: an edge-based gradient term plus the kernel quadratic form.
-
-    The gradient term sums c du^2 / u_mid^2 over the edges of ``Grid.edges``
-    with the edge midpoint average in the denominator; that pairing matches
-    the Neumann Laplacian of those edges under summation by parts to second
-    order, which is what makes the decay identity testable. The kernel part is
-    mu * sum_ij w_i w_j K_ij (1 - u_i)(1 - u_j); in local mode (no kernel) it
-    collapses to mu * integral of (1 - u)^2.
-    """
+    """Decay rate of V: an edge-based gradient term plus the kernel quadratic
+    form, as :func:`trace_rows` defines them; in local mode (no kernel) the
+    kernel part collapses to mu * integral of (1 - u)^2."""
     u = field.values
     _require_positive(u)
-    grid = field.grid
-
-    d_grad = 0.0
-    for stride, c in grid.edges:
-        du = u[stride:] - u[:-stride]
-        mid = 0.5 * (u[stride:] + u[:-stride])
-        d_grad += float((c[stride:] * (du * du / (mid * mid))).sum())
-
-    g = 1.0 - u
     if kernel is None:
-        d_kernel = mu * float(grid.weights @ (g * g))
+        ku = u
     else:
         if not kernel.normalized:
             raise ValidationError(
                 "dissipation needs a normalized kernel (1 - K[u] = K[1 - u] "
                 "only holds then)")
-        kg = apply_kernel(kernel, Field(grid, g)).values
-        d_kernel = mu * float(grid.weights @ (g * kg))
-    return Dissipation(_finite(d_grad + d_kernel, u), d_grad, d_kernel)
+        ku = apply_kernel(kernel, field).values
+    row = trace_rows(field.grid, u[None], ku[None], mu)
+    return Dissipation(_finite(float(row["D_total"][0]), u),
+                       float(row["D_grad"][0]), float(row["D_kernel"][0]))
 
 
 def decay_identity_residual(trace: Trace, step_index: int) -> float:

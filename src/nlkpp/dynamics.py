@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .diagnostics import Trace, dissipation, lyapunov_value, sup_distance_to_one
+from .diagnostics import Trace, trace_rows
 from .errors import NumericalError, ShapeError, StepFailure, ValidationError
-from .grid import Field, Grid, integrate
+from .grid import Field, Grid
 from .kernels import Kernel, apply_kernel
 
 
@@ -47,6 +47,11 @@ class SimConfig:
             raise ValidationError("max_dt_halvings must be >= 0")
 
 
+# run() computes the trace rows of max(1, _BLOCK_VALUES // n) accepted states
+# in one pass: at small n that spreads numpy's per-call cost over many rows,
+# and at 4096 nodes a 64-row block measured slower than one row at a time
+_BLOCK_VALUES = 8192
+
 _pbtrf, _pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), (np.empty(1),))
 
 
@@ -54,28 +59,36 @@ _pbtrf, _pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), (np.empty(1),))
 class SimState:
     """Trajectory state after ``step`` accepted steps. ``dt_next`` is the
     step size the integrator will attempt next (None means the configured dt);
-    ``halvings`` counts the rejected attempts of the step that produced it."""
+    ``halvings`` counts the rejected attempts of the step that produced it.
+    ``ku`` is K[u] of this state's u (u itself in local mode), which
+    :func:`step_imex` fills in and its next reaction reuses; None has it
+    computed there."""
 
     t: float
     u: Field
     step: int = 0
     dt_next: float | None = None
     halvings: int = 0
+    ku: np.ndarray | None = None
 
 
-def reaction_term(u: Field, kernel: Kernel | None, mu: float) -> Field:
-    """mu (1 - K[u]) u, or mu (1 - u) u in local mode (no kernel).
+def _kernel_of(u: Field, kernel: Kernel | None) -> np.ndarray:
+    """K[u], or u itself in local mode (no kernel).
 
     The kernel must be normalized, otherwise 1 would not be a steady state
     and the whole Lyapunov story would be about the wrong equilibrium.
     """
     if kernel is None:
-        return Field(u.grid, mu * (1.0 - u.values) * u.values)
+        return u.values
     if not kernel.normalized:
         raise ValidationError("reaction needs a normalized kernel "
                               "(balanced: weighted row sums K[1] equal to one)")
-    ku = apply_kernel(kernel, u).values
-    return Field(u.grid, mu * (1.0 - ku) * u.values)
+    return apply_kernel(kernel, u).values
+
+
+def reaction_term(u: Field, kernel: Kernel | None, mu: float) -> Field:
+    """mu (1 - K[u]) u, or mu (1 - u) u in local mode (no kernel)."""
+    return Field(u.grid, mu * (1.0 - _kernel_of(u, kernel)) * u.values)
 
 
 class DiffusionSolver:
@@ -132,11 +145,16 @@ class DiffusionSolver:
 def step_imex(state: SimState, grid: Grid, kernel: Kernel | None,
               config: SimConfig, solver: DiffusionSolver | None = None,
               max_dt: float | None = None) -> SimState:
-    """Advance one accepted step, halving dt as needed to keep u positive."""
+    """Advance one accepted step, halving dt as needed to keep u positive.
+
+    The reaction uses ``state.ku`` when it is set, and the new state carries
+    K[u] of its own u, so consecutive steps apply the kernel once each.
+    """
     if solver is None:
         solver = DiffusionSolver(grid)
     u_old = state.u.values
-    r = reaction_term(state.u, kernel, config.mu).values
+    ku = _kernel_of(state.u, kernel) if state.ku is None else state.ku
+    r = config.mu * (1.0 - ku) * u_old
     dt = config.dt if state.dt_next is None else min(state.dt_next, config.dt)
     if max_dt is not None:
         dt = min(dt, max_dt)
@@ -146,9 +164,10 @@ def step_imex(state: SimState, grid: Grid, kernel: Kernel | None,
         u_new = solver.solve(u_old + dt * r, dt)
         # NaN fails both tests, +inf the second
         if floor <= u_new.min() and u_new.max() < math.inf:
-            return SimState(t=state.t + dt, u=Field(grid, u_new),
-                            step=state.step + 1,
-                            dt_next=min(2.0 * dt, config.dt), halvings=halvings)
+            field = Field(grid, u_new)
+            return SimState(t=state.t + dt, u=field, step=state.step + 1,
+                            dt_next=min(2.0 * dt, config.dt), halvings=halvings,
+                            ku=_kernel_of(field, kernel))
         dt *= 0.5
     finite = np.isfinite(u_new)
     node = int(np.argmin(finite)) if not finite.all() else int(np.argmin(u_new))
@@ -169,8 +188,12 @@ def run(u0: Field, grid: Grid, kernel: Kernel | None, config: SimConfig,
     keeping V finite from the start.
     The trace metadata records ``steps_rejected``, the halvings summed over
     the run, and ``dt_min``, the smallest step a halving reached (dt if none);
-    ``kernel_apply`` says which matvec ran (``dense``, ``fft`` or ``none``), and
-    ``balance_iterations`` / ``balance_deviation`` copy the kernel's balancing.
+    ``kernel_apply`` says which matvec ran (``dense``, ``fft`` or ``none``),
+    ``kernel_applications`` how often (once for the datum and once per
+    accepted step; 0 in local mode), and ``balance_iterations`` /
+    ``balance_deviation`` copy the kernel's balancing. The rows are those of
+    :func:`~nlkpp.diagnostics.trace_rows`, computed in blocks of steps; a run
+    that raises returns no trace.
     """
     if not u0.grid.same_layout(grid):
         raise ShapeError(f"initial datum lies on {u0.grid}, the run on {grid}")
@@ -183,8 +206,8 @@ def run(u0: Field, grid: Grid, kernel: Kernel | None, config: SimConfig,
     if not np.any(vals > 0):
         raise ValidationError("initial datum is identically zero")
 
-    state = SimState(t=0.0, u=Field(grid, np.maximum(vals, config.positivity_floor)),
-                     step=0, dt_next=config.dt)
+    u = Field(grid, np.maximum(vals, config.positivity_floor))
+    state = SimState(t=0.0, u=u, step=0, dt_next=config.dt, ku=_kernel_of(u, kernel))
     solver = DiffusionSolver(grid)
     base_meta = {
         "scheme": "imex_euler",
@@ -201,13 +224,24 @@ def run(u0: Field, grid: Grid, kernel: Kernel | None, config: SimConfig,
     base_meta.update(metadata or {})
     trace = Trace(metadata=base_meta)
 
+    block = max(1, _BLOCK_VALUES // grid.n_nodes)
+    us, kus = np.empty((block, grid.n_nodes)), np.empty((block, grid.n_nodes))
+    times: list[float] = []
+    dts: list[float] = []
+
     def record(st: SimState, dt_used: float) -> None:
-        d = dissipation(st.u, kernel, config.mu)
-        trace.append_row(t=st.t, V=lyapunov_value(st.u), D_total=d.total,
-                         D_grad=d.grad, D_kernel=d.kernel_part,
-                         sup_dist_one=sup_distance_to_one(st.u),
-                         mass=integrate(st.u), min_u=float(st.u.values.min()),
-                         dt_used=dt_used)
+        us[len(times)], kus[len(times)] = st.u.values, st.ku
+        times.append(st.t)
+        dts.append(dt_used)
+        if len(times) == block:
+            flush()
+
+    def flush() -> None:
+        n = len(times)
+        trace.append_rows(t=times, dt_used=dts,
+                          **trace_rows(grid, us[:n], kus[:n], config.mu))
+        times.clear()
+        dts.clear()
 
     trace.add_snapshot(0, 0.0, state.u)
     eps = 1e-12 * max(1.0, config.t_end)
@@ -227,7 +261,11 @@ def run(u0: Field, grid: Grid, kernel: Kernel | None, config: SimConfig,
             record(state, state.t - t_prev)
             if config.snapshot_every and state.step % config.snapshot_every == 0:
                 trace.add_snapshot(state.step, state.t, state.u)
+        if times:
+            flush()
     if not trace.snapshots or trace.snapshots[-1].step != state.step:
         trace.add_snapshot(state.step, state.t, state.u)
-    trace.metadata.update(steps_rejected=steps_rejected, dt_min=dt_min)
+    # the datum and every accepted state are applied once each
+    trace.metadata.update(steps_rejected=steps_rejected, dt_min=dt_min,
+                          kernel_applications=0 if kernel is None else state.step + 1)
     return state, trace

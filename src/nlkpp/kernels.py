@@ -533,14 +533,14 @@ def certify_positivity_bochner(profile: KernelProfile, n_samples: int = 2048,
         raise KernelError(
             f"asymmetric profile: max |phi(z) - phi(-z)| = {asym:.3g}")
 
+    # the window with its origin at index 0; it is real, so the half spectrum
+    # along the last axis holds every value of the full one
     if dim == 1:
-        spectrum = np.fft.fft(np.fft.ifftshift(vals)) * delta
-        freq_mag = np.abs(2.0 * np.pi * np.fft.fftfreq(n, d=delta))
+        window = np.fft.ifftshift(vals)
     else:
-        vals2 = np.asarray(profile(np.hypot(z[:, None], z[None, :])), dtype=float)
-        spectrum = np.fft.fft2(np.fft.ifftshift(vals2)) * delta**2
-        f1 = 2.0 * np.pi * np.fft.fftfreq(n, d=delta)
-        freq_mag = np.hypot(f1[:, None], f1[None, :])
+        zs = np.fft.ifftshift(z)
+        window = np.asarray(profile(np.hypot(zs[:, None], zs[None, :])), dtype=float)
+    spectrum = np.fft.rfftn(window) * delta**dim
 
     scale = float(np.max(np.abs(spectrum)))
     threshold = tol * scale
@@ -552,5 +552,7 @@ def certify_positivity_bochner(profile: KernelProfile, n_samples: int = 2048,
     if witness >= -threshold:
         return PositivityCertificate("bochner", "positive", witness, threshold)
     bad = np.unravel_index(int(np.argmin(re)), re.shape)
+    freqs = [np.fft.fftfreq(n, d=delta)] * (dim - 1) + [np.fft.rfftfreq(n, d=delta)]
+    frequency = 2.0 * np.pi * math.hypot(*(f[k] for f, k in zip(freqs, bad)))
     return PositivityCertificate("bochner", "not_positive", witness, threshold,
-                                 violating_frequency=float(freq_mag[bad]))
+                                 violating_frequency=frequency)

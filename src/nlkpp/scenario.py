@@ -19,11 +19,14 @@ The output directory is resolved as: explicit argument, then the
 ``NLKPP_OUT`` environment variable, then the scenario's own setting.
 """
 
+import contextlib
 import copy
 import csv
+import ctypes
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import sys
 import time
@@ -57,6 +60,11 @@ CERTIFICATE_COLUMNS = ("method", "verdict", "witness", "tolerance",
 
 # abscissa needs a dense nonsymmetric eigensolve; skip on grids bigger than this
 _STABILITY_MAX_NODES = 1024
+
+# sweep workers are forked, so they inherit the caller's BLAS thread count
+# (None, the platform's default, where there is no fork)
+_FORK = (multiprocessing.get_context("fork")
+         if "fork" in multiprocessing.get_all_start_methods() else None)
 
 _REQUIRED = object()
 
@@ -598,13 +606,63 @@ def sweep_columns(sweep: SweepSpec) -> tuple[str, ...]:
     return ("point",) + param_cols + result_cols + ("error",)
 
 
+def _openblas_thread_functions() -> list[tuple]:
+    """The ``(get, set)`` thread-count functions of each OpenBLAS this process
+    has loaded (numpy and scipy bundle one each), found through
+    ``/proc/self/maps``; empty where there is none or no such file."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return []
+    found = []
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for prefix, suffix in itertools.product(("scipy_openblas_", "openblas_"),
+                                                ("64_", "")):
+            get = getattr(handle, f"{prefix}get_num_threads{suffix}", None)
+            set_ = getattr(handle, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append((get, set_))
+                break
+    return found
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with every loaded OpenBLAS at one thread and restore each
+    one's count afterwards.
+
+    A sweep's parallelism is its points: with ``jobs`` workers each running a
+    multithreaded BLAS, the threads outnumber the cores and spin against each
+    other. ``jobs=1`` runs at one thread too, so that a dense eigensolve,
+    whose last bits follow the thread count, gives the same rows for every
+    ``jobs``. No environment variable is read or set.
+    """
+    functions = _openblas_thread_functions()
+    saved = [get() for get, _ in functions]
+    for _, set_ in functions:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(functions, saved):
+            set_(count)
+
+
 def run_sweep(sweep: SweepSpec, jobs: int = 1, out_dir=None,
               quiet: bool = False) -> list[dict]:
     """Run every sweep point, tolerating per-point failures.
 
     Rows land in ``sweep_summary.csv`` ordered by point index whatever the
     worker count; wall times are deliberately left out of that file so its
-    bytes are reproducible.
+    bytes are reproducible. The points run with OpenBLAS at one thread (see
+    ``_one_blas_thread``), so ``jobs`` is the number of cores a sweep uses.
     """
     root = resolve_output_dir(out_dir, sweep.directory)
     root.mkdir(parents=True, exist_ok=True)
@@ -613,13 +671,15 @@ def run_sweep(sweep: SweepSpec, jobs: int = 1, out_dir=None,
               sweep.base_dir)
              for i, assignment in enumerate(points)]
     # the fork start method starts every worker up front, so ask for no more
-    # than there are points
+    # than there are points; forked workers inherit the one BLAS thread
     workers = min(jobs, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_sweep_point, tasks))
-    else:
-        rows = [_run_sweep_point(task) for task in tasks]
+    with _one_blas_thread():
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers,
+                                     mp_context=_FORK) as pool:
+                rows = list(pool.map(_run_sweep_point, tasks))
+        else:
+            rows = [_run_sweep_point(task) for task in tasks]
     _write_csv(root / "sweep_summary.csv", sweep_columns(sweep), rows)
     if not quiet:
         ok = sum(1 for r in rows if r.get("status") == "ok")

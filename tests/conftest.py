@@ -3,6 +3,18 @@ import pytest
 
 from nlkpp import (KernelProfile, build_uniform_grid, sample_convolution_kernel,
                    symmetrize_and_normalize)
+from nlkpp.scenario import _openblas_thread_functions
+
+
+@pytest.fixture(autouse=True)
+def openblas_threads_restored():
+    """Fail a test that leaves an OpenBLAS thread count changed: every later
+    test would run at the wrong count."""
+    before = [get() for get, _ in _openblas_thread_functions()]
+    yield
+    after = [get() for get, _ in _openblas_thread_functions()]
+    if after != before:
+        pytest.fail(f"OpenBLAS thread counts {before} became {after}")
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlkpp import (DomainError, Field, KernelProfile, SimConfig,
-                   ValidationError, build_uniform_grid,
+                   ValidationError, build_uniform_grid, integrate,
                    certify_positivity_eigen, cosine_mode_rates,
                    decay_identity_residual, dissipation, linearization_matrix,
                    lyapunov_value, most_unstable_cosine_mode, run,
@@ -245,6 +245,40 @@ class TestTrace:
         path.write_text("")
         with pytest.raises(ValidationError, match="unexpected trace header"):
             Trace.from_csv(path)
+
+
+class TestBlockRows:
+    """run() computes its rows a block of max(1, 8192 // n) states at a time;
+    each row must be what the public one-field functions give for its state."""
+
+    @pytest.mark.parametrize("counts,steps,local", [
+        (128, 100, False), ((64, 64), 5, False), (128, 100, True),
+    ], ids=["1d_128", "2d_64x64", "1d_128_local"])
+    def test_rows_match_the_public_functions(self, counts, steps, local, rng):
+        # a block holds 64 rows at 128 nodes, so 101 and 102 rows end on a
+        # partial block after a full one; it holds 2 at 64 x 64, so 6 rows
+        # end on a full block and 7 on a partial one
+        extents = (0.0, 1.0) if isinstance(counts, int) else ((0.0, 1.0),) * 2
+        grid = build_uniform_grid(extents, counts)
+        kernel = None if local else symmetrize_and_normalize(
+            sample_convolution_kernel(KernelProfile("gaussian", 0.2), grid))
+        u0 = Field(grid, rng.uniform(0.5, 1.5, grid.n_nodes))
+        mu, dt = 2.0, 1e-3
+        for n_steps in (steps, steps + 1):
+            cfg = SimConfig(mu=mu, dt=dt, t_end=n_steps * dt, snapshot_every=1)
+            state, trace = run(u0, grid, kernel, cfg)
+            assert state.step == n_steps and len(trace) == n_steps + 1
+            for k, snap in enumerate(trace.snapshots):
+                assert snap.step == k
+                row, u = trace.row(k), snap.field
+                d = dissipation(u, kernel, mu)
+                assert row["V"] == pytest.approx(lyapunov_value(u), rel=1e-12, abs=1e-18)
+                for name, value in (("D_total", d.total), ("D_grad", d.grad),
+                                    ("D_kernel", d.kernel_part)):
+                    assert row[name] == pytest.approx(value, rel=1e-12, abs=1e-15)
+                assert row["mass"] == pytest.approx(integrate(u), rel=1e-14)
+                assert row["sup_dist_one"] == sup_distance_to_one(u)
+                assert row["min_u"] == u.values.min()
 
 
 class TestSupDistance:

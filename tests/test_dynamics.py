@@ -98,11 +98,12 @@ def stiff_tophat():
 class TestRunBookkeeping:
     def test_one_call_per_accepted_step(self, stiff_tophat, monkeypatch):
         # the benchmark's spans wrap these names; their counts must keep
-        # meaning one step, one record, one solve per attempt
+        # meaning one step and one kernel apply per accepted step, and one
+        # solve per attempt
         import nlkpp.diagnostics
         import nlkpp.dynamics
 
-        calls = dict.fromkeys(("step_imex", "dissipation", "lyapunov_value", "solve"), 0)
+        calls = dict.fromkeys(("step_imex", "apply_kernel", "solve"), 0)
 
         def counting(name, func):
             def wrapper(*args, **kwargs):
@@ -110,7 +111,7 @@ class TestRunBookkeeping:
                 return func(*args, **kwargs)
             return wrapper
 
-        for name in ("step_imex", "dissipation", "lyapunov_value"):
+        for name in ("step_imex", "apply_kernel"):
             wrapper = counting(name, getattr(nlkpp.dynamics, name))
             for module in (nlkpp.dynamics, nlkpp.diagnostics):
                 if hasattr(module, name):
@@ -120,14 +121,36 @@ class TestRunBookkeeping:
         grid, kern, u0, cfg = stiff_tophat
         state, trace = run(u0, grid, kern, cfg)
         assert calls["step_imex"] == state.step
-        assert calls["dissipation"] == calls["lyapunov_value"] == state.step + 1
+        assert len(trace) == state.step + 1
+        assert calls["apply_kernel"] == trace.metadata["kernel_applications"] \
+            == state.step + 1
         assert trace.metadata["steps_rejected"] > 0
         assert calls["solve"] == state.step + trace.metadata["steps_rejected"]
         assert trace.metadata["dt_min"] == pytest.approx(
             trace.column("dt_used")[1:].min())
 
+    def test_local_mode_applies_no_kernel(self, unit_grid):
+        cfg = SimConfig(mu=1.0, dt=1e-2, t_end=0.1)
+        _, trace = run(Field.constant(unit_grid, 0.5), unit_grid, None, cfg)
+        assert trace.metadata["kernel_applications"] == 0
+
 
 class TestRun:
+    def test_matches_hand_stepped_steps(self, stiff_tophat):
+        # each hand step starts without K[u], so it recomputes what run()
+        # carries forward from the step before; halvings included
+        grid, kern, u0, cfg = stiff_tophat
+        state, trace = run(u0, grid, kern, cfg)
+        hand, times = SimState(t=0.0, u=u0, dt_next=cfg.dt), [0.0]
+        while hand.t < cfg.t_end - 1e-12 * max(1.0, cfg.t_end):
+            hand = step_imex(SimState(hand.t, hand.u, hand.step, hand.dt_next),
+                             grid, kern, cfg, max_dt=cfg.t_end - hand.t)
+            times.append(hand.t)
+        assert trace.metadata["steps_rejected"] > 0
+        assert hand.step == state.step
+        assert np.array_equal(hand.u.values, state.u.values)
+        assert trace.column("t").tolist() == times
+
     def test_rejects_negative_initial(self, unit_grid, balanced_gaussian):
         cfg = SimConfig(mu=1.0, dt=1e-2, t_end=0.1)
         u0 = Field(unit_grid, np.linspace(-0.1, 1.0, unit_grid.n_nodes))

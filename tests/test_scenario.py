@@ -12,6 +12,7 @@ from nlkpp import (Field, Kernel, ValidationError, build_kernel,
                    read_csv_rows, read_field, run_scenario, run_sweep,
                    write_field)
 from nlkpp.diagnostics import Trace
+from nlkpp.scenario import _openblas_thread_functions
 
 SCENARIOS = sorted((Path(__file__).parents[1] / "scenarios").glob("*.json"))
 
@@ -25,6 +26,13 @@ def minimal_doc(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def _blas_threads_point(task):
+    """A sweep point that reports the OpenBLAS thread counts it runs at; at
+    module level so that a pool can pickle it."""
+    return {"point": task[0], "status": "ok",
+            "blas_threads": [get() for get, _ in _openblas_thread_functions()]}
 
 
 def write_doc(tmp_path, doc, name="scenario.json"):
@@ -385,7 +393,7 @@ class TestSweep:
         asked = []
 
         class RecordingPool:  # runs the points inline, starts no process
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **options):
                 asked.append(max_workers)
 
             def __enter__(self):
@@ -407,14 +415,46 @@ class TestSweep:
         assert asked == [2]  # one point runs inline
 
     def test_parallel_output_independent_of_jobs(self, tmp_path):
-        spec = self.base_sweep(values=(0.5, 1.0, 2.0))
-        rows_serial = run_sweep(parse_sweep_dict(spec),
-                                out_dir=tmp_path / "s1", quiet=True)
-        rows_par = run_sweep(parse_sweep_dict(spec), jobs=2,
-                             out_dir=tmp_path / "s2", quiet=True)
-        assert (tmp_path / "s1/sweep_summary.csv").read_bytes() == \
-            (tmp_path / "s2/sweep_summary.csv").read_bytes()
-        assert [r["point"] for r in rows_serial] == [r["point"] for r in rows_par]
+        # the 256-node tophat fails its symbol bound, so its eigen witness and
+        # abscissa come from dense LAPACK calls whose last bits follow the
+        # BLAS thread count: equal bytes need one count for both job counts
+        tophat = {
+            "base": {"grid": {"extents": [0.0, 5.0], "counts": 256},
+                     "kernel": {"family": "tophat", "sigma": 1.0},
+                     "initial": {"kind": "cosine", "amplitude": 0.01},
+                     "sim": {"mu": 10.0, "dt": 5e-4, "t_end": 0.01},
+                     "output": {"artifacts": ["summary"]}},
+            "parameters": [{"path": "sim.mu", "values": [10.0, 100.0, 250.0]}],
+        }
+        for name, spec in (("gaussian", self.base_sweep(values=(0.5, 1.0, 2.0))),
+                           ("tophat", tophat)):
+            rows_serial = run_sweep(parse_sweep_dict(spec),
+                                    out_dir=tmp_path / name / "s1", quiet=True)
+            rows_par = run_sweep(parse_sweep_dict(spec), jobs=2,
+                                 out_dir=tmp_path / name / "s2", quiet=True)
+            assert (tmp_path / name / "s1/sweep_summary.csv").read_bytes() == \
+                (tmp_path / name / "s2/sweep_summary.csv").read_bytes()
+            assert [r["point"] for r in rows_serial] == [r["point"] for r in rows_par]
+            assert [r["status"] for r in rows_par] == ["ok"] * 3
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_points_run_at_one_blas_thread(self, tmp_path, monkeypatch, jobs):
+        functions = _openblas_thread_functions()
+        if not functions:
+            pytest.skip("no OpenBLAS is loaded")
+        saved = [get() for get, _ in functions]
+        try:
+            for _, set_ in functions:
+                set_(2)
+            caller = [get() for get, _ in functions]
+            monkeypatch.setattr("nlkpp.scenario._run_sweep_point", _blas_threads_point)
+            rows = run_sweep(parse_sweep_dict(self.base_sweep()), jobs=jobs,
+                             out_dir=tmp_path / "s", quiet=True)
+            assert [r["blas_threads"] for r in rows] == [[1] * len(functions)] * 2
+            assert [get() for get, _ in functions] == caller
+        finally:
+            for (_, set_), count in zip(functions, saved):
+                set_(count)
 
     def test_two_parameter_grid(self, tmp_path):
         spec = self.base_sweep(values=(0.5, 1.0))
