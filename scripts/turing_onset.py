@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from nlkpp import (Field, KernelProfile, SimConfig, build_uniform_grid,
-                   certify_positivity_eigen, cosine_mode_rates,
+                   certify_positivity_eigen, cosine_mode_rates, cosine_modes,
                    linearization_matrix, most_unstable_cosine_mode, run,
                    sample_convolution_kernel, spectral_abscissa,
                    symmetrize_and_normalize, write_field)
@@ -79,8 +79,7 @@ def main() -> None:
         rate = cosine_mode_rates(grid, jac)[k - 1]
         print(f"simulating at mu = {mu:.1f}: seeding cosine mode k={k} "
               f"(growth rate {rate:.3f})")
-        xhat = (grid.nodes[:, 0] - args.lo) / (args.hi - args.lo)
-        u0 = Field(grid, 1.0 + 0.01 * np.cos(k * np.pi * xhat))
+        u0 = Field(grid, 1.0 + 0.01 * cosine_modes(grid, k))
         cfg = SimConfig(mu=mu, dt=2e-4, t_end=max(3.0, 8.0 / max(rate, 0.5)))
         state, trace = run(u0, grid, kernel, cfg)
         sup = trace.column("sup_dist_one")

@@ -10,7 +10,7 @@ and analyses the Turing instability that appears when the hypothesis fails.
 __version__ = "0.1.0"
 
 from .diagnostics import (Dissipation, Snapshot, Trace, cosine_mode_rates,
-                          decay_identity_residual, dissipation,
+                          cosine_modes, decay_identity_residual, dissipation,
                           linearization_matrix, lyapunov_value,
                           most_unstable_cosine_mode, spectral_abscissa,
                           sup_distance_to_one)

@@ -219,18 +219,22 @@ def spectral_abscissa(matrix: np.ndarray) -> float:
     return float(eigvals.real.max())
 
 
-def cosine_mode_rates(grid: Grid, jacobian: np.ndarray) -> np.ndarray:
-    """Weighted Rayleigh quotients of J on cos(k pi x) modes along axis 0,
-    1 <= k <= n0 - 2."""
-    n_modes = grid.counts[0] - 2
+def cosine_modes(grid: Grid, k) -> np.ndarray:
+    """The cosine modes cos(k pi xhat) at the nodes, xhat the axis-0 coordinate
+    scaled to [0, 1]: a vector for one index k, one column per entry of an
+    array of indices."""
     lo, hi = grid.extents[0]
     xhat = (grid.nodes[:, 0] - lo) / (hi - lo)
+    return np.cos(np.multiply.outer(xhat, np.asarray(k) * np.pi))
+
+
+def cosine_mode_rates(grid: Grid, jacobian: np.ndarray) -> np.ndarray:
+    """Weighted Rayleigh quotients of J on the cosine modes
+    1 <= k <= n0 - 2 (``cosine_modes``)."""
+    V = cosine_modes(grid, np.arange(1, grid.counts[0] - 1))
     w = grid.weights
-    rates = np.empty(n_modes)
-    for k in range(1, n_modes + 1):
-        v = np.cos(k * np.pi * xhat)
-        rates[k - 1] = float((w * v) @ (jacobian @ v) / ((w * v) @ v))
-    return rates
+    return (np.einsum("i,ij,ij->j", w, V, jacobian @ V)
+            / np.einsum("i,ij,ij->j", w, V, V))
 
 
 def most_unstable_cosine_mode(grid: Grid, jacobian: np.ndarray) -> int:

@@ -39,13 +39,6 @@ FAMILIES = ("gaussian", "tophat", "exponential", "custom")
 # 155 / 123 us at 24 x 24, 17 / 59 us at 1D 256)
 _FFT_AUTO_THRESHOLD = 512
 
-# From this many nodes on, the eigen certificate asks scipy's LAPACK for the
-# smallest eigenpair alone (0.14 s against 0.34 s for numpy's full eigh at
-# 1024, 7.6 s against 12.8 s at 4096). Below it numpy's full eigh is kept: the
-# scipy call wakes scipy's own OpenBLAS thread pool, which then spins for about
-# 0.1 s of CPU, more than the smaller solve saves.
-_SUBSET_EIGH_MIN_NODES = 1024
-
 
 @dataclass(frozen=True)
 class KernelProfile:
@@ -450,9 +443,8 @@ def certify_positivity_eigen(kernel: Kernel, tol: float = 1e-9) -> PositivityCer
     Every other kernel, and one that bound does not clear, forms
     M = D_w K D_w, symmetrizes, and checks the smallest eigenvalue against
     ``-tol * max(1, ||M||_inf)`` so discretization noise near zero cannot flip
-    the verdict. From ``_SUBSET_EIGH_MIN_NODES`` nodes on only the smallest
-    eigenpair is computed. ``solver`` on the result names the path that
-    decided: ``"circulant_symbol"``, ``"eigh"`` or ``"eigh_subset"``.
+    the verdict. Only the smallest eigenpair is computed. ``solver`` on the
+    result names the path that decided: ``"circulant_symbol"`` or ``"eigh"``.
     """
     if _symmetric_by_construction(kernel):
         cert = _circulant_certificate(kernel, tol)
@@ -463,21 +455,17 @@ def certify_positivity_eigen(kernel: Kernel, tol: float = 1e-9) -> PositivityCer
     S = 0.5 * (M + M.T)
     scale = max(1.0, float(np.max(np.abs(M).sum(axis=1))))
     threshold = tol * scale
-    solver = "eigh_subset" if S.shape[0] >= _SUBSET_EIGH_MIN_NODES else "eigh"
     try:
-        if solver == "eigh_subset":
-            eigvals, eigvecs = eigh(S, subset_by_index=[0, 0])
-        else:
-            eigvals, eigvecs = np.linalg.eigh(S)
+        eigvals, eigvecs = eigh(S, subset_by_index=[0, 0])
     except LinAlgError:
         return PositivityCertificate("eigen", "inconclusive", math.nan, threshold,
-                                     solver=solver)
+                                     solver="eigh")
     lam = float(eigvals[0])
     if lam >= -threshold:
-        return PositivityCertificate("eigen", "positive", lam, threshold, solver=solver)
+        return PositivityCertificate("eigen", "positive", lam, threshold, solver="eigh")
     return PositivityCertificate("eigen", "not_positive", lam, threshold,
                                  violating_direction=eigvecs[:, 0].copy(),
-                                 solver=solver)
+                                 solver="eigh")
 
 
 def default_half_width(profile: KernelProfile, tol: float = 1e-9) -> float:

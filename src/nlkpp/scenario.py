@@ -37,8 +37,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fieldio
-from .diagnostics import (linearization_matrix, most_unstable_cosine_mode,
-                          spectral_abscissa)
+from .diagnostics import (cosine_modes, linearization_matrix,
+                          most_unstable_cosine_mode, spectral_abscissa)
 from .dynamics import SimConfig, run
 from .errors import NumericalError, ValidationError
 from .grid import Field, Grid, build_uniform_grid
@@ -109,6 +109,12 @@ def _as_int(value, where: str) -> int:
 def _as_bool(value, where: str) -> bool:
     if not isinstance(value, bool):
         raise ValidationError(f"'{where}' must be true or false, got {value!r}")
+    return value
+
+
+def _as_str(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"'{where}' must be a string, got {value!r}")
     return value
 
 
@@ -218,7 +224,7 @@ def _parse_initial(raw) -> InitialSpec:
             raise ValidationError("initial.amplitude must lie in [0, 1)")
         spec = InitialSpec(kind=kind, amplitude=amplitude, mode=mode)
     elif kind == "file":
-        spec = InitialSpec(kind=kind, path=str(sec.take("path")))
+        spec = InitialSpec(kind=kind, path=_as_str(sec.take("path"), "initial.path"))
     else:
         raise ValidationError(
             f"initial.kind must be constant/random_uniform/cosine/file, got {kind!r}")
@@ -242,7 +248,7 @@ def _parse_sim(raw) -> tuple[SimConfig, bool]:
 
 def _parse_output(raw) -> OutputSpec:
     sec = _Section(raw, "output")
-    directory = str(sec.take("directory", "out"))
+    directory = _as_str(sec.take("directory", "out"), "output.directory")
     artifacts = sec.take("artifacts", list(ARTIFACTS))
     stability = _as_bool(sec.take("stability", True), "output.stability")
     sec.finish()
@@ -259,7 +265,7 @@ def parse_scenario_dict(raw: dict, name: str = "scenario",
                         base_dir: str = ".") -> Scenario:
     """Validate a scenario document already loaded as a dict."""
     top = _Section(raw, "scenario")
-    name = str(top.take("name", name))
+    name = _as_str(top.take("name", name), "name")
     grid = _parse_grid(top.take("grid"))
     sim, local_mode = _parse_sim(top.take("sim"))
     kernel_raw = top.take("kernel", None)
@@ -332,9 +338,7 @@ def _build_initial(scenario: Scenario, grid: Grid, jacobian: np.ndarray | None,
                     f"which was skipped: {stability_skipped}")
             mode = most_unstable_cosine_mode(grid, jacobian)
         info["mode"] = int(mode)
-        lo, hi = grid.extents[0]
-        xhat = (grid.nodes[:, 0] - lo) / (hi - lo)
-        return Field(grid, 1.0 + spec.amplitude * np.cos(mode * np.pi * xhat)), info
+        return Field(grid, 1.0 + spec.amplitude * cosine_modes(grid, mode)), info
     if spec.kind == "file":
         path = Path(spec.path)
         if not path.is_absolute():
@@ -527,12 +531,12 @@ def parse_sweep_dict(raw: dict, base_dir: str = ".") -> SweepSpec:
     if (base is None) == (base_path is None):
         raise ValidationError("provide exactly one of 'base' or 'base_path'")
     if base_path is not None:
-        path = Path(base_path)
+        path = Path(_as_str(base_path, "base_path"))
         if not path.is_absolute():
             path = Path(base_dir) / path
         base = _load_json(path)
     params_raw = top.take("parameters")
-    directory = str(top.take("directory", "sweep_out"))
+    directory = _as_str(top.take("directory", "sweep_out"), "directory")
     top.finish()
     if not isinstance(base, dict):
         raise ValidationError("'base' must be a scenario object")
@@ -541,9 +545,11 @@ def parse_sweep_dict(raw: dict, base_dir: str = ".") -> SweepSpec:
     params = []
     for i, praw in enumerate(params_raw):
         sec = _Section(praw, f"parameters[{i}]")
-        path = str(sec.take("path"))
+        path = _as_str(sec.take("path"), f"parameters[{i}].path")
         values = sec.take("values")
         sec.finish()
+        if any(p.path == path for p in params):
+            raise ValidationError(f"parameter '{path}' is swept twice")
         if len(path.split(".")) != 2:
             raise ValidationError(
                 f"parameter path must look like 'section.key', got {path!r}")

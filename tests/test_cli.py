@@ -206,6 +206,32 @@ def test_sweep_into_a_non_object_section_is_exit_2(tmp_path, capsys):
     assert "name.tag" in capsys.readouterr().err
 
 
+SWEPT_MU = [{"path": "sim.mu", "values": [1.0]}]
+# a non-string value for each key the schema reads as a string
+NON_STRINGS = [
+    ("simulate", dict(scenario_doc(), name=5), "name"),
+    ("simulate", dict(scenario_doc(), output={"directory": True}), "output.directory"),
+    ("simulate", dict(scenario_doc(), initial={"kind": "file", "path": None}),
+     "initial.path"),
+    ("sweep", {"base_path": {"p": 1}, "parameters": SWEPT_MU}, "base_path"),
+    ("sweep", {"base": scenario_doc(), "directory": 1.5, "parameters": SWEPT_MU},
+     "directory"),
+    ("sweep", {"base": scenario_doc(),
+               "parameters": [{"path": ["sim", "mu"], "values": [1.0]}]},
+     "parameters[0].path"),
+]
+
+
+@pytest.mark.parametrize("command,doc,where", NON_STRINGS,
+                         ids=[where for _, _, where in NON_STRINGS])
+def test_non_string_value_is_exit_2(tmp_path, capsys, command, doc, where):
+    code = main([command, write(tmp_path, doc, "bad.json"),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"'{where}' must be a string" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_bad_jobs(tmp_path, capsys):
     sweep = {"base": scenario_doc(),
              "parameters": [{"path": "sim.mu", "values": [1.0]}]}

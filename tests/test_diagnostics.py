@@ -174,6 +174,23 @@ class TestLinearization:
         J = linearization_matrix(grid, kern, mu)
         assert spectral_abscissa(J) <= 1e-8
 
+    @pytest.mark.parametrize("family,sigma,hi,n,mu", [
+        ("tophat", 1.0, 5.0, 256, 150.0), ("gaussian", 0.2, 1.0, 128, 1.0),
+    ], ids=["tophat", "gaussian"])
+    def test_cosine_mode_rates_are_rayleigh_quotients(self, family, sigma, hi,
+                                                      n, mu):
+        grid = build_uniform_grid((0, hi), n)
+        kern = symmetrize_and_normalize(sample_convolution_kernel(
+            KernelProfile(family, sigma), grid))
+        J = linearization_matrix(grid, kern, mu)
+        x, w = grid.nodes[:, 0] / hi, grid.weights
+        expected = []
+        for k in range(1, n - 1):
+            v = np.cos(k * np.pi * x)
+            expected.append((w * v) @ (J @ v) / ((w * v) @ v))
+        np.testing.assert_allclose(cosine_mode_rates(grid, J), expected,
+                                   rtol=1e-13, atol=0)
+
 
 @pytest.fixture(scope="module")
 def unstable_setup():

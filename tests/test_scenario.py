@@ -195,6 +195,21 @@ class TestRunScenario:
         assert meta["metadata"]["initial"]["mode"] >= 1
         assert summary["status"] == "ok"
 
+    def test_cosine_datum_keeps_its_bytes(self, tmp_path):
+        doc = {"grid": {"extents": [0.5, 5.5], "counts": 64},
+               "kernel": {"family": "tophat", "sigma": 1.0},
+               "initial": {"kind": "cosine", "amplitude": 0.013,
+                           "mode": "most_unstable"},
+               "sim": {"mu": 150.0, "dt": 1e-4, "t_end": 1e-4},
+               "output": {"artifacts": ["meta", "snapshots"]}}
+        run_scenario(parse_scenario_dict(doc), out_dir=tmp_path / "c", quiet=True)
+        k = json.loads((tmp_path / "c/run_meta.json").read_text())[
+            "metadata"]["initial"]["mode"]
+        assert k > 1
+        u0 = read_field(tmp_path / "c/snapshots/snap_00000000.bin")
+        xhat = (u0.grid.nodes[:, 0] - 0.5) / (5.5 - 0.5)
+        assert np.array_equal(u0.values, 1.0 + 0.013 * np.cos((k * np.pi) * xhat))
+
     @pytest.mark.parametrize("normalization", ["columns", "rows"])
     def test_only_balanced_normalization_runs(self, tmp_path, normalization):
         doc = minimal_doc()
@@ -484,6 +499,12 @@ class TestSweep:
         spec = self.base_sweep()
         spec["parameters"] = []
         with pytest.raises(ValidationError, match="one or two"):
+            parse_sweep_dict(spec)
+
+    def test_repeated_parameter_path_rejected(self):
+        spec = self.base_sweep()
+        spec["parameters"].append({"path": "sim.mu", "values": [3.0, 4.0]})
+        with pytest.raises(ValidationError, match="'sim.mu' is swept twice"):
             parse_sweep_dict(spec)
 
     def test_empty_values_rejected(self):

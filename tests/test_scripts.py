@@ -33,6 +33,15 @@ def test_example_script_runs(tmp_path, script, args):
     assert out.returncode == 0, out.stderr
 
 
+def test_turing_onset_prints_the_readme_onset(tmp_path):
+    onset = r"onset mu\* = ([\d.]+)"
+    stated = re.findall(f"`{onset}`", (ROOT / "README.md").read_text())
+    assert len(stated) == 1
+    out = run_python([str(ROOT / "scripts" / "turing_onset.py")], tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert re.findall(onset, out.stdout) == stated, out.stdout
+
+
 def test_readme_python_example_runs(tmp_path):
     blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(),
                         re.DOTALL)
