@@ -118,6 +118,21 @@ def _require_positive(u: np.ndarray) -> None:
             f"strictly positive field required; node {i} has value {u[i]:.6g}")
 
 
+def _require_normalized(kernel: Kernel) -> None:
+    """Unless K[1] = 1, u = 1 is not the steady state all of this is about."""
+    if not kernel.normalized:
+        raise ValidationError("the kernel must be normalized (balanced: weighted "
+                              "row sums K[1] equal to one)")
+
+
+def kernel_action(field: Field, kernel: Kernel | None) -> np.ndarray:
+    """K[u] of a normalized kernel, or u itself in local mode (no kernel)."""
+    if kernel is None:
+        return field.values
+    _require_normalized(kernel)
+    return apply_kernel(kernel, field).values
+
+
 def trace_rows(grid: Grid, u: np.ndarray, ku: np.ndarray,
                mu: float) -> dict[str, np.ndarray]:
     """Every ``TRACE_COLUMNS`` column but ``t`` and ``dt_used``, one entry per
@@ -167,14 +182,7 @@ def dissipation(field: Field, kernel: Kernel | None, mu: float) -> Dissipation:
     kernel part collapses to mu * integral of (1 - u)^2."""
     u = field.values
     _require_positive(u)
-    if kernel is None:
-        ku = u
-    else:
-        if not kernel.normalized:
-            raise ValidationError(
-                "dissipation needs a normalized kernel (1 - K[u] = K[1 - u] "
-                "only holds then)")
-        ku = apply_kernel(kernel, field).values
+    ku = kernel_action(field, kernel)
     row = trace_rows(field.grid, u[None], ku[None], mu)
     return Dissipation(_finite(float(row["D_total"][0]), u),
                        float(row["D_grad"][0]), float(row["D_kernel"][0]))
@@ -205,8 +213,7 @@ def linearization_matrix(grid: Grid, kernel: Kernel | None,
     L = laplacian_matrix(grid).toarray()
     if kernel is None:
         return L - mu * np.eye(grid.n_nodes)
-    if not kernel.normalized:
-        raise ValidationError("linearization needs a normalized kernel")
+    _require_normalized(kernel)
     return L - mu * (kernel.matrix * grid.weights[None, :])
 
 

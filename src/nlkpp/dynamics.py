@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .diagnostics import Trace, trace_rows
+from .diagnostics import Trace, kernel_action, trace_rows
 from .errors import NumericalError, ShapeError, StepFailure, ValidationError
 from .grid import Field, Grid
-from .kernels import Kernel, apply_kernel
+from .kernels import Kernel
 
 
 @dataclass(frozen=True)
@@ -33,16 +33,16 @@ class SimConfig:
     max_dt_halvings: int = 40
 
     def __post_init__(self):
-        if not self.mu >= 0:
-            raise ValidationError(f"mu must be >= 0, got {self.mu}")
-        if not self.dt > 0:
-            raise ValidationError(f"dt must be positive, got {self.dt}")
-        if not self.t_end >= 0:
-            raise ValidationError(f"t_end must be >= 0, got {self.t_end}")
+        if not 0 <= self.mu < math.inf:
+            raise ValidationError(f"mu must be finite and >= 0, got {self.mu}")
+        if not 0 < self.dt < math.inf:
+            raise ValidationError(f"dt must be finite and positive, got {self.dt}")
+        if not 0 <= self.t_end < math.inf:
+            raise ValidationError(f"t_end must be finite and >= 0, got {self.t_end}")
         if self.snapshot_every < 0:
             raise ValidationError("snapshot_every must be >= 0 (0 disables)")
-        if not self.positivity_floor > 0:
-            raise ValidationError("positivity_floor must be positive")
+        if not 0 < self.positivity_floor < math.inf:
+            raise ValidationError("positivity_floor must be finite and positive")
         if self.max_dt_halvings < 0:
             raise ValidationError("max_dt_halvings must be >= 0")
 
@@ -72,23 +72,9 @@ class SimState:
     ku: np.ndarray | None = None
 
 
-def _kernel_of(u: Field, kernel: Kernel | None) -> np.ndarray:
-    """K[u], or u itself in local mode (no kernel).
-
-    The kernel must be normalized, otherwise 1 would not be a steady state
-    and the whole Lyapunov story would be about the wrong equilibrium.
-    """
-    if kernel is None:
-        return u.values
-    if not kernel.normalized:
-        raise ValidationError("reaction needs a normalized kernel "
-                              "(balanced: weighted row sums K[1] equal to one)")
-    return apply_kernel(kernel, u).values
-
-
 def reaction_term(u: Field, kernel: Kernel | None, mu: float) -> Field:
     """mu (1 - K[u]) u, or mu (1 - u) u in local mode (no kernel)."""
-    return Field(u.grid, mu * (1.0 - _kernel_of(u, kernel)) * u.values)
+    return Field(u.grid, mu * (1.0 - kernel_action(u, kernel)) * u.values)
 
 
 class DiffusionSolver:
@@ -153,7 +139,7 @@ def step_imex(state: SimState, grid: Grid, kernel: Kernel | None,
     if solver is None:
         solver = DiffusionSolver(grid)
     u_old = state.u.values
-    ku = _kernel_of(state.u, kernel) if state.ku is None else state.ku
+    ku = kernel_action(state.u, kernel) if state.ku is None else state.ku
     r = config.mu * (1.0 - ku) * u_old
     dt = config.dt if state.dt_next is None else min(state.dt_next, config.dt)
     if max_dt is not None:
@@ -167,7 +153,7 @@ def step_imex(state: SimState, grid: Grid, kernel: Kernel | None,
             field = Field(grid, u_new)
             return SimState(t=state.t + dt, u=field, step=state.step + 1,
                             dt_next=min(2.0 * dt, config.dt), halvings=halvings,
-                            ku=_kernel_of(field, kernel))
+                            ku=kernel_action(field, kernel))
         dt *= 0.5
     finite = np.isfinite(u_new)
     node = int(np.argmin(finite)) if not finite.all() else int(np.argmin(u_new))
@@ -207,7 +193,7 @@ def run(u0: Field, grid: Grid, kernel: Kernel | None, config: SimConfig,
         raise ValidationError("initial datum is identically zero")
 
     u = Field(grid, np.maximum(vals, config.positivity_floor))
-    state = SimState(t=0.0, u=u, step=0, dt_next=config.dt, ku=_kernel_of(u, kernel))
+    state = SimState(t=0.0, u=u, step=0, dt_next=config.dt, ku=kernel_action(u, kernel))
     solver = DiffusionSolver(grid)
     base_meta = {
         "scheme": "imex_euler",

@@ -74,35 +74,45 @@ class KernelProfile:
         return np.asarray(self.func(z), dtype=float)
 
 
-class _Stencil:
-    """A profile over all node offsets of a grid, and its real FFT.
+def _sample_profile(profile: KernelProfile, axes) -> np.ndarray:
+    """phi on the tensor lattice of the per-axis offsets ``axes``; in 2D phi
+    of the Euclidean offset."""
+    z = reduce(np.hypot, np.ix_(*axes))
+    values = profile(z)
+    if values.shape != z.shape:
+        raise KernelError(
+            f"profile returned shape {values.shape} on offsets of shape {z.shape}; "
+            "it must act elementwise")
+    return values
 
-    Both are built on first use and shared by a convolution kernel and the
-    kernel balanced from it. Applying the stencil is the zero-padded linear
-    convolution whose "valid" part is sum_j phi(x_i - x_j) v_j: with padded
-    length at least 2n - 1 per axis the circular convolution does not wrap
-    there (circulant embedding of the Toeplitz / block-Toeplitz matrix).
+
+def _periodic_offsets(period: int, h: float) -> np.ndarray:
+    """Offsets k h of a periodic window, origin at index 0, k > period / 2 wrapped."""
+    k = np.arange(period)
+    return np.where(k <= period // 2, k, k - period) * h
+
+
+class _Stencil:
+    """``table``, phi at every node offset (i - j) h stored at index
+    (n - 1) + i - j per axis, and its real FFT, built on first use.
+
+    A convolution kernel and the kernel balanced from it share one. Applying
+    it is the zero-padded linear convolution whose "valid" part is
+    sum_j phi(x_i - x_j) v_j: with padded length at least 2n - 1 per axis the
+    circular convolution does not wrap there (circulant embedding of the
+    Toeplitz / block-Toeplitz matrix).
     """
 
-    def __init__(self, profile: KernelProfile, grid: Grid):
-        self.profile = profile
-        self.grid = grid
+    def __init__(self, table: np.ndarray, counts: tuple[int, ...]):
+        self.table = table
+        self.counts = counts
         self._shape: tuple[int, ...] = ()
         self._spectrum: np.ndarray | None = None
-
-    @cached_property
-    def table(self) -> np.ndarray:
-        """phi at every node offset (i - j) h, stored at index (n - 1) + i - j
-        per axis; in 2D phi of the Euclidean offset."""
-        axes = [np.arange(1 - n, n) * h
-                for n, h in zip(self.grid.counts, self.grid.spacing)]
-        return np.asarray(self.profile(reduce(np.hypot, np.ix_(*axes))),
-                          dtype=float)
 
     def convolve(self, values: np.ndarray) -> np.ndarray:
         from scipy import fft  # deferred: costly import, FFT path only
 
-        counts = self.grid.counts
+        counts = self.counts
         if self._spectrum is None:
             self._shape = tuple(fft.next_fast_len(2 * n - 1, real=True) for n in counts)
             self._spectrum = fft.rfftn(self.table, self._shape)
@@ -113,7 +123,7 @@ class _Stencil:
     def dense(self) -> np.ndarray:
         """The matrix ``convolve`` applies: entry (i, j) is ``table`` at offset
         i - j on each axis, Toeplitz in 1D and block-Toeplitz in 2D."""
-        counts, table = self.grid.counts, self.table
+        counts, table = self.counts, self.table
         # the flat index of a pair's offset is the centre's plus i's minus j's
         nodes = np.ravel_multi_index(np.indices(counts).reshape(len(counts), -1),
                                      table.shape)
@@ -155,9 +165,15 @@ class Kernel:
                              and grid.n_nodes >= _FFT_AUTO_THRESHOLD else "dense")
         self.balance_iterations: int | None = None
         self.balance_deviation: float | None = None
-        self._stencil = None if profile is None else _Stencil(profile, grid)
         if matrix is not None:
             self.matrix = matrix
+
+    @cached_property
+    def _stencil(self) -> _Stencil:
+        """The profile's offset table, sampled on first use."""
+        axes = [np.arange(1 - n, n) * h
+                for n, h in zip(self.grid.counts, self.grid.spacing)]
+        return _Stencil(_sample_profile(self.profile, axes), self.grid.counts)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -270,31 +286,25 @@ def symmetrize_and_normalize(kernel: Kernel, max_iterations: int = 5000,
 
     The input must be entrywise nonnegative with no zero row or column. A
     symmetric input is scaled by a single vector, so symmetry is preserved
-    exactly; its products K @ (w d) run through the kernel's own matvec (FFT
-    for large convolution kernels, which then stay matrix-free), and a
-    convolution kernel's ``scale`` absorbs d. A nonsymmetric input gets the
-    usual alternating row/column scaling on its dense matrix, and the result
-    is that scaled matrix without a profile. The result records
+    exactly; its products K @ (w d) run through the kernel's own matvec. A
+    convolution kernel's result is matrix-free: its ``scale`` absorbs d and it
+    shares the input's stencil. A nonsymmetric input gets the usual
+    alternating row/column scaling on its dense matrix, and the result is that
+    scaled matrix without a profile. The result records
     ``balance_iterations`` (scalings computed) and ``balance_deviation`` (the
     final max |sum - 1|).
     """
     w = kernel.grid.weights
     symmetric = _symmetric_by_construction(kernel)
-    if symmetric:
-        # positive scalings: the stencil's signs are the matrix's
-        if kernel._stencil.table.min() < 0:
-            raise KernelError("balancing requires an entrywise nonnegative kernel")
-        sums = _matvec(kernel, w)
-        if np.any(sums <= 0):  # K = K^T: the column sums are the row sums
-            raise KernelError("balancing requires no zero row or column")
-    else:
-        K = kernel.matrix
-        if K.min() < 0:
-            raise KernelError("balancing requires an entrywise nonnegative kernel")
-        sums = K @ w
-        if np.any(sums <= 0) or np.any(w @ K <= 0):
-            raise KernelError("balancing requires no zero row or column")
-        symmetric = np.array_equal(K, K.T)
+    # an even stencil's table has the matrix's signs (the scalings are positive)
+    K = kernel._stencil.table if symmetric else kernel.matrix
+    if K.min() < 0:
+        raise KernelError("balancing requires an entrywise nonnegative kernel")
+    sums = _matvec(kernel, w) if symmetric else K @ w
+    # for K = K^T the column sums are the row sums
+    if np.any(sums <= 0) or not symmetric and np.any(w @ K <= 0):
+        raise KernelError("balancing requires no zero row or column")
+    symmetric = symmetric or np.array_equal(K, K.T)
 
     err = math.inf
     iterations = 0
@@ -324,13 +334,12 @@ def symmetrize_and_normalize(kernel: Kernel, max_iterations: int = 5000,
     if not symmetric:
         balanced = Kernel(kernel.grid, (r[:, None] * K) * c[None, :],
                           normalization="balanced")
+    elif kernel.profile is None:
+        balanced = Kernel(kernel.grid, np.outer(d, d) * K, normalization="balanced")
     else:
-        # scale the matrix if the dense matvec built it; otherwise the result
-        # stays matrix-free and builds diag(scale) phi diag(scale) on demand
-        matrix = np.outer(d, d) * kernel.matrix if "matrix" in vars(kernel) else None
-        scale = None if kernel.profile is None else (
-            d if kernel.scale is None else kernel.scale * d)
-        balanced = Kernel(kernel.grid, matrix, kernel.profile, "balanced", scale)
+        # matrix-free: diag(scale) phi diag(scale), gathered on first dense use
+        scale = d if kernel.scale is None else kernel.scale * d
+        balanced = Kernel(kernel.grid, None, kernel.profile, "balanced", scale)
         balanced._stencil = kernel._stencil  # share the offset table and spectrum
     balanced.balance_iterations = iterations
     balanced.balance_deviation = err
@@ -407,14 +416,11 @@ def _circulant_certificate(kernel: Kernel, tol: float) -> PositivityCertificate 
     """
     grid, profile = kernel.grid, kernel.profile
     reach = 0.0 if profile.family == "custom" else default_half_width(profile)
-    axes = []
-    for n, h in zip(grid.counts, grid.spacing):
-        period = 2 * max(2 * n, math.ceil(reach / h))
-        k = np.arange(period)
-        axes.append(np.where(k <= period // 2, k, k - period) * h)
-    if math.prod(x.size for x in axes) > grid.n_nodes ** 2:
+    periods = [2 * max(2 * n, math.ceil(reach / h))
+               for n, h in zip(grid.counts, grid.spacing)]
+    if math.prod(periods) > grid.n_nodes ** 2:
         return None  # the window would outweigh the dense matrix
-    window = profile(reduce(np.hypot, np.ix_(*axes)))
+    window = _sample_profile(profile, map(_periodic_offsets, periods, grid.spacing))
     if not np.all(np.isfinite(window)):
         return None
     lam = float(np.fft.rfftn(window).real.min())
@@ -425,8 +431,7 @@ def _circulant_certificate(kernel: Kernel, tol: float) -> PositivityCertificate 
     if kernel._stencil.table.min() >= 0:
         rows = w * _matvec(kernel, w)
     else:
-        magnitude = KernelProfile("custom", profile.sigma, lambda z: np.abs(profile(z)))
-        rows = a * _Stencil(magnitude, grid).convolve(a)
+        rows = a * _Stencil(np.abs(kernel._stencil.table), grid.counts).convolve(a)
     threshold = tol * max(1.0, float(np.max(rows)))
     if witness < -threshold:
         return None
@@ -486,10 +491,12 @@ def certify_positivity_bochner(profile: KernelProfile, n_samples: int = 2048,
                                tol: float = 1e-9, dim: int = 1) -> PositivityCertificate:
     """Fourier certificate for convolution profiles.
 
-    Samples phi on a symmetric window, takes the discrete Fourier transform,
+    Samples phi on a periodic window of ``n_samples`` offsets per axis
+    spanning (-half_width, half_width], takes the discrete Fourier transform,
     and reports the smallest real part. A positive verdict certifies the
     quadratic form on any bounded domain. ``dim=2`` runs the radial profile
-    through a 2D transform on a square window.
+    through a 2D transform on a square window. The peak, edge and evenness
+    checks read the window's line along axis 0.
     """
     if dim not in (1, 2):
         raise ValidationError(f"bochner check supports dim 1 or 2, got {dim}")
@@ -502,32 +509,26 @@ def certify_positivity_bochner(profile: KernelProfile, n_samples: int = 2048,
         raise ValidationError("need at least 16 samples for the transform")
     n += n % 2
     delta = 2.0 * half_width / n
-    z = (np.arange(n) - n // 2) * delta
-
-    vals = np.asarray(profile(z), dtype=float)
-    if not np.all(np.isfinite(vals)):
+    # the window with its origin at index 0; it is real, so the half spectrum
+    # along the last axis holds every value of the full one
+    window = _sample_profile(profile, [_periodic_offsets(n, delta)] * dim)
+    if not np.all(np.isfinite(window)):
         raise KernelError("profile is not finite on the sampling window")
-    peak = float(np.max(np.abs(vals)))
+    line = window.reshape(n, -1)[:, 0]  # phi(k delta), the line along axis 0
+    peak = float(np.max(np.abs(line)))
     if peak == 0.0:
         raise KernelError("profile vanishes identically on the window")
-    edge = max(abs(float(vals[0])),
-               abs(float(np.asarray(profile(np.array([half_width])))[0])))
+    edge = abs(float(line[n // 2]))  # phi(half_width)
     if edge > max(tol, 1e-15) * peak:
         raise KernelError(
             f"window too small: |phi| at the edge is {edge:.3g} "
             f"(tolerance {max(tol, 1e-15) * peak:.3g}); enlarge half_width")
-    asym = float(np.max(np.abs(vals[1:] - vals[1:][::-1])))
+    # line[1:] reversed pairs each offset k delta with -k delta
+    asym = float(np.max(np.abs(line[1:] - line[1:][::-1])))
     if asym > max(tol, 1e-13) * peak:
         raise KernelError(
             f"asymmetric profile: max |phi(z) - phi(-z)| = {asym:.3g}")
 
-    # the window with its origin at index 0; it is real, so the half spectrum
-    # along the last axis holds every value of the full one
-    if dim == 1:
-        window = np.fft.ifftshift(vals)
-    else:
-        zs = np.fft.ifftshift(z)
-        window = np.asarray(profile(np.hypot(zs[:, None], zs[None, :])), dtype=float)
     spectrum = np.fft.rfftn(window) * delta**dim
 
     scale = float(np.max(np.abs(spectrum)))

@@ -16,7 +16,9 @@ Artifacts written by :func:`run_scenario` into the output directory:
                        ``steps_rejected`` and ``dt_min`` of the step loop)
 
 The output directory is resolved as: explicit argument, then the
-``NLKPP_OUT`` environment variable, then the scenario's own setting.
+``NLKPP_OUT`` environment variable, then the scenario's own setting. It is
+created before the kernel is built, and one that cannot be created is a
+``ValidationError``.
 """
 
 import contextlib
@@ -354,11 +356,17 @@ def _build_initial(scenario: Scenario, grid: Grid, jacobian: np.ndarray | None,
     raise ValidationError(f"unhandled initial kind {spec.kind!r}")
 
 
-def resolve_output_dir(out_dir, fallback) -> Path:
-    """``out_dir`` if given, else ``NLKPP_OUT`` if set, else ``fallback``."""
-    if out_dir is not None:
-        return Path(out_dir)
-    return Path(os.environ.get(OUTPUT_DIR_ENV) or fallback)
+def _output_dir(out_dir, fallback) -> Path:
+    """Create and return ``out_dir`` if given, else ``NLKPP_OUT`` if set, else
+    ``fallback``; a directory that cannot be created is a ValidationError."""
+    path = Path(out_dir if out_dir is not None
+                else os.environ.get(OUTPUT_DIR_ENV) or fallback)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot create output directory '{path}': {exc.strerror or exc}") from None
+    return path
 
 
 def _fmt(value) -> str:
@@ -400,6 +408,7 @@ def run_scenario(scenario: Scenario, out_dir=None, quiet: bool = False) -> dict:
 
 def _run_scenario_inner(scenario: Scenario, out_dir, quiet: bool,
                         start: float) -> dict:
+    out = _output_dir(out_dir, scenario.output.directory)
     grid = scenario.grid
     kernel = None
     certificates: list[PositivityCertificate] = []
@@ -463,9 +472,7 @@ def _run_scenario_inner(scenario: Scenario, out_dir, quiet: bool,
         "wall_time_s": wall,
     }
 
-    out = resolve_output_dir(out_dir, scenario.output.directory)
     arts = scenario.output.artifacts
-    out.mkdir(parents=True, exist_ok=True)
     if "trace" in arts:
         trace.to_csv(out / "trace.csv")
     if "certificate" in arts and certificates:
@@ -474,8 +481,7 @@ def _run_scenario_inner(scenario: Scenario, out_dir, quiet: bool,
     if "final_field" in arts:
         fieldio.write_field(out / "final_field.bin", state.u)
     if "snapshots" in arts:
-        snap_dir = out / "snapshots"
-        snap_dir.mkdir(exist_ok=True)
+        snap_dir = _output_dir(out / "snapshots", None)
         for snap in trace.snapshots:
             fieldio.write_field(snap_dir / f"snap_{snap.step:08d}.bin", snap.field)
     if "summary" in arts:
@@ -496,11 +502,10 @@ def certify_scenario(scenario: Scenario, out_dir=None, quiet: bool = False) -> l
     """Kernel-only path: build, normalize, certify, emit certificate.csv."""
     if scenario.kernel is None:
         raise ValidationError(f"scenario '{scenario.name}' has no kernel section")
+    out = _output_dir(out_dir, scenario.output.directory)
     grid = scenario.grid
     spec = replace(scenario.kernel, certify=True)
     _, certificates = build_kernel(spec, grid)
-    out = resolve_output_dir(out_dir, scenario.output.directory)
-    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "certificate.csv", CERTIFICATE_COLUMNS,
                _certificate_rows(certificates, grid, scenario.kernel))
     if not quiet:
@@ -670,8 +675,7 @@ def run_sweep(sweep: SweepSpec, jobs: int = 1, out_dir=None,
     bytes are reproducible. The points run with OpenBLAS at one thread (see
     ``_one_blas_thread``), so ``jobs`` is the number of cores a sweep uses.
     """
-    root = resolve_output_dir(out_dir, sweep.directory)
-    root.mkdir(parents=True, exist_ok=True)
+    root = _output_dir(out_dir, sweep.directory)
     points = _sweep_points(sweep)
     tasks = [(i, sweep.base, assignment, str(root / f"point_{i:03d}"),
               sweep.base_dir)

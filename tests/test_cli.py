@@ -232,6 +232,25 @@ def test_non_string_value_is_exit_2(tmp_path, capsys, command, doc, where):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command,doc,out", [
+    ("simulate", scenario_doc(), "file/sub"),
+    ("certify", scenario_doc(), "file"),
+    ("sweep", {"base": scenario_doc(), "parameters": SWEPT_MU}, "file"),
+], ids=["simulate", "certify", "sweep"])
+def test_uncreatable_output_directory_is_exit_2(tmp_path, capsys, monkeypatch,
+                                                command, doc, out):
+    # refused before any kernel is built, not after the run
+    def no_kernel(*args):
+        raise AssertionError("the kernel was built")
+    monkeypatch.setattr("nlkpp.scenario.build_kernel", no_kernel)
+    (tmp_path / "file").write_text("")
+    code = main([command, write(tmp_path, doc, "doc.json"),
+                 "--out", str(tmp_path / out)])
+    assert code == 2
+    assert f"cannot create output directory '{tmp_path / out}'" in \
+        capsys.readouterr().err
+
+
 def test_sweep_bad_jobs(tmp_path, capsys):
     sweep = {"base": scenario_doc(),
              "parameters": [{"path": "sim.mu", "values": [1.0]}]}

@@ -9,10 +9,10 @@ from nlkpp import (DomainError, Field, KernelProfile, SimConfig,
                    ValidationError, build_uniform_grid, integrate,
                    certify_positivity_eigen, cosine_mode_rates,
                    decay_identity_residual, dissipation, linearization_matrix,
-                   lyapunov_value, most_unstable_cosine_mode, run,
+                   lyapunov_value, most_unstable_cosine_mode, reaction_term, run,
                    sample_convolution_kernel, spectral_abscissa,
                    sup_distance_to_one, symmetrize_and_normalize)
-from nlkpp.diagnostics import TRACE_COLUMNS, Trace
+from nlkpp.diagnostics import TRACE_COLUMNS, Trace, kernel_action
 
 
 class TestLyapunovValue:
@@ -136,6 +136,31 @@ class TestDecayIdentity:
                        balanced_gaussian, cfg)
         with pytest.raises(IndexError):
             decay_identity_residual(trace, len(trace) - 1)
+
+
+class TestNormalizedKernelRule:
+    """One rule refuses a kernel whose K[1] is not one, with one message,
+    wherever the dynamics or the diagnostics would use it."""
+
+    @pytest.mark.parametrize("call", [
+        lambda g, k: reaction_term(Field.constant(g, 1.0), k, 1.0),
+        lambda g, k: dissipation(Field.constant(g, 1.0), k, 1.0),
+        lambda g, k: linearization_matrix(g, k, 1.0),
+        lambda g, k: run(Field.constant(g, 1.0), g, k,
+                         SimConfig(mu=1.0, dt=1e-2, t_end=0.1)),
+    ], ids=["reaction_term", "dissipation", "linearization_matrix", "run"])
+    def test_raw_kernel_refused_with_one_message(self, unit_grid, call):
+        raw = sample_convolution_kernel(KernelProfile("gaussian", 0.2), unit_grid)
+        field = Field.constant(unit_grid, 1.0)
+        with pytest.raises(ValidationError, match="normalized") as rule:
+            kernel_action(field, raw)
+        with pytest.raises(ValidationError) as info:
+            call(unit_grid, raw)
+        assert str(info.value) == str(rule.value)
+
+    def test_local_mode_is_the_field_itself(self, unit_grid):
+        field = Field.constant(unit_grid, 0.5)
+        assert kernel_action(field, None) is field.values
 
 
 class TestLinearization:

@@ -14,6 +14,18 @@ def logistic(t, u0=0.2, mu=1.0):
     return u0 * e / (1 - u0 + u0 * e)
 
 
+class TestSimConfig:
+    @pytest.mark.parametrize("field", ["mu", "dt", "t_end", "positivity_floor"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")],
+                             ids=["inf", "nan"])
+    def test_refuses_non_finite(self, field, value):
+        # an infinite t_end used to run no step and return as if it had ended
+        args = dict(mu=1.0, dt=0.1, t_end=1.0)
+        args[field] = value
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            SimConfig(**args)
+
+
 class TestReactionTerm:
     def test_one_is_steady(self, unit_grid, balanced_gaussian):
         r = reaction_term(Field.constant(unit_grid, 1.0), balanced_gaussian, 1.0)
@@ -100,8 +112,10 @@ class TestRunBookkeeping:
         # the benchmark's spans wrap these names; their counts must keep
         # meaning one step and one kernel apply per accepted step, and one
         # solve per attempt
-        import nlkpp.diagnostics
+        import sys
+
         import nlkpp.dynamics
+        import nlkpp.kernels
 
         calls = dict.fromkeys(("step_imex", "apply_kernel", "solve"), 0)
 
@@ -111,11 +125,18 @@ class TestRunBookkeeping:
                 return func(*args, **kwargs)
             return wrapper
 
-        for name in ("step_imex", "apply_kernel"):
-            wrapper = counting(name, getattr(nlkpp.dynamics, name))
-            for module in (nlkpp.dynamics, nlkpp.diagnostics):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, wrapper)
+        # like the benchmark's recorder: take each original from its defining
+        # module and patch every nlkpp module that binds it
+        modules = [m for key, m in list(sys.modules.items())
+                   if key == "nlkpp" or key.startswith("nlkpp.")]
+        for owner, name in ((nlkpp.dynamics, "step_imex"),
+                            (nlkpp.kernels, "apply_kernel")):
+            original = getattr(owner, name)
+            wrapper = counting(name, original)
+            for module in modules:
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, wrapper)
         monkeypatch.setattr(DiffusionSolver, "solve",
                             counting("solve", DiffusionSolver.solve))
         grid, kern, u0, cfg = stiff_tophat

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from nlkpp import (BalancingError, Field, Kernel, KernelError, KernelProfile,
                    ValidationError, apply_kernel, build_uniform_grid,
                    certify_positivity_bochner, certify_positivity_eigen,
-                   normalize_columns, sample_convolution_kernel,
+                   default_half_width, normalize_columns, sample_convolution_kernel,
                    sample_general_kernel, symmetrize_and_normalize)
 
 
@@ -229,6 +229,21 @@ class TestMatrixFree:
         assert "matrix" in vars(kern)
         assert np.max(np.abs(kern.matrix @ w - 1.0)) < 1e-12
 
+    @pytest.mark.parametrize("extents,counts", [((0, 1), 128),
+                                                (((0, 1), (0, 2)), (16, 20))],
+                             ids=["128", "16x20"])
+    def test_balanced_matrix_is_gathered_on_first_dense_use(self, rng, extents,
+                                                            counts):
+        grid = build_uniform_grid(extents, counts)
+        profile = KernelProfile("gaussian", 0.3)
+        kern = symmetrize_and_normalize(sample_convolution_kernel(profile, grid))
+        assert kern.apply_method == "dense"
+        assert "matrix" not in vars(kern)
+        apply_kernel(kern, Field(grid, rng.uniform(0.5, 1.5, grid.n_nodes)))
+        assert "matrix" in vars(kern)
+        K = _table_sample(profile, grid)
+        assert np.array_equal(kern.matrix, np.outer(kern.scale, kern.scale) * K)
+
     def test_balancing_records_iterations_and_deviation(self, unit_grid):
         kern = sample_convolution_kernel(KernelProfile("gaussian", 0.2), unit_grid)
         balanced = symmetrize_and_normalize(kern)
@@ -247,6 +262,23 @@ class TestMatrixFree:
         with np.errstate(divide="ignore"), pytest.raises(KernelError,
                                                          match=r"offset \(0, 0\)"):
             sample_convolution_kernel(prof, grid)
+
+    @pytest.mark.parametrize("check,shapes", [
+        (lambda g: sample_convolution_kernel(
+            KernelProfile("custom", 0.1, func=lambda z: 1.0), g), ("()", "(255,)")),
+        # elementwise on the 255 node offsets only, not on the certificate's
+        # 512-offset periodic window
+        (lambda g: certify_positivity_eigen(sample_convolution_kernel(
+            KernelProfile("custom", 0.1, func=lambda z: np.exp(-z[:255] ** 2)), g)),
+         ("(255,)", "(512,)")),
+        (lambda g: certify_positivity_bochner(
+            KernelProfile("custom", 0.1, func=lambda z: 1.0), half_width=1.0),
+         ("()", "(2048,)")),
+    ], ids=["sampling", "circulant", "bochner"])
+    def test_profile_must_act_elementwise(self, unit_grid, check, shapes):
+        with pytest.raises(KernelError, match="elementwise") as info:
+            check(unit_grid)
+        assert all(f"shape {shape}" in str(info.value) for shape in shapes)
 
     def test_needs_a_matrix_or_a_profile(self, unit_grid):
         with pytest.raises(ValidationError, match="matrix or a convolution profile"):
@@ -493,6 +525,39 @@ class TestBochnerCertificate:
         cert = certify_positivity_bochner(KernelProfile("tophat", 0.5),
                                           dim=2, n_samples=512, half_width=4.0)
         assert cert.verdict == "not_positive"
+
+
+def _old_bochner(profile, n, half_width, dim):
+    """Witness, tolerance and violating frequency from the window sampled
+    centred on [-half_width, half_width) and moved to the origin by
+    ``ifftshift``."""
+    delta = 2.0 * half_width / n
+    z = np.fft.ifftshift((np.arange(n) - n // 2) * delta)
+    window = profile(z) if dim == 1 else profile(np.hypot(z[:, None], z[None, :]))
+    spectrum = np.fft.rfftn(window) * delta**dim
+    re = spectrum.real
+    bad = np.unravel_index(int(np.argmin(re)), re.shape)
+    freqs = [np.fft.fftfreq(n, d=delta)] * (dim - 1) + [np.fft.rfftfreq(n, d=delta)]
+    frequency = 2.0 * np.pi * math.hypot(*(f[k] for f, k in zip(freqs, bad)))
+    return float(re.min()), 1e-9 * float(np.max(np.abs(spectrum))), frequency
+
+
+class TestBochnerWindow:
+    @pytest.mark.parametrize("family", ["gaussian", "tophat", "exponential"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_the_centred_window(self, family, dim):
+        profile = KernelProfile(family, 0.5)
+        half_width = 4.0 if family == "tophat" else None
+        cert = certify_positivity_bochner(profile, n_samples=512,
+                                          half_width=half_width, dim=dim)
+        witness, tolerance, frequency = _old_bochner(
+            profile, 512, half_width or default_half_width(profile), dim)
+        assert (cert.witness, cert.tolerance) == (witness, tolerance)
+        if family == "tophat":
+            assert cert.verdict == "not_positive"
+            assert cert.violating_frequency == frequency
+        else:
+            assert (cert.verdict, cert.violating_frequency) == ("positive", None)
 
 
 class TestCertificateConsistency:

@@ -373,6 +373,15 @@ class TestSweep:
         assert (tmp_path / "from_env/sweep_summary.csv").exists()
         assert (tmp_path / "from_env/point_000/trace.csv").exists()
 
+    def test_point_directory_failure_is_a_validation_error_row(self, tmp_path):
+        (tmp_path / "s").mkdir()
+        (tmp_path / "s/point_000").write_text("")  # a file where the point writes
+        sweep = parse_sweep_dict(self.base_sweep(values=(0.5, 1.0)))
+        rows = run_sweep(sweep, out_dir=tmp_path / "s", quiet=True)
+        assert rows[0]["status"] == "validation_error"
+        assert "point_000" in rows[0]["error"]
+        assert rows[1]["status"] == "ok"
+
     def test_point_failures_recorded_and_sweep_continues(self, tmp_path):
         sweep = parse_sweep_dict(self.base_sweep(values=(-1.0, 1.0)))
         rows = run_sweep(sweep, out_dir=tmp_path / "s", quiet=True)
