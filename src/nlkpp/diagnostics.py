@@ -68,11 +68,11 @@ class Trace:
         return np.array([r[idx] for r in self._rows])
 
     def to_csv(self, path) -> None:
+        # the bytes csv.writer writes for repr(v): no float's repr needs quoting
+        line = ",".join(["%r"] * len(TRACE_COLUMNS)) + "\r\n"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_COLUMNS)
-            for row in self._rows:
-                writer.writerow([repr(v) for v in row])
+            csv.writer(fh).writerow(TRACE_COLUMNS)
+            fh.writelines(line % row for row in self._rows)
 
     @classmethod
     def from_csv(cls, path) -> "Trace":

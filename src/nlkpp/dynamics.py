@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .diagnostics import Trace, kernel_action, trace_rows
 from .errors import NumericalError, ShapeError, StepFailure, ValidationError
@@ -51,8 +50,6 @@ class SimConfig:
 # in one pass: at small n that spreads numpy's per-call cost over many rows,
 # and at 4096 nodes a 64-row block measured slower than one row at a time
 _BLOCK_VALUES = 8192
-
-_pbtrf, _pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), (np.empty(1),))
 
 
 @dataclass(eq=False)
@@ -95,13 +92,15 @@ class DiffusionSolver:
     name = "banded_cholesky"
 
     def __init__(self, grid: Grid):
+        from scipy.linalg import get_lapack_funcs  # deferred: costly import
         self.grid = grid
         self._factors: dict[float, np.ndarray] = {}
+        self._pbtrf, self._pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), (np.empty(1),))
 
     def _factor(self, dt: float) -> np.ndarray:
         factor = self._factors.get(dt)
         if factor is None:
-            factor, info = _pbtrf(self._band(dt), overwrite_ab=1)
+            factor, info = self._pbtrf(self._band(dt), overwrite_ab=1)
             if info != 0:
                 raise NumericalError(
                     f"banded Cholesky of W (I - dt L) failed at dt={dt:.3g} "
@@ -125,7 +124,8 @@ class DiffusionSolver:
 
     def solve(self, rhs: np.ndarray, dt: float) -> np.ndarray:
         floor = rhs.min()
-        return floor + _pbtrs(self._factor(dt), self.grid.weights * (rhs - floor))[0]
+        return floor + self._pbtrs(self._factor(dt),
+                                   self.grid.weights * (rhs - floor))[0]
 
 
 def step_imex(state: SimState, grid: Grid, kernel: Kernel | None,

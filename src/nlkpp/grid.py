@@ -15,7 +15,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ShapeError, ValidationError
 
@@ -166,10 +165,11 @@ def integrate(field: Field) -> float:
     return float(field.grid.weights @ field.values)
 
 
-def laplacian_matrix(grid: Grid) -> sparse.csr_matrix:
+def laplacian_matrix(grid: Grid):
     """Second-order Laplacian with ghost-node reflection at the boundary, as a
-    sparse matrix acting on node values: L = -W^-1 G, with G the graph
-    Laplacian of ``grid.edges``. Row sums are zero."""
+    ``scipy.sparse`` CSR matrix acting on node values: L = -W^-1 G, with G
+    the graph Laplacian of ``grid.edges``. Row sums are zero."""
+    from scipy import sparse  # deferred: costly import
     w = grid.weights
     diagonals, offsets = [], []
     degree = np.zeros(grid.n_nodes)

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh
 
 from .errors import BalancingError, KernelError, ShapeError, ValidationError
 from .grid import Field, Grid
@@ -455,6 +454,7 @@ def certify_positivity_eigen(kernel: Kernel, tol: float = 1e-9) -> PositivityCer
         cert = _circulant_certificate(kernel, tol)
         if cert is not None:
             return cert
+    from scipy.linalg import LinAlgError, eigh  # deferred: dense verdicts only
     w = kernel.grid.weights
     M = (w[:, None] * kernel.matrix) * w[None, :]
     S = 0.5 * (M + M.T)

@@ -24,7 +24,6 @@ created before the kernel is built, and one that cannot be created is a
 import contextlib
 import copy
 import csv
-import ctypes
 import itertools
 import json
 import math
@@ -621,6 +620,7 @@ def _openblas_thread_functions() -> list[tuple]:
     """The ``(get, set)`` thread-count functions of each OpenBLAS this process
     has loaded (numpy and scipy bundle one each), found through
     ``/proc/self/maps``; empty where there is none or no such file."""
+    import ctypes
     try:
         with open("/proc/self/maps") as fh:
             libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
@@ -683,6 +683,9 @@ def run_sweep(sweep: SweepSpec, jobs: int = 1, out_dir=None,
     # the fork start method starts every worker up front, so ask for no more
     # than there are points; forked workers inherit the one BLAS thread
     workers = min(jobs, len(tasks))
+    # the pin reaches only the OpenBLAS libraries loaded by then, and every
+    # point needs scipy's: load it here, once, rather than in each worker
+    import scipy.linalg  # noqa: F401
     with _one_blas_thread():
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers,

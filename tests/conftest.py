@@ -1,6 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+# nlkpp loads scipy where it first needs it; loading it here fixes the set of
+# OpenBLAS libraries that openblas_threads_restored compares for the session
+import scipy.linalg  # noqa: F401
 
+import nlkpp
 from nlkpp import (KernelProfile, build_uniform_grid, sample_convolution_kernel,
                    symmetrize_and_normalize)
 from nlkpp.scenario import _openblas_thread_functions
@@ -15,6 +24,21 @@ def openblas_threads_restored():
     after = [get() for get, _ in _openblas_thread_functions()]
     if after != before:
         pytest.fail(f"OpenBLAS thread counts {before} became {after}")
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Run Python source in a new interpreter that imports this nlkpp, and
+    return its standard output: what a module import loads shows only there,
+    since this process has loaded scipy already."""
+    src = str(Path(nlkpp.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(code: str, cwd=None) -> str:
+        return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True, env=env, cwd=cwd).stdout
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,8 @@
 import json
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import pytest
 
-import nlkpp
 from nlkpp import __version__
 from nlkpp.cli import main
 
@@ -257,7 +252,7 @@ def test_sweep_bad_jobs(tmp_path, capsys):
     assert main(["sweep", write(tmp_path, sweep, "sw.json"), "--jobs", "0"]) == 2
 
 
-def test_import_leaves_scipy_signal_unloaded():
+def test_import_leaves_scipy_signal_unloaded(fresh_python):
     # the FFT kernel path calls scipy.fft directly; nothing loads scipy.signal
     code = ("import sys, nlkpp.cli\n"
             "from nlkpp import *\n"
@@ -266,9 +261,24 @@ def test_import_leaves_scipy_signal_unloaded():
             "assert k.apply_method == 'fft'\n"
             "apply_kernel(k, Field.constant(g, 1.0))\n"
             "print('scipy.signal' in sys.modules)")
-    src = str(Path(nlkpp.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert fresh_python(code).strip() == "False"
+
+
+@pytest.mark.parametrize("args,status,loads_scipy", [
+    ([], None, False),
+    (["certify", "gaussian.json"], 0, False),  # decided by the circulant symbol
+    (["simulate", "columns.json"], 2, False),
+    (["simulate", "gaussian.json"], 0, True),  # the diffusion solve needs LAPACK
+], ids=["import", "certify", "refusal", "simulate"])
+def test_scipy_loads_only_where_it_runs(tmp_path, fresh_python, args, status,
+                                        loads_scipy):
+    doc = scenario_doc()
+    doc["grid"]["counts"] = 128
+    write(tmp_path, doc, "gaussian.json")
+    doc["kernel"]["normalization"] = "columns"
+    write(tmp_path, doc, "columns.json")
+    code = "import sys, nlkpp, nlkpp.cli\n"
+    if args:
+        code += f"assert nlkpp.cli.main({args + ['--out', 'o']!r}) == {status}\n"
+    code += "print(any(m.partition('.')[0] == 'scipy' for m in sys.modules))"
+    assert fresh_python(code, cwd=tmp_path).splitlines()[-1] == str(loads_scipy)

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -270,6 +272,18 @@ class TestTrace:
         assert len(loaded) == len(trace)
         for name in TRACE_COLUMNS:
             np.testing.assert_array_equal(loaded.column(name), trace.column(name))
+
+    def test_csv_bytes_are_the_csv_writer_bytes(self, tmp_path):
+        values = [0.0, -0.0, 5e-324, 1e16, math.inf, -math.inf, 0.1, -2.5e-300]
+        trace = Trace()
+        trace.append_rows(**{c: np.roll(values, i) for i, c in enumerate(TRACE_COLUMNS)})
+        trace.to_csv(tmp_path / "trace.csv")
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(TRACE_COLUMNS)
+        for k in range(len(trace)):
+            writer.writerow([repr(v) for v in trace.row(k).values()])
+        assert (tmp_path / "trace.csv").read_bytes() == expected.getvalue().encode()
 
     @pytest.mark.parametrize("row,problem", [
         ("0.0,1.0,2.0,3.0,4.0", "5 fields, expected 9"),

@@ -480,6 +480,27 @@ class TestSweep:
             for (_, set_), count in zip(functions, saved):
                 set_(count)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fresh_process_points_run_at_one_blas_thread(self, tmp_path,
+                                                        fresh_python, jobs):
+        # this process has scipy loaded already, so only a fresh one shows
+        # whether the pin also reaches the OpenBLAS that scipy brings
+        code = (
+            "import json, sys\n"
+            "from nlkpp import scenario\n"
+            "def report(task):\n"
+            "    import scipy.linalg  # what a point's simulate loads\n"
+            "    return {'point': task[0], 'status': 'ok', 'blas_threads':\n"
+            "            [get() for get, _ in scenario._openblas_thread_functions()]}\n"
+            "assert 'scipy' not in sys.modules\n"
+            "scenario._run_sweep_point = report\n"
+            f"sweep = scenario.parse_sweep_dict({self.base_sweep()!r})\n"
+            f"rows = scenario.run_sweep(sweep, jobs={jobs}, out_dir='s', quiet=True)\n"
+            "print(json.dumps([r['blas_threads'] for r in rows]))\n")
+        points = json.loads(fresh_python(code, cwd=tmp_path))
+        assert len(points) == 2
+        assert all(counts and set(counts) == {1} for counts in points), points
+
     def test_two_parameter_grid(self, tmp_path):
         spec = self.base_sweep(values=(0.5, 1.0))
         spec["parameters"].append({"path": "kernel.sigma",
