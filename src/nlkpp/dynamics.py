@@ -10,6 +10,7 @@ the configured dt.
 """
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,11 @@ class SimConfig:
 # and at 4096 nodes a 64-row block measured slower than one row at a time
 _BLOCK_VALUES = 8192
 
+# a solver keeps the factors of this many step sizes, dropping the oldest: a run
+# visits a few (dt, its halvings, the last step's remainder), but a solver kept
+# per grid meets every max_dt its callers pass
+_MAX_FACTORS = 16
+
 
 @dataclass(eq=False)
 class SimState:
@@ -84,16 +90,18 @@ class DiffusionSolver:
     nonnegative terms only: min(u) >= min(rhs) holds exactly, as the maximum
     principle says, and each node is accurate relative to its own size (a
     transform solve is accurate only to eps * max|rhs| and pushes nodes at the
-    positivity floor below it). Factors are cached per dt. Inputs are not
+    positivity floor below it). Factors are cached per dt, for the
+    ``_MAX_FACTORS`` most recently factored step sizes. Inputs are not
     checked for finiteness; a non-finite right-hand side gives a non-finite
-    solution, which the step rejects.
+    solution, which the step rejects. The solver keeps the grid's weights and
+    edges, not the grid, so that a cache keyed weakly by the grid can hold it.
     """
 
     name = "banded_cholesky"
 
     def __init__(self, grid: Grid):
         from scipy.linalg import get_lapack_funcs  # deferred: costly import
-        self.grid = grid
+        self._weights, self._edges = grid.weights, grid.edges
         self._factors: dict[float, np.ndarray] = {}
         self._pbtrf, self._pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), (np.empty(1),))
 
@@ -105,17 +113,18 @@ class DiffusionSolver:
                 raise NumericalError(
                     f"banded Cholesky of W (I - dt L) failed at dt={dt:.3g} "
                     f"(LAPACK pbtrf info {info})")
+            if len(self._factors) == _MAX_FACTORS:
+                del self._factors[next(iter(self._factors))]
             self._factors[dt] = factor
         return factor
 
     def _band(self, dt: float) -> np.ndarray:
         """The upper band of W (I - dt L) = W + dt G in LAPACK storage,
         diagonal last; G is the graph Laplacian of ``grid.edges``."""
-        grid = self.grid
-        bw = grid.edges[0][0]  # axis 0's stride, the widest coupling
-        ab = np.zeros((bw + 1, grid.n_nodes))
-        ab[bw] = grid.weights
-        for stride, c in grid.edges:
+        bw = self._edges[0][0]  # axis 0's stride, the widest coupling
+        ab = np.zeros((bw + 1, self._weights.size))
+        ab[bw] = self._weights
+        for stride, c in self._edges:
             row = ab[bw - stride]
             row[:] = -dt * c
             # G has zero row sums, so the diagonal is w minus the row's couplings
@@ -125,7 +134,12 @@ class DiffusionSolver:
     def solve(self, rhs: np.ndarray, dt: float) -> np.ndarray:
         floor = rhs.min()
         return floor + self._pbtrs(self._factor(dt),
-                                   self.grid.weights * (rhs - floor))[0]
+                                   self._weights * (rhs - floor))[0]
+
+
+# the solver of step_imex calls that pass none, one per grid so that each dt is
+# factored once; a grid hashes by identity, and its entry goes when it does
+_SOLVERS: "weakref.WeakKeyDictionary[Grid, DiffusionSolver]" = weakref.WeakKeyDictionary()
 
 
 def step_imex(state: SimState, grid: Grid, kernel: Kernel | None,
@@ -135,9 +149,12 @@ def step_imex(state: SimState, grid: Grid, kernel: Kernel | None,
 
     The reaction uses ``state.ku`` when it is set, and the new state carries
     K[u] of its own u, so consecutive steps apply the kernel once each.
+    Without a ``solver`` the grid's shared one is used, built on first need.
     """
     if solver is None:
-        solver = DiffusionSolver(grid)
+        solver = _SOLVERS.get(grid)
+        if solver is None:
+            solver = _SOLVERS[grid] = DiffusionSolver(grid)
     u_old = state.u.values
     ku = kernel_action(state.u, kernel) if state.ku is None else state.ku
     r = config.mu * (1.0 - ku) * u_old

@@ -253,32 +253,43 @@ def test_sweep_bad_jobs(tmp_path, capsys):
 
 
 def test_import_leaves_scipy_signal_unloaded(fresh_python):
-    # the FFT kernel path calls scipy.fft directly; nothing loads scipy.signal
+    # the FFT kernel path runs numpy.fft, so its apply loads no scipy module
     code = ("import sys, nlkpp.cli\n"
             "from nlkpp import *\n"
             "g = build_uniform_grid(((0, 1), (0, 1)), (48, 48))\n"
             "k = sample_convolution_kernel(KernelProfile('gaussian', 0.2), g)\n"
             "assert k.apply_method == 'fft'\n"
             "apply_kernel(k, Field.constant(g, 1.0))\n"
-            "print('scipy.signal' in sys.modules)")
+            "print(any(m.partition('.')[0] == 'scipy' for m in sys.modules))")
     assert fresh_python(code).strip() == "False"
 
 
-@pytest.mark.parametrize("args,status,loads_scipy", [
-    ([], None, False),
-    (["certify", "gaussian.json"], 0, False),  # decided by the circulant symbol
-    (["simulate", "columns.json"], 2, False),
-    (["simulate", "gaussian.json"], 0, True),  # the diffusion solve needs LAPACK
-], ids=["import", "certify", "refusal", "simulate"])
+@pytest.mark.parametrize("args,status,module,loaded", [
+    ([], None, "scipy", False),
+    (["certify", "gaussian.json"], 0, "scipy", False),  # decided by the circulant symbol
+    (["simulate", "columns.json"], 2, "scipy", False),
+    (["simulate", "gaussian.json"], 0, "scipy", True),  # the diffusion solve needs LAPACK
+    # 1024 nodes: balancing applies the kernel by FFT
+    (["certify", "gaussian_2d.json"], 0, "scipy", False),
+    (["certify", "gaussian_1024.json"], 0, "scipy", False),
+    (["simulate", "gaussian_2d.json"], 0, "scipy.fft", False),
+], ids=["import", "certify", "refusal", "simulate", "certify_2d", "certify_1024",
+        "simulate_2d"])
 def test_scipy_loads_only_where_it_runs(tmp_path, fresh_python, args, status,
-                                        loads_scipy):
+                                        module, loaded):
     doc = scenario_doc()
+    doc["grid"]["counts"] = 1024
+    write(tmp_path, doc, "gaussian_1024.json")
     doc["grid"]["counts"] = 128
     write(tmp_path, doc, "gaussian.json")
     doc["kernel"]["normalization"] = "columns"
     write(tmp_path, doc, "columns.json")
+    doc = scenario_doc()
+    doc["grid"] = {"extents": [[0.0, 1.0], [0.0, 1.0]], "counts": [32, 32]}
+    write(tmp_path, doc, "gaussian_2d.json")
     code = "import sys, nlkpp, nlkpp.cli\n"
     if args:
         code += f"assert nlkpp.cli.main({args + ['--out', 'o']!r}) == {status}\n"
-    code += "print(any(m.partition('.')[0] == 'scipy' for m in sys.modules))"
-    assert fresh_python(code, cwd=tmp_path).splitlines()[-1] == str(loads_scipy)
+    code += (f"print(any(m == {module!r} or m.startswith({module + '.'!r})\n"
+             "          for m in sys.modules))")
+    assert fresh_python(code, cwd=tmp_path).splitlines()[-1] == str(loaded)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from nlkpp import (Field, KernelProfile, NumericalError, ShapeError,
                    laplacian_matrix, normalize_columns, reaction_term, run,
                    sample_convolution_kernel, step_imex,
                    symmetrize_and_normalize)
-from nlkpp.dynamics import DiffusionSolver, SimState
+from nlkpp.dynamics import _MAX_FACTORS, DiffusionSolver, SimState
 
 
 def logistic(t, u0=0.2, mu=1.0):
@@ -95,6 +98,30 @@ class TestStepImex:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(StepFailure, match="node 0 reaches non-finite"):
                 run(Field.constant(grid, 1e300), grid, kern, cfg)
+
+    def test_solverless_steps_factor_once(self, monkeypatch):
+        # without a solver argument each call used to build a solver of its
+        # own and factor W (I - dt L) again
+        import scipy.linalg
+        lapack = scipy.linalg.get_lapack_funcs
+        factored = []
+
+        def counting(names, arrays):
+            pbtrf, pbtrs = lapack(names, arrays)
+            return (lambda *a, **kw: factored.append(1) or pbtrf(*a, **kw)), pbtrs
+
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counting)
+        grid = build_uniform_grid((0, 1), 64)  # new, so no solver is kept for it
+        cfg = SimConfig(mu=1.0, dt=1e-3, t_end=1.0)
+        state = SimState(t=0.0, u=Field.constant(grid, 0.5))
+        for _ in range(100):
+            state = step_imex(state, grid, None, cfg)
+        assert state.step == 100 and len(factored) == 1
+        # the kept solver does not keep the grid alive
+        alive = weakref.ref(grid)
+        del grid, state
+        gc.collect()
+        assert alive() is None
 
 
 @pytest.fixture(scope="module")
@@ -343,6 +370,15 @@ class TestDiffusionSolver:
         rhs = np.where((x[:, 0] < 5) & (x[:, -1] < 9), 1.0, 1e-14)
         for dt in (1e-2, 5e-3):
             assert solver.solve(rhs, dt).min() >= 1e-14
+
+    def test_keeps_a_bounded_set_of_factors(self, unit_grid, rng):
+        # a solver shared by solverless step_imex calls meets every max_dt
+        solver = DiffusionSolver(unit_grid)
+        rhs = rng.uniform(0.5, 2.0, unit_grid.n_nodes)
+        dts = [1e-3 * (1 + k / 100) for k in range(100)]
+        for dt in dts:
+            solver.solve(rhs, dt)
+        assert list(solver._factors) == dts[-_MAX_FACTORS:]
 
     def test_failed_factorization_is_numerical_error(self, solver_grid):
         # I - dt L is indefinite for dt < 0, so the Cholesky breaks down

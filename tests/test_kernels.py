@@ -10,6 +10,7 @@ from nlkpp import (BalancingError, Field, Kernel, KernelError, KernelProfile,
                    certify_positivity_bochner, certify_positivity_eigen,
                    default_half_width, normalize_columns, sample_convolution_kernel,
                    sample_general_kernel, symmetrize_and_normalize)
+from nlkpp.kernels import _fast_len, _periodic_offsets, _sample_profile
 
 
 def difference_of_gaussians(sigma, ratio):
@@ -328,6 +329,28 @@ class TestApplyKernel:
         fast = apply_kernel(kern, f, method="fft").values
         assert np.max(np.abs(dense - fast)) < 1e-10 * np.max(np.abs(dense))
 
+    @pytest.mark.parametrize("family", ["gaussian", "tophat"])
+    @pytest.mark.parametrize("extents,counts", [
+        ((0, 1), 700),
+        (((0, 1), (0, 1.5)), (23, 37)),
+        (((0, 1), (0, 1)), (48, 40)),
+    ], ids=["700", "23x37", "48x40"])
+    def test_fft_matches_dense_off_powers_of_two(self, rng, family, extents, counts):
+        # padded lengths that are not powers of two, where FFT libraries
+        # round differently
+        grid = build_uniform_grid(extents, counts)
+        kern = symmetrize_and_normalize(
+            sample_convolution_kernel(KernelProfile(family, 0.2), grid))
+        f = Field(grid, rng.uniform(0.1, 2, grid.n_nodes))
+        dense = apply_kernel(kern, f, method="dense").values
+        fast = apply_kernel(kern, f, method="fft").values
+        assert np.max(np.abs(dense - fast)) < 1e-10 * np.max(np.abs(dense))
+
+    def test_padding_is_5_smooth(self):
+        from scipy.fft import next_fast_len
+        m = range(1, 10001)
+        assert list(map(_fast_len, m)) == [next_fast_len(k, real=True) for k in m]
+
     def test_fft_requires_convolution(self, unit_grid):
         kern = sample_general_kernel(lambda x, y: 1.0 + 0 * x * y, unit_grid)
         with pytest.raises(ValidationError):
@@ -558,6 +581,42 @@ class TestBochnerWindow:
             assert cert.violating_frequency == frequency
         else:
             assert (cert.verdict, cert.violating_frequency) == ("positive", None)
+
+
+def _full_window_bochner(profile, n, half_width):
+    """Verdict, witness, tolerance and violating frequency of the 2D check
+    from the full window: phi at every signed offset pair."""
+    n += n % 2
+    delta = 2.0 * half_width / n
+    window = _sample_profile(profile, [_periodic_offsets(n, delta)] * 2)
+    spectrum = np.fft.rfftn(window) * delta**2
+    tolerance = 1e-9 * float(np.max(np.abs(spectrum)))
+    re = spectrum.real
+    witness = float(re.min())
+    if witness >= -tolerance:
+        return "positive", witness, tolerance, None
+    i, j = np.unravel_index(int(np.argmin(re)), re.shape)
+    frequency = 2.0 * np.pi * math.hypot(np.fft.fftfreq(n, d=delta)[i],
+                                         np.fft.rfftfreq(n, d=delta)[j])
+    return "not_positive", witness, tolerance, frequency
+
+
+class TestMirroredBochnerWindow:
+    @pytest.mark.parametrize("profile", [
+        KernelProfile("gaussian", 0.5),
+        KernelProfile("tophat", 0.5),
+        KernelProfile("exponential", 0.5),
+        difference_of_gaussians(0.5, 0.8),
+    ], ids=["gaussian", "tophat", "exponential", "custom"])
+    @pytest.mark.parametrize("n", [16, 101, 2048])
+    def test_matches_the_full_window(self, profile, n):
+        half_width = (dog_half_width(0.5) if profile.family == "custom"
+                      else default_half_width(profile))
+        cert = certify_positivity_bochner(profile, n_samples=n,
+                                          half_width=half_width, dim=2)
+        assert (cert.verdict, cert.witness, cert.tolerance,
+                cert.violating_frequency) == _full_window_bochner(profile, n,
+                                                                  half_width)
 
 
 class TestCertificateConsistency:
