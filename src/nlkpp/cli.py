@@ -57,8 +57,6 @@ def main(argv=None) -> int:
             certify_scenario(parse_scenario(args.scenario), out_dir=args.out,
                              quiet=args.quiet)
         elif args.command == "sweep":
-            if args.jobs < 1:
-                raise ValidationError("--jobs must be >= 1")
             run_sweep(parse_sweep(args.sweep), jobs=args.jobs,
                       out_dir=args.out, quiet=args.quiet)
     except ValidationError as exc:

@@ -555,7 +555,12 @@ def certify_positivity_bochner(profile: KernelProfile, n_samples: int = 2048,
         raise KernelError(
             f"asymmetric profile: max |phi(z) - phi(-z)| = {asym:.3g}")
 
-    spectrum = np.fft.rfftn(window)
+    # the transform of axis 0 runs in place on the half spectrum of the last
+    # axis, once the window is freed: two arrays of the window's size at most
+    spectrum = np.fft.rfft(window)
+    del window, line
+    if dim == 2:
+        np.fft.fft(spectrum, axis=0, out=spectrum)
     spectrum *= delta**dim
 
     scale = float(np.max(np.abs(spectrum)))

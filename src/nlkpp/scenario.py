@@ -3,7 +3,10 @@
 A scenario is a strict JSON document (unknown keys are errors) that pins
 everything a run needs: grid, kernel, initial datum, integrator settings,
 and which artifacts to write. Identical scenarios produce bit-identical
-trace files, which makes the scenario the unit of reproducibility.
+trace files, which makes the scenario the unit of reproducibility. The
+``kernel`` section is required: a scenario always runs the nonlocal
+equation, and the local one (``kernel=None``) is reached through the Python
+API only.
 
 Artifacts written by :func:`run_scenario` into the output directory:
 
@@ -18,7 +21,7 @@ Artifacts written by :func:`run_scenario` into the output directory:
 The output directory is resolved as: explicit argument, then the
 ``NLKPP_OUT`` environment variable, then the scenario's own setting. It is
 created before the kernel is built, and one that cannot be created is a
-``ValidationError``.
+``ValidationError``; so is an artifact that cannot be written there.
 """
 
 import contextlib
@@ -143,23 +146,20 @@ class InitialSpec:
 class OutputSpec:
     directory: str = "out"
     artifacts: tuple[str, ...] = ARTIFACTS
-    stability: bool = True
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A validated scenario. With ``local_mode`` the run and the linearization
-    get no kernel; a ``kernel`` section next to it is still built and certified."""
+    """A validated scenario."""
 
     name: str
     grid: Grid
-    kernel: KernelSpec | None
+    kernel: KernelSpec
     initial: InitialSpec
     sim: SimConfig
     output: OutputSpec
     raw: dict
     base_dir: str = "."
-    local_mode: bool = False
 
 
 def _parse_grid(raw) -> Grid:
@@ -233,8 +233,7 @@ def _parse_initial(raw) -> InitialSpec:
     return spec
 
 
-def _parse_sim(raw) -> tuple[SimConfig, bool]:
-    """The run's settings and ``local_mode``."""
+def _parse_sim(raw) -> SimConfig:
     sec = _Section(raw, "sim")
     config = SimConfig(  # validates mu, dt, t_end and the rest
         mu=_as_number(sec.take("mu"), "sim.mu"),
@@ -242,16 +241,14 @@ def _parse_sim(raw) -> tuple[SimConfig, bool]:
         t_end=_as_number(sec.take("t_end"), "sim.t_end"),
         snapshot_every=_as_int(sec.take("snapshot_every", 100), "sim.snapshot_every"),
     )
-    local_mode = _as_bool(sec.take("local_mode", False), "sim.local_mode")
     sec.finish()
-    return config, local_mode
+    return config
 
 
 def _parse_output(raw) -> OutputSpec:
     sec = _Section(raw, "output")
     directory = _as_str(sec.take("directory", "out"), "output.directory")
     artifacts = sec.take("artifacts", list(ARTIFACTS))
-    stability = _as_bool(sec.take("stability", True), "output.stability")
     sec.finish()
     if not isinstance(artifacts, list):
         raise ValidationError("output.artifacts must be a list")
@@ -259,7 +256,7 @@ def _parse_output(raw) -> OutputSpec:
         if art not in ARTIFACTS:
             raise ValidationError(
                 f"unknown artifact {art!r}; choose from {ARTIFACTS}")
-    return OutputSpec(directory, tuple(artifacts), stability)
+    return OutputSpec(directory, tuple(artifacts))
 
 
 def parse_scenario_dict(raw: dict, name: str = "scenario",
@@ -268,17 +265,14 @@ def parse_scenario_dict(raw: dict, name: str = "scenario",
     top = _Section(raw, "scenario")
     name = _as_str(top.take("name", name), "name")
     grid = _parse_grid(top.take("grid"))
-    sim, local_mode = _parse_sim(top.take("sim"))
-    kernel_raw = top.take("kernel", None)
-    if kernel_raw is None and not local_mode:
-        raise ValidationError("a 'kernel' section is required unless sim.local_mode")
-    kernel = _parse_kernel(kernel_raw) if kernel_raw is not None else None
+    sim = _parse_sim(top.take("sim"))
+    kernel = _parse_kernel(top.take("kernel"))
     initial = _parse_initial(top.take("initial"))
     output = _parse_output(top.take("output", {}))
     top.finish()
     return Scenario(name=name, grid=grid, kernel=kernel, initial=initial,
                     sim=sim, output=output, raw=copy.deepcopy(raw),
-                    base_dir=base_dir, local_mode=local_mode)
+                    base_dir=base_dir)
 
 
 def _load_json(path) -> dict:
@@ -368,6 +362,18 @@ def _output_dir(out_dir, fallback) -> Path:
     return path
 
 
+@contextlib.contextmanager
+def _writing_into(out: Path):
+    """Turn an ``OSError`` raised while writing artifacts into ``out`` (a
+    directory where a file goes, a full disk) into a ValidationError that
+    names the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot write '{exc.filename or out}': {exc.strerror or exc}") from None
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -409,22 +415,15 @@ def _run_scenario_inner(scenario: Scenario, out_dir, quiet: bool,
                         start: float) -> dict:
     out = _output_dir(out_dir, scenario.output.directory)
     grid = scenario.grid
-    kernel = None
-    certificates: list[PositivityCertificate] = []
-    if scenario.kernel is not None:
-        kernel, certificates = build_kernel(scenario.kernel, grid)
-    run_kernel = None if scenario.local_mode else kernel
+    kernel, certificates = build_kernel(scenario.kernel, grid)
 
     jacobian = None
     abscissa = math.nan
     skipped = None
-    if not scenario.output.stability:
-        skipped = "output.stability is false"
-    elif grid.n_nodes > _STABILITY_MAX_NODES:
+    if grid.n_nodes > _STABILITY_MAX_NODES:
         skipped = f"{grid.n_nodes} nodes > {_STABILITY_MAX_NODES}"
     else:
-        jacobian = linearization_matrix(grid, run_kernel, scenario.sim.mu)
-    if jacobian is not None:
+        jacobian = linearization_matrix(grid, kernel, scenario.sim.mu)
         abscissa = spectral_abscissa(jacobian)
 
     u0, initial_info = _build_initial(scenario, grid, jacobian, skipped)
@@ -440,16 +439,15 @@ def _run_scenario_inner(scenario: Scenario, out_dir, quiet: bool,
         if cert.solver is not None:
             cert_fields[f"{cert.method}_solver"] = cert.solver
     meta.update(cert_fields)
-    if kernel is not None:
-        meta["kernel_strictly_positive"] = kernel.strictly_positive
-        if not kernel.strictly_positive and any(
-                c.verdict == "positive" for c in certificates):
-            # positive quadratic form but zeros in K: convergence to 1 is not
-            # guaranteed by the theory, only suggested; record it
-            meta["positivity_caveat"] = ("kernel has zero entries; certified "
-                                         "positivity alone does not pin the limit")
+    meta["kernel_strictly_positive"] = kernel.strictly_positive
+    if not kernel.strictly_positive and any(
+            c.verdict == "positive" for c in certificates):
+        # positive quadratic form but zeros in K: convergence to 1 is not
+        # guaranteed by the theory, only suggested; record it
+        meta["positivity_caveat"] = ("kernel has zero entries; certified "
+                                     "positivity alone does not pin the limit")
 
-    state, trace = run(u0, grid, run_kernel, scenario.sim, metadata=meta)
+    state, trace = run(u0, grid, kernel, scenario.sim, metadata=meta)
 
     final_v = trace.column("V")[-1]
     final_sup = trace.column("sup_dist_one")[-1]
@@ -472,23 +470,25 @@ def _run_scenario_inner(scenario: Scenario, out_dir, quiet: bool,
     }
 
     arts = scenario.output.artifacts
-    if "trace" in arts:
-        trace.to_csv(out / "trace.csv")
-    if "certificate" in arts and certificates:
-        _write_csv(out / "certificate.csv", CERTIFICATE_COLUMNS,
-                   _certificate_rows(certificates, grid, scenario.kernel))
-    if "final_field" in arts:
-        fieldio.write_field(out / "final_field.bin", state.u)
-    if "snapshots" in arts:
-        snap_dir = _output_dir(out / "snapshots", None)
-        for snap in trace.snapshots:
-            fieldio.write_field(snap_dir / f"snap_{snap.step:08d}.bin", snap.field)
-    if "summary" in arts:
-        _write_csv(out / "summary.csv", SUMMARY_COLUMNS, [summary])
-    if "meta" in arts:
-        (out / "run_meta.json").write_text(
-            json.dumps({"scenario": scenario.raw, "metadata": trace.metadata},
-                       indent=2, default=str) + "\n")
+    with _writing_into(out):
+        if "trace" in arts:
+            trace.to_csv(out / "trace.csv")
+        if "certificate" in arts and certificates:
+            _write_csv(out / "certificate.csv", CERTIFICATE_COLUMNS,
+                       _certificate_rows(certificates, grid, scenario.kernel))
+        if "final_field" in arts:
+            fieldio.write_field(out / "final_field.bin", state.u)
+        if "snapshots" in arts:
+            snap_dir = _output_dir(out / "snapshots", None)
+            for snap in trace.snapshots:
+                fieldio.write_field(snap_dir / f"snap_{snap.step:08d}.bin",
+                                    snap.field)
+        if "summary" in arts:
+            _write_csv(out / "summary.csv", SUMMARY_COLUMNS, [summary])
+        if "meta" in arts:
+            (out / "run_meta.json").write_text(
+                json.dumps({"scenario": scenario.raw, "metadata": trace.metadata},
+                           indent=2, default=str) + "\n")
 
     if not quiet:
         print(f"[{scenario.name}] steps={state.step} "
@@ -499,14 +499,13 @@ def _run_scenario_inner(scenario: Scenario, out_dir, quiet: bool,
 
 def certify_scenario(scenario: Scenario, out_dir=None, quiet: bool = False) -> list:
     """Kernel-only path: build, normalize, certify, emit certificate.csv."""
-    if scenario.kernel is None:
-        raise ValidationError(f"scenario '{scenario.name}' has no kernel section")
     out = _output_dir(out_dir, scenario.output.directory)
     grid = scenario.grid
     spec = replace(scenario.kernel, certify=True)
     _, certificates = build_kernel(spec, grid)
-    _write_csv(out / "certificate.csv", CERTIFICATE_COLUMNS,
-               _certificate_rows(certificates, grid, scenario.kernel))
+    with _writing_into(out):
+        _write_csv(out / "certificate.csv", CERTIFICATE_COLUMNS,
+                   _certificate_rows(certificates, grid, scenario.kernel))
     if not quiet:
         for cert in certificates:
             print(f"[{scenario.name}] {cert.method}: {cert.verdict} "
@@ -530,15 +529,7 @@ class SweepSpec:
 
 def parse_sweep_dict(raw: dict, base_dir: str = ".") -> SweepSpec:
     top = _Section(raw, "sweep")
-    base = top.take("base", None)
-    base_path = top.take("base_path", None)
-    if (base is None) == (base_path is None):
-        raise ValidationError("provide exactly one of 'base' or 'base_path'")
-    if base_path is not None:
-        path = Path(_as_str(base_path, "base_path"))
-        if not path.is_absolute():
-            path = Path(base_dir) / path
-        base = _load_json(path)
+    base = top.take("base")
     params_raw = top.take("parameters")
     directory = _as_str(top.take("directory", "sweep_out"), "directory")
     top.finish()
@@ -675,6 +666,8 @@ def run_sweep(sweep: SweepSpec, jobs: int = 1, out_dir=None,
     bytes are reproducible. The points run with OpenBLAS at one thread (see
     ``_one_blas_thread``), so ``jobs`` is the number of cores a sweep uses.
     """
+    if jobs < 1:
+        raise ValidationError(f"jobs must be >= 1, got {jobs}")
     root = _output_dir(out_dir, sweep.directory)
     points = _sweep_points(sweep)
     tasks = [(i, sweep.base, assignment, str(root / f"point_{i:03d}"),
@@ -693,7 +686,8 @@ def run_sweep(sweep: SweepSpec, jobs: int = 1, out_dir=None,
                 rows = list(pool.map(_run_sweep_point, tasks))
         else:
             rows = [_run_sweep_point(task) for task in tasks]
-    _write_csv(root / "sweep_summary.csv", sweep_columns(sweep), rows)
+    with _writing_into(root):
+        _write_csv(root / "sweep_summary.csv", sweep_columns(sweep), rows)
     if not quiet:
         ok = sum(1 for r in rows if r.get("status") == "ok")
         print(f"sweep: {ok}/{len(rows)} points ok -> {root / 'sweep_summary.csv'}")

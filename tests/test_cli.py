@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -92,23 +93,47 @@ def test_non_finite_or_fractional_input_is_exit_2(tmp_path, capsys, section,
     assert not (tmp_path / "o").exists()
 
 
-# keys the scenario schema once read; the Python API keeps each as an argument
+# keys the scenario schema once read; the Python API keeps each as an
+# argument, local mode as a run without a kernel (kernel=None)
 REMOVED_KEYS = [("kernel", "inhibition_ratio", 0.8), ("kernel", "eigen_tol", 1e-9),
                 ("kernel", "bochner_tol", 1e-9), ("kernel", "bochner_half_width", 50.0),
                 ("kernel", "bochner_samples", 2048), ("kernel", "balance_tol", 1e-12),
                 ("kernel", "balance_max_iterations", 5000),
-                ("sim", "positivity_floor", 1e-14), ("sim", "max_dt_halvings", 40)]
+                ("sim", "positivity_floor", 1e-14), ("sim", "max_dt_halvings", 40),
+                ("sim", "local_mode", False), ("output", "stability", True)]
 
 
 @pytest.mark.parametrize("section,key,value", REMOVED_KEYS,
                          ids=[key for _, key, _ in REMOVED_KEYS])
 def test_removed_key_is_unknown(tmp_path, capsys, section, key, value):
     doc = scenario_doc()
-    doc[section][key] = value
+    doc.setdefault(section, {})[key] = value
     code = main(["simulate", write(tmp_path, doc, "removed.json"),
                  "--out", str(tmp_path / "o")])
     assert code == 2
     assert f"unknown key '{key}' in '{section}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_base_path_is_unknown(tmp_path, capsys):
+    write(tmp_path, scenario_doc(), "base.json")
+    sweep = {"base": scenario_doc(), "base_path": "base.json",
+             "parameters": [{"path": "sim.mu", "values": [1.0]}]}
+    code = main(["sweep", write(tmp_path, sweep, "sw.json"),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "unknown key 'base_path' in 'sweep'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "certify"])
+def test_missing_kernel_section_is_exit_2(tmp_path, capsys, command):
+    doc = scenario_doc()
+    del doc["kernel"]
+    code = main([command, write(tmp_path, doc, "local.json"),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "missing required key 'kernel' in 'scenario'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -143,8 +168,7 @@ def test_column_normalization_is_exit_2(tmp_path, capsys):
 
 def test_step_failure_maps_to_exit_3(tmp_path, capsys):
     doc = scenario_doc()
-    del doc["kernel"]
-    doc["sim"] = {"mu": 1e15, "dt": 1.0, "t_end": 1.0, "local_mode": True}
+    doc["sim"] = {"mu": 1e15, "dt": 1.0, "t_end": 1.0}
     doc["initial"] = {"kind": "constant", "value": 4.0}
     code = main(["simulate", write(tmp_path, doc, "explode.json"),
                  "--out", str(tmp_path / "o")])
@@ -208,7 +232,6 @@ NON_STRINGS = [
     ("simulate", dict(scenario_doc(), output={"directory": True}), "output.directory"),
     ("simulate", dict(scenario_doc(), initial={"kind": "file", "path": None}),
      "initial.path"),
-    ("sweep", {"base_path": {"p": 1}, "parameters": SWEPT_MU}, "base_path"),
     ("sweep", {"base": scenario_doc(), "directory": 1.5, "parameters": SWEPT_MU},
      "directory"),
     ("sweep", {"base": scenario_doc(),
@@ -244,6 +267,26 @@ def test_uncreatable_output_directory_is_exit_2(tmp_path, capsys, monkeypatch,
     assert code == 2
     assert f"cannot create output directory '{tmp_path / out}'" in \
         capsys.readouterr().err
+
+
+BLOCKED_ARTIFACTS = [
+    ("simulate", "trace.csv"), ("simulate", "certificate.csv"),
+    ("simulate", "final_field.bin"), ("simulate", "snapshots/snap_00000000.bin"),
+    ("simulate", "summary.csv"), ("simulate", "run_meta.json"),
+    ("certify", "certificate.csv"), ("sweep", "sweep_summary.csv"),
+]
+
+
+@pytest.mark.parametrize("command,blocked", BLOCKED_ARTIFACTS,
+                         ids=[f"{c}-{Path(b).name}" for c, b in BLOCKED_ARTIFACTS])
+def test_unwritable_artifact_is_exit_2(tmp_path, capsys, command, blocked):
+    doc = ({"base": scenario_doc(), "parameters": SWEPT_MU} if command == "sweep"
+           else scenario_doc())
+    (tmp_path / "o" / blocked).mkdir(parents=True)  # a directory where a file goes
+    code = main([command, write(tmp_path, doc, "doc.json"),
+                 "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 2
+    assert f"cannot write '{tmp_path / 'o' / blocked}'" in capsys.readouterr().err
 
 
 def test_sweep_bad_jobs(tmp_path, capsys):

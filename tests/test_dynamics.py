@@ -180,7 +180,11 @@ class TestRunBookkeeping:
     def test_local_mode_applies_no_kernel(self, unit_grid):
         cfg = SimConfig(mu=1.0, dt=1e-2, t_end=0.1)
         _, trace = run(Field.constant(unit_grid, 0.5), unit_grid, None, cfg)
-        assert trace.metadata["kernel_applications"] == 0
+        meta = trace.metadata
+        assert meta["kernel_applications"] == 0
+        assert meta["local_mode"] is True
+        assert (meta["kernel_apply"], meta["kernel_normalization"]) == ("none", "none")
+        assert "balance_iterations" not in meta
 
 
 class TestRun:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -617,6 +618,17 @@ class TestMirroredBochnerWindow:
         assert (cert.verdict, cert.witness, cert.tolerance,
                 cert.violating_frequency) == _full_window_bochner(profile, n,
                                                                   half_width)
+
+    def test_traced_peak_below_80_mib(self):
+        # 2048^2: the 32 MiB window and the 32 MiB half spectrum, then the
+        # axis-0 transform in place; a second spectrum would bring 96 MiB
+        tracemalloc.start()
+        try:
+            certify_positivity_bochner(KernelProfile("gaussian", 0.2), dim=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * 2**20
 
 
 class TestCertificateConsistency:

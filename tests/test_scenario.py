@@ -89,13 +89,22 @@ class TestParsing:
         with pytest.raises(ValidationError, match="No such file"):
             parse_scenario(tmp_path / "absent.json")
 
-    def test_kernel_required_unless_local(self):
+    def test_kernel_required(self):
         doc = minimal_doc()
         del doc["kernel"]
-        with pytest.raises(ValidationError, match="kernel"):
+        with pytest.raises(ValidationError,
+                           match="missing required key 'kernel' in 'scenario'"):
             parse_scenario_dict(doc)
-        doc["sim"]["local_mode"] = True
-        assert parse_scenario_dict(doc).kernel is None
+
+    @pytest.mark.parametrize("mode,message", [
+        (0, "initial.mode must be >= 1"), (-2, "initial.mode must be >= 1"),
+        (2.0, "'initial.mode' must be an integer"),
+        (True, "'initial.mode' must be an integer")],
+        ids=["zero", "negative", "float", "bool"])
+    def test_cosine_mode_must_be_a_positive_integer(self, mode, message):
+        doc = minimal_doc(initial={"kind": "cosine", "mode": mode})
+        with pytest.raises(ValidationError, match=message):
+            parse_scenario_dict(doc)
 
     def test_solver_2d_is_unknown(self):
         doc = minimal_doc()
@@ -290,30 +299,6 @@ class TestRunScenario:
         assert list(rows[0]) == ["method", "verdict", "witness", "tolerance",
                                  "grid_n", "kernel_family", "sigma"]
 
-    def test_local_mode_records_no_kernel_apply(self, tmp_path):
-        doc = minimal_doc(output={"artifacts": ["meta"]})
-        doc["sim"]["local_mode"] = True
-        run_scenario(parse_scenario_dict(doc), out_dir=tmp_path / "l", quiet=True)
-        meta = json.loads((tmp_path / "l/run_meta.json").read_text())["metadata"]
-        assert meta["kernel_apply"] == "none"
-
-    def test_local_mode_certifies_its_kernel_but_does_not_run_it(self, tmp_path):
-        doc = minimal_doc(initial={"kind": "random_uniform", "low": 0.5,
-                                   "high": 1.5, "seed": 3})
-        doc["sim"]["local_mode"] = True
-        run_scenario(parse_scenario_dict(doc), out_dir=tmp_path / "k", quiet=True)
-        del doc["kernel"]
-        run_scenario(parse_scenario_dict(doc), out_dir=tmp_path / "n", quiet=True)
-        certs = read_csv_rows(tmp_path / "k/certificate.csv")
-        assert {c["method"] for c in certs} == {"eigen", "bochner"}
-        assert not (tmp_path / "n/certificate.csv").exists()
-        assert (tmp_path / "k/trace.csv").read_bytes() == \
-            (tmp_path / "n/trace.csv").read_bytes()
-        meta = json.loads((tmp_path / "k/run_meta.json").read_text())["metadata"]
-        assert meta["local_mode"] is True
-        assert meta["kernel_normalization"] == "none"
-        assert "balance_iterations" not in meta
-
     def test_matrix_free_run_builds_no_matrix(self, tmp_path, monkeypatch):
         # at 48 x 48 = 2304 nodes the kernel applies by FFT; with certify and
         # stability off nothing needs the dense matrix, so none may be built
@@ -331,12 +316,39 @@ class TestRunScenario:
         V = Trace.from_csv(tmp_path / "mf/trace.csv").column("V")
         assert len(V) == 11 and np.all(np.diff(V) <= 0)
 
-    def test_stability_switched_off_is_recorded(self, tmp_path):
-        doc = minimal_doc(output={"artifacts": ["meta"], "stability": False})
-        run_scenario(parse_scenario_dict(doc), out_dir=tmp_path / "off",
-                     quiet=True)
-        meta = json.loads((tmp_path / "off/run_meta.json").read_text())
-        assert meta["metadata"]["stability_skipped"] == "output.stability is false"
+    def test_integer_cosine_mode_runs_without_the_stability_analysis(self, tmp_path):
+        # 1089 nodes skip the stability analysis, which "most_unstable" needs
+        doc = minimal_doc(grid={"extents": [[0, 1], [0, 1]], "counts": [33, 33]},
+                          initial={"kind": "cosine", "amplitude": 0.02, "mode": 3},
+                          output={"artifacts": ["meta", "snapshots"]})
+        doc["kernel"]["certify"] = False
+        doc["sim"]["t_end"] = 2e-3
+        run_scenario(parse_scenario_dict(doc), out_dir=tmp_path / "c", quiet=True)
+        meta = json.loads((tmp_path / "c/run_meta.json").read_text())["metadata"]
+        assert meta["initial"] == {"kind": "cosine", "mode": 3}
+        assert meta["stability_skipped"] == "1089 nodes > 1024"
+        u0 = read_field(tmp_path / "c/snapshots/snap_00000000.bin")
+        assert np.array_equal(u0.values,
+                              1.0 + 0.02 * np.cos((3 * np.pi) * u0.grid.nodes[:, 0]))
+
+    def test_zeros_in_a_certified_kernel_are_recorded(self, tmp_path):
+        # sigma 0.02 on 128 nodes: the far entries underflow to 0, and both
+        # certificates still find the form positive
+        doc = minimal_doc(grid={"extents": [0, 1], "counts": 128},
+                          output={"artifacts": ["meta"]})
+        doc["kernel"]["sigma"] = 0.02
+        doc["sim"]["t_end"] = 2e-3
+        run_scenario(parse_scenario_dict(doc), out_dir=tmp_path / "z", quiet=True)
+        meta = json.loads((tmp_path / "z/run_meta.json").read_text())["metadata"]
+        assert (meta["eigen_verdict"], meta["bochner_verdict"]) == \
+            ("positive", "positive")
+        assert meta["kernel_strictly_positive"] is False
+        assert meta["positivity_caveat"].startswith("kernel has zero entries")
+        doc["kernel"]["sigma"] = 0.2
+        run_scenario(parse_scenario_dict(doc), out_dir=tmp_path / "p", quiet=True)
+        meta = json.loads((tmp_path / "p/run_meta.json").read_text())["metadata"]
+        assert meta["kernel_strictly_positive"] is True
+        assert "positivity_caveat" not in meta
 
     def test_2d_scenario_runs(self, tmp_path):
         doc = minimal_doc(grid={"extents": [[0, 1], [0, 1]],
@@ -381,6 +393,34 @@ class TestSweep:
         assert rows[0]["status"] == "validation_error"
         assert "point_000" in rows[0]["error"]
         assert rows[1]["status"] == "ok"
+
+    def test_unwritable_artifact_fails_its_point_only(self, tmp_path):
+        (tmp_path / "s/point_001/trace.csv").mkdir(parents=True)
+        sweep = parse_sweep_dict(self.base_sweep(values=(0.5, 1.0, 2.0)))
+        rows = run_sweep(sweep, out_dir=tmp_path / "s", quiet=True)
+        assert [r["status"] for r in rows] == ["ok", "validation_error", "ok"]
+        assert str(tmp_path / "s/point_001/trace.csv") in rows[1]["error"]
+        summary = read_csv_rows(tmp_path / "s/sweep_summary.csv")
+        assert [r["status"] for r in summary] == ["ok", "validation_error", "ok"]
+        assert (tmp_path / "s/point_002/trace.csv").is_file()
+
+    def test_numerical_failure_fails_its_point_only(self, tmp_path):
+        spec = self.base_sweep(values=(1.0, 1e15))
+        spec["base"]["initial"] = {"kind": "constant", "value": 4.0}
+        spec["base"]["sim"].update(dt=1.0, t_end=1.0)
+        rows = run_sweep(parse_sweep_dict(spec), out_dir=tmp_path / "s", quiet=True)
+        assert [r["status"] for r in rows] == ["ok", "numerical_error"]
+        assert "step rejected" in rows[1]["error"]
+        summary = read_csv_rows(tmp_path / "s/sweep_summary.csv")
+        assert [(r["status"], r["error"]) for r in summary] == \
+            [("ok", ""), ("numerical_error", rows[1]["error"])]
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_is_refused(self, tmp_path, jobs):
+        with pytest.raises(ValidationError, match=f"jobs must be >= 1, got {jobs}"):
+            run_sweep(parse_sweep_dict(self.base_sweep()), jobs=jobs,
+                      out_dir=tmp_path / "s", quiet=True)
+        assert not (tmp_path / "s").exists()
 
     def test_point_failures_recorded_and_sweep_continues(self, tmp_path):
         sweep = parse_sweep_dict(self.base_sweep(values=(-1.0, 1.0)))
