@@ -23,7 +23,7 @@ from nlkpp import (Field, KernelProfile, SimConfig, build_uniform_grid,
 
 
 def abscissa_at(grid, kernel, mu):
-    return spectral_abscissa(linearization_matrix(grid, kernel, mu))
+    return spectral_abscissa(grid, linearization_matrix(grid, kernel, mu))
 
 
 def main() -> None:
@@ -52,7 +52,7 @@ def main() -> None:
     lo_mu, hi_mu = None, None
     for mu in mus:
         jac = linearization_matrix(grid, kernel, mu)
-        absc = spectral_abscissa(jac)
+        absc = spectral_abscissa(grid, jac)
         k = most_unstable_cosine_mode(grid, jac)
         print(f"{mu:10.2f} {absc:12.4f} {k:14d}")
         if absc < 0:

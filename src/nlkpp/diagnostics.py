@@ -7,7 +7,7 @@ kernel certifies positive, which is the mechanism behind global convergence
 to 1. ``decay_identity_residual`` measures how well a discrete trajectory
 honours that identity; it reads two rows of the trace, so a ``trace.csv``
 loaded with ``Trace.from_csv`` can be checked as well as a run in memory. The
-linearization utilities locate the Turing instability when the positivity
+self-adjoint linearization locates the Turing instability when the positivity
 hypothesis fails. Throughout, ``kernel=None`` is local mode: K[u] = u.
 """
 
@@ -217,13 +217,19 @@ def linearization_matrix(grid: Grid, kernel: Kernel | None,
     return L - mu * (kernel.matrix * grid.weights[None, :])
 
 
-def spectral_abscissa(matrix: np.ndarray) -> float:
-    """Largest real part of the spectrum; negative means linear stability."""
+def spectral_abscissa(grid: Grid, jacobian: np.ndarray) -> float:
+    """Largest eigenvalue of J, negative for linear stability. W L and a
+    balanced K are symmetric, so J = L - mu K W is similar to the symmetric
+    S = W^{1/2} J W^{-1/2}; a J whose S is not symmetric to round-off is refused."""
+    r = np.sqrt(grid.weights)
+    S = r[:, None] * np.asarray(jacobian, dtype=float) / r[None, :]
+    asym = float(np.max(np.abs(S - S.T)))
+    if not asym <= 1e-12 * float(np.max(np.abs(S))):  # NaN fails too
+        raise ValidationError(f"J is not self-adjoint: max |S - S^T| = {asym:.3g}")
     try:
-        eigvals = np.linalg.eigvals(np.asarray(matrix, dtype=float))
+        return float(np.linalg.eigvalsh(0.5 * (S + S.T))[-1])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
-    return float(eigvals.real.max())
 
 
 def cosine_modes(grid: Grid, k) -> np.ndarray:

@@ -14,9 +14,9 @@ Two certificates decide whether the double-integral quadratic form
   bounded domain (zero-extend the test function).
 
 The dynamics need the weighted row sums K[1] = K @ w to be one, so that the
-homogeneous state 1 is a steady state. Sinkhorn-style double balancing gives
-that (and the column sums too), and it is the only normalization the
-simulation accepts. ``normalize_columns`` makes the weighted *column* sums
+homogeneous state 1 is a steady state. Symmetric balancing of a symmetric
+kernel gives that (and the column sums too), and it is the only normalization
+the simulation accepts. ``normalize_columns`` makes the weighted *column* sums
 w @ K one instead; that does not pin K[1], so its kernels are labelled
 ``"columns"``, not ``normalized``, and the dynamics refuse them.
 """
@@ -46,7 +46,7 @@ class KernelProfile:
 
     ``sigma`` is the length scale. The tophat is not Lipschitz; it is kept as
     the canonical discontinuous, positivity-violating example. A ``custom``
-    profile evaluates ``func``, which may be signed or asymmetric.
+    profile evaluates ``func``; balancing refuses a signed or asymmetric one.
     """
 
     family: str
@@ -297,59 +297,43 @@ def _symmetric_by_construction(kernel: Kernel) -> bool:
 
 def symmetrize_and_normalize(kernel: Kernel, max_iterations: int = 5000,
                              tol: float = 1e-12) -> Kernel:
-    """Sinkhorn balancing: weighted row and column sums both driven to one.
+    """Symmetric Sinkhorn-Knopp balancing: weighted row sums, and so column
+    sums, driven to one by a single scaling, K -> diag(d) K diag(d).
 
-    The input must be entrywise nonnegative with no zero row or column. A
-    symmetric input is scaled by a single vector, so symmetry is preserved
-    exactly; its products K @ (w d) run through the kernel's own matvec. A
+    The input must be symmetric (a convolution kernel with an even stencil, or
+    a dense matrix equal to its transpose), entrywise nonnegative and with no
+    zero row; the result is exactly symmetric, which the stability analysis
+    relies on. The products K @ (w d) run through the kernel's own matvec. A
     convolution kernel's result is matrix-free: its ``scale`` absorbs d and it
-    shares the input's stencil. A nonsymmetric input gets the usual
-    alternating row/column scaling on its dense matrix, and the result is that
-    scaled matrix without a profile. The result records
-    ``balance_iterations`` (scalings computed) and ``balance_deviation`` (the
-    final max |sum - 1|).
+    shares the input's stencil. The result records ``balance_iterations``
+    (scalings computed) and ``balance_deviation`` (the final max |sum - 1|).
     """
     w = kernel.grid.weights
-    symmetric = _symmetric_by_construction(kernel)
+    even = _symmetric_by_construction(kernel)
     # an even stencil's table has the matrix's signs (the scalings are positive)
-    K = kernel._stencil.table if symmetric else kernel.matrix
+    K = kernel._stencil.table if even else kernel.matrix
+    if not (even or np.array_equal(K, K.T)):  # diag(d) K diag(d) keeps K^T = K
+        raise KernelError("balancing by one scaling requires a symmetric kernel")
     if K.min() < 0:
         raise KernelError("balancing requires an entrywise nonnegative kernel")
-    sums = _matvec(kernel, w) if symmetric else K @ w
-    # for K = K^T the column sums are the row sums
-    if np.any(sums <= 0) or not symmetric and np.any(w @ K <= 0):
+    sums = _matvec(kernel, w)
+    if np.any(sums <= 0):
         raise KernelError("balancing requires no zero row or column")
-    symmetric = symmetric or np.array_equal(K, K.T)
 
     err = math.inf
-    iterations = 0
-    if symmetric:
-        d = 1.0 / np.sqrt(sums)
-        while iterations < max_iterations:
-            iterations += 1
-            s = d * _matvec(kernel, w * d)
-            err = float(np.max(np.abs(s - 1.0)))
-            if err <= tol:
-                break
-            d = d / np.sqrt(s)
+    d = 1.0 / np.sqrt(sums)
+    for iterations in range(1, max_iterations + 1):
+        s = d * _matvec(kernel, w * d)
+        err = float(np.max(np.abs(s - 1.0)))
+        if err <= tol:
+            break
+        d = d / np.sqrt(s)
     else:
-        r = np.ones(kernel.grid.n_nodes)
-        while iterations < max_iterations:
-            iterations += 1
-            c = 1.0 / ((w * r) @ K)
-            r = 1.0 / (K @ (w * c))
-            err = float(np.max(np.abs(c * ((w * r) @ K) - 1.0)))
-            if err <= tol:
-                break
-    if err > tol:
         raise BalancingError(
             f"balancing stalled at deviation {err:.3g} after "
             f"{max_iterations} iterations (tol {tol:.3g})")
 
-    if not symmetric:
-        balanced = Kernel(kernel.grid, (r[:, None] * K) * c[None, :],
-                          normalization="balanced")
-    elif kernel.profile is None:
+    if kernel.profile is None:
         balanced = Kernel(kernel.grid, np.outer(d, d) * K, normalization="balanced")
     else:
         # matrix-free: diag(scale) phi diag(scale), gathered on first dense use

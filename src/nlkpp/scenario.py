@@ -62,7 +62,7 @@ SUMMARY_COLUMNS = ("name", "status", "t_end", "steps", "final_sup_dist_one",
 CERTIFICATE_COLUMNS = ("method", "verdict", "witness", "tolerance",
                        "grid_n", "kernel_family", "sigma")
 
-# abscissa needs a dense nonsymmetric eigensolve; skip on grids bigger than this
+# abscissa needs a dense symmetric eigensolve; skip on grids bigger than this
 _STABILITY_MAX_NODES = 1024
 
 # sweep workers are forked, so they inherit the caller's BLAS thread count
@@ -221,6 +221,7 @@ def _parse_initial(raw) -> InitialSpec:
             mode = _as_int(mode, "initial.mode")
             if mode < 1:
                 raise ValidationError("initial.mode must be >= 1")
+            _as_number(mode, "initial.mode")  # cosine_modes takes it as a float
         if not 0 <= amplitude < 1:
             raise ValidationError("initial.amplitude must lie in [0, 1)")
         spec = InitialSpec(kind=kind, amplitude=amplitude, mode=mode)
@@ -277,8 +278,16 @@ def parse_scenario_dict(raw: dict, name: str = "scenario",
 
 def _load_json(path) -> dict:
     path = Path(path)
+
+    def unique_keys(pairs):  # json.loads alone keeps the last copy of a key
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValidationError(f"{path}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(), object_pairs_hook=unique_keys)
     except OSError as exc:  # missing, a directory, no permission
         raise ValidationError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -424,7 +433,7 @@ def _run_scenario_inner(scenario: Scenario, out_dir, quiet: bool,
         skipped = f"{grid.n_nodes} nodes > {_STABILITY_MAX_NODES}"
     else:
         jacobian = linearization_matrix(grid, kernel, scenario.sim.mu)
-        abscissa = spectral_abscissa(jacobian)
+        abscissa = spectral_abscissa(grid, jacobian)
 
     u0, initial_info = _build_initial(scenario, grid, jacobian, skipped)
 

@@ -137,7 +137,7 @@ def test_a6_pattern_regime(unit_grid, balanced_tophat):
     start = time.perf_counter()
     mu = 50.0
     jac = linearization_matrix(unit_grid, balanced_tophat, mu)
-    abscissa = spectral_abscissa(jac)
+    abscissa = spectral_abscissa(unit_grid, jac)
     k = most_unstable_cosine_mode(unit_grid, jac)
     x = unit_grid.nodes[:, 0]
     u0 = Field(unit_grid, 1.0 + 0.01 * np.cos(k * np.pi * x))

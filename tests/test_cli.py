@@ -289,6 +289,23 @@ def test_unwritable_artifact_is_exit_2(tmp_path, capsys, command, blocked):
     assert f"cannot write '{tmp_path / 'o' / blocked}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_duplicate_key_is_exit_2(tmp_path, capsys, command):
+    # json.loads alone would keep the last copy and run a gaussian at mu = 5
+    doc = scenario_doc()
+    doc["kernel"]["family"] = "tophat"
+    if command == "sweep":
+        doc = {"base": doc, "parameters": [{"path": "sim.t_end", "values": [0.01]}]}
+    text = (json.dumps(doc)
+            .replace('"sigma": 0.2', '"sigma": 0.2, "family": "gaussian"')
+            .replace('"mu": 1.0', '"mu": 1.0, "mu": 5.0'))
+    path = tmp_path / "dup.json"
+    path.write_text(text)
+    assert main([command, str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"{path}: duplicate key 'family'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_bad_jobs(tmp_path, capsys):
     sweep = {"base": scenario_doc(),
              "parameters": [{"path": "sim.mu", "values": [1.0]}]}

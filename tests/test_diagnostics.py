@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlkpp import (DomainError, Field, KernelProfile, SimConfig,
+from nlkpp import (DomainError, Field, Kernel, KernelProfile, SimConfig,
                    ValidationError, build_uniform_grid, integrate,
                    certify_positivity_eigen, cosine_mode_rates,
                    decay_identity_residual, dissipation, linearization_matrix,
@@ -174,19 +174,19 @@ class TestLinearization:
 
     def test_mu_zero_gives_heat_abscissa(self, unit_grid, balanced_gaussian):
         J = linearization_matrix(unit_grid, balanced_gaussian, 0.0)
-        assert abs(spectral_abscissa(J)) < 1e-10
+        assert abs(spectral_abscissa(unit_grid, J)) < 1e-10
 
     def test_local_analogue_shifts_spectrum(self, unit_grid):
         mu = 2.2
         J = linearization_matrix(unit_grid, None, mu)
-        assert spectral_abscissa(J) == pytest.approx(-mu, abs=1e-9)
+        assert spectral_abscissa(unit_grid, J) == pytest.approx(-mu, abs=1e-9)
 
     def test_gaussian_kernel_is_stable(self):
         grid = build_uniform_grid((0, 1), 64)
         kern = symmetrize_and_normalize(sample_convolution_kernel(
             KernelProfile("gaussian", 0.2), grid))
         J = linearization_matrix(grid, kern, 1.0)
-        assert spectral_abscissa(J) < 0
+        assert spectral_abscissa(grid, J) < 0
 
     @pytest.mark.parametrize("mu", [0.5, 1.0, 5.0])
     @pytest.mark.parametrize("family,sigma,ratio", [
@@ -199,7 +199,34 @@ class TestLinearization:
             KernelProfile(family, sigma), grid))
         assert certify_positivity_eigen(kern).verdict == "positive"
         J = linearization_matrix(grid, kern, mu)
-        assert spectral_abscissa(J) <= 1e-8
+        assert spectral_abscissa(grid, J) <= 1e-8
+
+    @pytest.mark.parametrize("extents,counts,family,sigma,mu", [
+        ((0, 1), 128, "gaussian", 0.2, 0.0),
+        ((0, 1), 128, "gaussian", 0.2, 1.0),
+        ((0, 5), 256, "tophat", 1.0, 150.0),
+        (((0, 1), (0, 1)), (32, 32), "gaussian", 0.2, 1.0),
+        (((0, 1), (0, 1.5)), (20, 30), "tophat", 0.3, 200.0),
+        ((0, 1), 128, None, None, 2.2),
+    ], ids=["gaussian-mu0", "gaussian-mu1", "tophat-mu150", "2d-gaussian",
+            "2d-tophat-mu200", "local"])
+    def test_abscissa_matches_the_general_eigensolver(self, extents, counts,
+                                                      family, sigma, mu):
+        grid = build_uniform_grid(extents, counts)
+        kern = None if family is None else symmetrize_and_normalize(
+            sample_convolution_kernel(KernelProfile(family, sigma), grid))
+        J = linearization_matrix(grid, kern, mu)
+        reference = float(np.linalg.eigvals(J).real.max())
+        norm = float(np.abs(J).sum(axis=1).max())
+        assert abs(spectral_abscissa(grid, J) - reference) <= 1e-14 * norm
+
+    def test_abscissa_refuses_a_nonsymmetric_kernel(self, unit_grid):
+        x = unit_grid.nodes[:, 0]
+        M = (1.0 + 0.2 * x)[:, None] * np.ones(x.size)  # depends on the row only
+        J = linearization_matrix(
+            unit_grid, Kernel(unit_grid, M, normalization="balanced"), 1.0)
+        with pytest.raises(ValidationError, match="self-adjoint"):
+            spectral_abscissa(unit_grid, J)
 
     @pytest.mark.parametrize("family,sigma,hi,n,mu", [
         ("tophat", 1.0, 5.0, 256, 150.0), ("gaussian", 0.2, 1.0, 128, 1.0),
@@ -234,7 +261,7 @@ class TestPatternRegime:
     def test_abscissa_positive_above_onset(self, unstable_setup):
         grid, kern = unstable_setup
         J = linearization_matrix(grid, kern, 150.0)
-        assert spectral_abscissa(J) > 1.0
+        assert spectral_abscissa(grid, J) > 1.0
 
     def test_perturbation_grows_and_saturates(self, unstable_setup):
         grid, kern = unstable_setup

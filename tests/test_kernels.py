@@ -168,12 +168,19 @@ class TestNormalization:
         with pytest.raises(BalancingError):
             symmetrize_and_normalize(kern, max_iterations=1, tol=1e-15)
 
-    def test_balancing_nonsymmetric_input(self, rng):
+    def test_balancing_nonsymmetric_input(self):
+        # one scaling balances only a symmetric kernel: the nonsymmetric one is
+        # refused, and its symmetric part is balanced, rows and columns alike
         grid = build_uniform_grid((0, 1), 24)
-        kern = sample_general_kernel(
-            lambda x, y: 1.0 + 0.5 * np.sin(3 * x) * np.cos(2 * y) + 0.2 * x, grid)
+
+        def func(x, y):
+            return 1.0 + 0.5 * np.sin(3 * x) * np.cos(2 * y) + 0.2 * x
+        with pytest.raises(KernelError, match="symmetric"):
+            symmetrize_and_normalize(sample_general_kernel(func, grid))
+        kern = sample_general_kernel(lambda x, y: func(x, y) + func(y, x), grid)
         balanced = symmetrize_and_normalize(kern, tol=1e-12)
         w = grid.weights
+        assert np.array_equal(balanced.matrix, balanced.matrix.T)
         assert np.max(np.abs(w @ balanced.matrix - 1)) < 1e-11
         assert np.max(np.abs(balanced.matrix @ w - 1)) < 1e-11
 
@@ -290,17 +297,19 @@ class TestMatrixFree:
         assert kern.profile is not None and kern.scale is None
 
     def test_dense_only_results_have_no_profile(self, unit_grid):
-        # neither result is diag(s) phi diag(s), so neither keeps the profile
+        # column normalization is not diag(s) phi diag(s), so it drops the
+        # profile; a shifted (asymmetric) profile cannot be balanced at all
         gaussian = sample_convolution_kernel(KernelProfile("gaussian", 0.2), unit_grid)
+        kern = normalize_columns(gaussian)
+        assert kern.profile is None
+        assert kern.apply_method == "dense"
+        with pytest.raises(ValidationError, match="convolution"):
+            apply_kernel(kern, Field.constant(unit_grid, 1.0), method="fft")
         shifted = sample_convolution_kernel(
             KernelProfile("custom", 0.2, func=lambda z: np.exp(-(z - 0.05) ** 2 / 0.08)),
             unit_grid)
-        f = Field.constant(unit_grid, 1.0)
-        for kern in (normalize_columns(gaussian), symmetrize_and_normalize(shifted)):
-            assert kern.profile is None
-            assert kern.apply_method == "dense"
-            with pytest.raises(ValidationError, match="convolution"):
-                apply_kernel(kern, f, method="fft")
+        with pytest.raises(KernelError, match="symmetric"):
+            symmetrize_and_normalize(shifted)
 
 
 class TestApplyKernel:

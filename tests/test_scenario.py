@@ -11,6 +11,7 @@ from nlkpp import (Field, Kernel, ValidationError, build_kernel,
                    parse_scenario_dict, parse_sweep, parse_sweep_dict,
                    read_csv_rows, read_field, run_scenario, run_sweep,
                    write_field)
+from nlkpp.cli import main
 from nlkpp.diagnostics import Trace
 from nlkpp.scenario import _openblas_thread_functions
 
@@ -53,6 +54,25 @@ def test_committed_scenario_parses(path):
             section, key = param.path.split(".")
             raw[section][key] = value
         parse_scenario_dict(raw, base_dir=spec.base_dir)
+
+
+# both verdicts (eigen, bochner) of each committed scenario's kernel: the
+# gaussian certifies, the tophat does not
+COMMITTED_VERDICTS = {"convergence.json": "positive", "logistic.json": "positive",
+                      "pattern.json": "not_positive",
+                      "onset_sweep.json": "not_positive"}
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.name)
+def test_committed_scenario_certifies(tmp_path, path):
+    verdict = COMMITTED_VERDICTS[path.name]
+    doc = json.loads(path.read_text())
+    if "parameters" in doc:  # a sweep: certify its base scenario
+        path = write_doc(tmp_path, doc["base"])
+    assert main(["certify", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    rows = read_csv_rows(tmp_path / "o" / "certificate.csv")
+    assert [(r["method"], r["verdict"]) for r in rows] == [
+        ("eigen", verdict), ("bochner", verdict)]
 
 
 class TestParsing:
@@ -99,8 +119,9 @@ class TestParsing:
     @pytest.mark.parametrize("mode,message", [
         (0, "initial.mode must be >= 1"), (-2, "initial.mode must be >= 1"),
         (2.0, "'initial.mode' must be an integer"),
-        (True, "'initial.mode' must be an integer")],
-        ids=["zero", "negative", "float", "bool"])
+        (True, "'initial.mode' must be an integer"),
+        (10**400, "'initial.mode' must be finite")],
+        ids=["zero", "negative", "float", "bool", "beyond-float"])
     def test_cosine_mode_must_be_a_positive_integer(self, mode, message):
         doc = minimal_doc(initial={"kind": "cosine", "mode": mode})
         with pytest.raises(ValidationError, match=message):
