@@ -3,12 +3,14 @@
 Two certificates decide whether the double-integral quadratic form
 ``sum_ij w_i w_j K_ij f_i f_j`` is nonnegative for every grid function f:
 
-* ``certify_positivity_eigen`` works on any sampled kernel; it symmetrizes the
-  weighted matrix and inspects its smallest eigenvalue. A failing direction is
+* ``certify_positivity_eigen`` works on any sampled kernel; it inspects the
+  smallest eigenvalue of the symmetrized weighted form. A failing direction is
   reported when the verdict is negative. A convolution kernel with an even
-  stencil is first tried matrix-free: one FFT of a circulant that contains its
-  Toeplitz matrix bounds that eigenvalue below, and a positive verdict from
-  that bound needs no matrix at all.
+  stencil is first tried through one FFT of a circulant that contains its
+  Toeplitz matrix, which bounds that eigenvalue below; every kernel that bound
+  does not clear gets the eigenvalue by Lanczos, which applies a convolution
+  kernel's form through its stencil. Neither path builds a convolution
+  kernel's N x N matrix, and neither loads scipy.
 * ``certify_positivity_bochner`` works on convolution profiles; by Bochner's
   theorem positivity of the transform certifies the quadratic form on any
   bounded domain (zero-extend the test function).
@@ -21,6 +23,8 @@ w @ K one instead; that does not pin K[1], so its kernels are labelled
 ``"columns"``, not ``normalized``, and the dynamics refuse them.
 """
 
+import contextlib
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -154,9 +158,8 @@ class Kernel:
     ``scale`` vector, K = diag(scale) Phi diag(scale) with Phi the Toeplitz
     (block-Toeplitz in 2D) matrix of the profile's offset table, where
     ``scale`` is None until balancing; its dense ``matrix`` is gathered on first
-    use (the dense apply below ``_FFT_AUTO_THRESHOLD`` nodes, an eigen
-    certificate that the circulant bound does not decide, the linearization,
-    ``normalize_columns``) and kept from then on, so it appears in
+    use (the dense apply below ``_FFT_AUTO_THRESHOLD`` nodes, the
+    linearization, ``normalize_columns``) and kept from then on, so it appears in
     ``vars(kernel)`` only once built. Every other kernel has no profile and is
     its dense ``matrix`` alone. ``apply_method`` is what
     :func:`apply_kernel` runs by default: ``"fft"`` for convolution kernels of
@@ -378,12 +381,14 @@ def apply_kernel(kernel: Kernel, field: Field, method: str = "auto") -> Field:
 class PositivityCertificate:
     """Outcome of a positivity check.
 
-    ``witness`` is the smallest eigenvalue of the symmetrized weighted matrix
-    (eigen method) or the smallest real part of the profile transform
-    (bochner method). An eigen verdict that ``solver == "circulant_symbol"``
-    decided reports a lower bound on that eigenvalue instead, exact up to FFT
-    round-off. ``tolerance`` is the absolute slack that was used, so
-    ``verdict == "positive"`` iff ``witness >= -tolerance``.
+    ``witness`` is the smallest eigenvalue of the symmetrized weighted form
+    (eigen method, ``solver == "lanczos"``, to a few machine epsilons of the
+    form's norm) or the smallest real part of the profile transform (bochner
+    method). An eigen verdict that ``solver == "circulant_symbol"`` decided
+    reports a lower bound on that eigenvalue instead, exact up to FFT
+    round-off. ``violating_direction`` is the unit Ritz vector of a
+    ``not_positive`` eigen verdict. ``tolerance`` is the absolute slack that
+    was used, so ``verdict == "positive"`` iff ``witness >= -tolerance``.
     """
 
     method: str
@@ -399,9 +404,65 @@ class PositivityCertificate:
                 f"witness={self.witness:.6g})")
 
 
-def _circulant_certificate(kernel: Kernel, tol: float) -> PositivityCertificate | None:
-    """A positive verdict from one FFT, for a convolution kernel with an even
-    stencil; None when the bound below does not prove positivity.
+def _openblas_thread_functions() -> list[tuple]:
+    """The ``(get, set)`` thread-count functions of each OpenBLAS this process
+    has loaded (numpy and scipy bundle one each), found through
+    ``/proc/self/maps``; empty where there is none or no such file."""
+    import ctypes
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return []
+    found = []
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for prefix, suffix in itertools.product(("scipy_openblas_", "openblas_"),
+                                                ("64_", "")):
+            get = getattr(handle, f"{prefix}get_num_threads{suffix}", None)
+            set_ = getattr(handle, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append((get, set_))
+                break
+    return found
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with every loaded OpenBLAS at one thread and restore each
+    one's count afterwards.
+
+    The Lanczos eigen certificate runs in it, so that its witness has the
+    same bits whatever the threading and it does not wake numpy's thread
+    pool. A sweep runs its points in it: a sweep's parallelism is its points,
+    and with ``jobs`` workers each running a multithreaded BLAS, the threads
+    outnumber the cores and spin against each other; ``jobs=1`` runs at one
+    thread too, so that a dense eigensolve, whose last bits follow the thread
+    count, gives the same rows for every ``jobs``. No environment variable is
+    read or set.
+    """
+    # a library already at one thread is left alone: in a forked sweep worker
+    # any set call restarts OpenBLAS's thread pool, whose threads then spin
+    changed = [(set_, count) for get, set_ in _openblas_thread_functions()
+               if (count := get()) != 1]
+    for set_, _ in changed:
+        set_(1)
+    try:
+        yield
+    finally:
+        for set_, count in changed:
+            set_(count)
+
+
+def _circulant_bound(kernel: Kernel, a: np.ndarray) -> float | None:
+    """A lower bound on the smallest eigenvalue of the weighted form from one
+    FFT, for a convolution kernel with an even stencil and a = w * scale;
+    None when the window would outweigh the dense matrix or is not finite.
 
     The weighted form is M = diag(a) Phi diag(a) with a = w * scale, and Phi
     (the Toeplitz / block-Toeplitz matrix of the offset table) is a principal
@@ -423,54 +484,111 @@ def _circulant_certificate(kernel: Kernel, tol: float) -> PositivityCertificate 
     if not np.all(np.isfinite(window)):
         return None
     lam = float(np.fft.rfftn(window).real.min())
-    w = grid.weights
-    a = w if kernel.scale is None else w * kernel.scale
-    witness = lam * float(np.min(a * a) if lam >= 0 else np.max(a * a))
-    # max_i sum_j |M_ij|, as the dense path computes it from the matrix
-    if kernel._stencil.table.min() >= 0:
-        rows = w * _matvec(kernel, w)
-    else:
-        rows = a * _Stencil(np.abs(kernel._stencil.table), grid.counts).convolve(a)
-    threshold = tol * max(1.0, float(np.max(rows)))
-    if witness < -threshold:
-        return None
-    return PositivityCertificate("eigen", "positive", witness, threshold,
-                                 solver="circulant_symbol")
+    return lam * float(np.min(a * a) if lam >= 0 else np.max(a * a))
+
+
+def _lanczos_smallest(apply: Callable[[np.ndarray], np.ndarray],
+                      n: int) -> tuple[float, np.ndarray]:
+    """The smallest eigenvalue of the symmetric operator ``apply`` on R^n and
+    a unit eigenvector, by Lanczos with full reorthogonalization (Parlett,
+    *The Symmetric Eigenvalue Problem*, 1998).
+
+    The start vector is the quadratic Weyl sequence frac(phi i^2) - 1/2: not
+    constant, with no symmetry of the grid, and the same in every process.
+    Each new direction is orthogonalized against every earlier one twice
+    (classical Gram-Schmidt, repeated). The iteration stops when the smallest
+    Ritz pair's residual |beta_k s_k| is at most four machine epsilons times
+    the largest Ritz value's magnitude (which tends to ||S|| from below), and
+    so also on a Krylov breakdown, or after n steps.
+    """
+    i = np.arange(1, n + 1, dtype=float)
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    q = (i * i * phi) % 1.0 - 0.5
+    q /= np.linalg.norm(q)
+    basis = np.empty((min(n, 32), n))
+    alpha: list[float] = []
+    beta: list[float] = []
+    check = 1
+    for k in range(n):
+        if k == len(basis):
+            basis = np.concatenate([basis, np.empty((min(k, n - k), n))])
+        basis[k] = q
+        r = apply(q)
+        done = basis[:k + 1]
+        coefficients = done @ r
+        alpha.append(float(coefficients[k]))
+        r -= coefficients @ done
+        r -= (done @ r) @ done
+        b = float(np.linalg.norm(r))
+        if b == 0.0 or k + 1 >= check or k == n - 1:
+            # T_k's dense eigensolve costs O(k^3): test every eighth of k steps
+            check = k + 1 + (k + 1) // 8
+            T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+            theta, s = np.linalg.eigh(T)
+            norm = max(abs(theta[0]), abs(theta[-1]))
+            if b * abs(s[-1, 0]) <= 4 * np.finfo(float).eps * norm or k == n - 1:
+                break
+        beta.append(b)
+        q = r / b
+    vector = s[:, 0] @ done
+    return float(theta[0]), vector / np.linalg.norm(vector)
 
 
 def certify_positivity_eigen(kernel: Kernel, tol: float = 1e-9) -> PositivityCertificate:
     """Eigenvalue certificate for the weighted quadratic form of a sampled kernel.
 
-    A convolution kernel with an even stencil is first tried matrix-free
-    (``_circulant_certificate``); a positive verdict there is final, and its
-    witness is a lower bound on the smallest eigenvalue, up to FFT round-off.
-    Every other kernel, and one that bound does not clear, forms
-    M = D_w K D_w, symmetrizes, and checks the smallest eigenvalue against
-    ``-tol * max(1, ||M||_inf)`` so discretization noise near zero cannot flip
-    the verdict. Only the smallest eigenpair is computed. ``solver`` on the
-    result names the path that decided: ``"circulant_symbol"`` or ``"eigh"``.
+    The form is M = D_w K D_w, symmetrized, and its smallest eigenvalue is
+    checked against ``-tol * max(1, ||M||_inf)`` so discretization noise near
+    zero cannot flip the verdict. A convolution kernel with an even stencil is
+    first tried through the circulant symbol (``_circulant_bound``); a
+    positive verdict there is final, and its witness is a lower bound on the
+    smallest eigenvalue, up to FFT round-off. Every other kernel, and one that
+    bound does not clear, gets the smallest eigenpair by Lanczos
+    (``_lanczos_smallest``) at one OpenBLAS thread, so its witness has the
+    same bits whatever the machine's threading. A convolution kernel applies
+    its form through the stencil, a * (Phi (a * v)), and builds no N x N
+    matrix there. ``solver`` on the result names the path that decided:
+    ``"circulant_symbol"`` or ``"lanczos"``.
     """
-    if _symmetric_by_construction(kernel):
-        cert = _circulant_certificate(kernel, tol)
-        if cert is not None:
-            return cert
-    from scipy.linalg import LinAlgError, eigh  # deferred: dense verdicts only
-    w = kernel.grid.weights
-    M = (w[:, None] * kernel.matrix) * w[None, :]
-    S = 0.5 * (M + M.T)
-    scale = max(1.0, float(np.max(np.abs(M).sum(axis=1))))
-    threshold = tol * scale
+    grid = kernel.grid
+    w = grid.weights
+    if kernel.profile is None:
+        M = (w[:, None] * kernel.matrix) * w[None, :]
+        S = 0.5 * (M + M.T)
+        rows = np.abs(M).sum(axis=1)
+        apply = S.__matmul__
+        bound = None
+    else:
+        a = w if kernel.scale is None else w * kernel.scale
+        table = kernel._stencil.table
+        # max_i sum_j |M_ij|, as the dense kernel computes it from the matrix
+        if table.min() >= 0:
+            rows = w * _matvec(kernel, w, "fft")
+        else:
+            rows = a * _Stencil(np.abs(table), grid.counts).convolve(a)
+        even = _symmetric_by_construction(kernel)
+        # (Phi + Phi^T) / 2 is the convolution with the table's even part
+        stencil = kernel._stencil if even else _Stencil(
+            0.5 * (table + table[(slice(None, None, -1),) * table.ndim]), grid.counts)
+
+        def apply(v):
+            return a * stencil.convolve(a * v)
+        bound = _circulant_bound(kernel, a) if even else None
+    threshold = tol * max(1.0, float(np.max(rows)))
+    if bound is not None and bound >= -threshold:
+        return PositivityCertificate("eigen", "positive", bound, threshold,
+                                     solver="circulant_symbol")
     try:
-        eigvals, eigvecs = eigh(S, subset_by_index=[0, 0])
-    except LinAlgError:
+        with _one_blas_thread():
+            lam, vector = _lanczos_smallest(apply, grid.n_nodes)
+    except np.linalg.LinAlgError:
         return PositivityCertificate("eigen", "inconclusive", math.nan, threshold,
-                                     solver="eigh")
-    lam = float(eigvals[0])
+                                     solver="lanczos")
     if lam >= -threshold:
-        return PositivityCertificate("eigen", "positive", lam, threshold, solver="eigh")
+        return PositivityCertificate("eigen", "positive", lam, threshold,
+                                     solver="lanczos")
     return PositivityCertificate("eigen", "not_positive", lam, threshold,
-                                 violating_direction=eigvecs[:, 0].copy(),
-                                 solver="eigh")
+                                 violating_direction=vector, solver="lanczos")
 
 
 def default_half_width(profile: KernelProfile, tol: float = 1e-9) -> float:

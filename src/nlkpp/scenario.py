@@ -47,8 +47,9 @@ from .dynamics import SimConfig, run
 from .errors import NumericalError, ValidationError
 from .grid import Field, Grid, build_uniform_grid
 from .kernels import (FAMILIES, Kernel, KernelProfile, PositivityCertificate,
-                      certify_positivity_bochner, certify_positivity_eigen,
-                      sample_convolution_kernel, symmetrize_and_normalize)
+                      _one_blas_thread, certify_positivity_bochner,
+                      certify_positivity_eigen, sample_convolution_kernel,
+                      symmetrize_and_normalize)
 
 OUTPUT_DIR_ENV = "NLKPP_OUT"
 
@@ -296,6 +297,10 @@ def _load_json(path) -> dict:
         raise ValidationError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
+    except ValidationError:  # a duplicate key; a ValueError, so caught first
+        raise
+    except ValueError as exc:  # an integer literal beyond int's digit limit
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def parse_scenario(path) -> Scenario:
@@ -616,56 +621,6 @@ def sweep_columns(sweep: SweepSpec) -> tuple[str, ...]:
     return ("point",) + param_cols + result_cols + ("error",)
 
 
-def _openblas_thread_functions() -> list[tuple]:
-    """The ``(get, set)`` thread-count functions of each OpenBLAS this process
-    has loaded (numpy and scipy bundle one each), found through
-    ``/proc/self/maps``; empty where there is none or no such file."""
-    import ctypes
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return []
-    found = []
-    for lib in libs:
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        for prefix, suffix in itertools.product(("scipy_openblas_", "openblas_"),
-                                                ("64_", "")):
-            get = getattr(handle, f"{prefix}get_num_threads{suffix}", None)
-            set_ = getattr(handle, f"{prefix}set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                found.append((get, set_))
-                break
-    return found
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with every loaded OpenBLAS at one thread and restore each
-    one's count afterwards.
-
-    A sweep's parallelism is its points: with ``jobs`` workers each running a
-    multithreaded BLAS, the threads outnumber the cores and spin against each
-    other. ``jobs=1`` runs at one thread too, so that a dense eigensolve,
-    whose last bits follow the thread count, gives the same rows for every
-    ``jobs``. No environment variable is read or set.
-    """
-    functions = _openblas_thread_functions()
-    saved = [get() for get, _ in functions]
-    for _, set_ in functions:
-        set_(1)
-    try:
-        yield
-    finally:
-        for (_, set_), count in zip(functions, saved):
-            set_(count)
-
-
 def run_sweep(sweep: SweepSpec, jobs: int = 1, out_dir=None,
               quiet: bool = False) -> list[dict]:
     """Run every sweep point, tolerating per-point failures.
@@ -673,7 +628,8 @@ def run_sweep(sweep: SweepSpec, jobs: int = 1, out_dir=None,
     Rows land in ``sweep_summary.csv`` ordered by point index whatever the
     worker count; wall times are deliberately left out of that file so its
     bytes are reproducible. The points run with OpenBLAS at one thread (see
-    ``_one_blas_thread``), so ``jobs`` is the number of cores a sweep uses.
+    ``kernels._one_blas_thread``), so ``jobs`` is the number of cores a sweep
+    uses.
     """
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")

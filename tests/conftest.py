@@ -12,7 +12,7 @@ import scipy.linalg  # noqa: F401
 import nlkpp
 from nlkpp import (KernelProfile, build_uniform_grid, sample_convolution_kernel,
                    symmetrize_and_normalize)
-from nlkpp.scenario import _openblas_thread_functions
+from nlkpp.kernels import _openblas_thread_functions
 
 
 @pytest.fixture(autouse=True)

@@ -306,6 +306,19 @@ def test_duplicate_key_is_exit_2(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+def test_overlong_integer_literal_is_exit_2(tmp_path, capsys):
+    # json.loads raises a plain ValueError past Python's integer digit limit;
+    # json.dumps cannot write such a literal, so it goes into the text
+    doc = scenario_doc()
+    doc["initial"] = {"kind": "cosine", "mode": 7}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc).replace('"mode": 7', '"mode": 1' + "0" * 5000))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and "digits" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_bad_jobs(tmp_path, capsys):
     sweep = {"base": scenario_doc(),
              "parameters": [{"path": "sim.mu", "values": [1.0]}]}
@@ -333,8 +346,11 @@ def test_import_leaves_scipy_signal_unloaded(fresh_python):
     (["certify", "gaussian_2d.json"], 0, "scipy", False),
     (["certify", "gaussian_1024.json"], 0, "scipy", False),
     (["simulate", "gaussian_2d.json"], 0, "scipy.fft", False),
+    # not_positive: decided by Lanczos, matrix-free at 32 x 32
+    (["certify", "tophat.json"], 0, "scipy", False),
+    (["certify", "tophat_2d.json"], 0, "scipy", False),
 ], ids=["import", "certify", "refusal", "simulate", "certify_2d", "certify_1024",
-        "simulate_2d"])
+        "simulate_2d", "certify_tophat", "certify_tophat_2d"])
 def test_scipy_loads_only_where_it_runs(tmp_path, fresh_python, args, status,
                                         module, loaded):
     doc = scenario_doc()
@@ -347,6 +363,12 @@ def test_scipy_loads_only_where_it_runs(tmp_path, fresh_python, args, status,
     doc = scenario_doc()
     doc["grid"] = {"extents": [[0.0, 1.0], [0.0, 1.0]], "counts": [32, 32]}
     write(tmp_path, doc, "gaussian_2d.json")
+    doc["kernel"]["family"] = "tophat"
+    write(tmp_path, doc, "tophat_2d.json")
+    doc = scenario_doc()  # past the Turing onset: 256 nodes on [0, 5], sigma 1
+    doc["grid"] = {"extents": [0.0, 5.0], "counts": 256}
+    doc["kernel"] = {"family": "tophat", "sigma": 1.0}
+    write(tmp_path, doc, "tophat.json")
     code = "import sys, nlkpp, nlkpp.cli\n"
     if args:
         code += f"assert nlkpp.cli.main({args + ['--out', 'o']!r}) == {status}\n"

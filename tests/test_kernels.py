@@ -11,7 +11,8 @@ from nlkpp import (BalancingError, Field, Kernel, KernelError, KernelProfile,
                    certify_positivity_bochner, certify_positivity_eigen,
                    default_half_width, normalize_columns, sample_convolution_kernel,
                    sample_general_kernel, symmetrize_and_normalize)
-from nlkpp.kernels import _fast_len, _periodic_offsets, _sample_profile
+from nlkpp.kernels import (_fast_len, _one_blas_thread, _periodic_offsets,
+                           _sample_profile)
 
 
 def difference_of_gaussians(sigma, ratio):
@@ -404,7 +405,7 @@ class TestEigenCertificate:
         M = (w[:, None] * kern.matrix) * w[None, :]
         smallest = np.linalg.eigvalsh(0.5 * (M + M.T))[0]
         cert = certify_positivity_eigen(kern)
-        assert (cert.verdict, cert.solver) == ("not_positive", "eigh")
+        assert (cert.verdict, cert.solver) == ("not_positive", "lanczos")
         assert cert.witness == pytest.approx(smallest, rel=1e-10)
         f = cert.violating_direction
         assert (w * f) @ (kern.matrix @ (w * f)) == pytest.approx(smallest, rel=1e-10)
@@ -419,6 +420,76 @@ class TestEigenCertificate:
             lambda x, y: np.interp(x, grid.nodes[:, 0], g)
             * np.interp(y, grid.nodes[:, 0], g), grid)
         assert certify_positivity_eigen(kern).verdict == "positive"
+
+    @pytest.mark.parametrize("profile", [
+        KernelProfile("tophat", 0.2),
+        KernelProfile("gaussian", 0.2),
+        KernelProfile("exponential", 0.2),
+        difference_of_gaussians(0.1, 0.6),  # signed, and its form is not positive
+        # in 1D an odd stencil: Lanczos applies its even part
+        KernelProfile("custom", 0.1, func=lambda z: np.exp(-(z - 0.05)**2 / 0.02)),
+    ], ids=["tophat", "gaussian", "exponential", "dog", "shifted"])
+    @pytest.mark.parametrize("extents,counts", [
+        ((0, 1), 96), (((0, 1), (0, 2)), (12, 14)),
+    ], ids=["96", "12x14"])
+    def test_lanczos_witness_is_the_smallest_eigenvalue(self, profile, extents,
+                                                        counts):
+        # every family, raw, balanced and column-normalized (a nonsymmetric M),
+        # through the dense apply of a general kernel; the convolution kernel's
+        # own witness is a Ritz value or the circulant bound below it
+        grid = build_uniform_grid(extents, counts)
+        raw = sample_convolution_kernel(profile, grid)
+        kernels = [raw] if profile.family == "custom" else [
+            raw, symmetrize_and_normalize(raw), normalize_columns(raw)]
+        for kern in kernels:
+            smallest, norm = _smallest_eigenvalue(kern)
+            cert = certify_positivity_eigen(Kernel(grid, kern.matrix))
+            assert cert.solver == "lanczos"
+            assert abs(cert.witness - smallest) <= 1e-15 * norm
+            own = certify_positivity_eigen(kern)
+            assert own.verdict == cert.verdict
+            assert own.witness <= smallest + 1e-15 * norm
+
+    def test_low_rank_kernel_closes_its_krylov_space_early(self):
+        # rank 3, one negative direction: Lanczos breaks down after at most
+        # four steps and must still report the smallest eigenvalue
+        grid = build_uniform_grid((0, 1), 200)
+        kern = sample_general_kernel(
+            lambda x, y: (1 + np.cos(np.pi * x)) * (1 + np.cos(np.pi * y))
+            + 4 * x * y - 2 * np.sin(3 * x) * np.sin(3 * y), grid)
+        smallest, norm = _smallest_eigenvalue(kern)
+        assert smallest < -1e-4
+        cert = certify_positivity_eigen(kern)
+        assert (cert.verdict, cert.solver) == ("not_positive", "lanczos")
+        assert abs(cert.witness - smallest) <= 1e-15 * norm
+        w = grid.weights
+        f = cert.violating_direction
+        assert (w * f) @ (kern.matrix @ (w * f)) == pytest.approx(smallest, rel=1e-10)
+
+    def test_witness_bits_do_not_follow_the_blas_threads(self):
+        grid = build_uniform_grid(((0, 1), (0, 1)), (40, 40))
+        kern = Kernel(grid, symmetrize_and_normalize(
+            sample_convolution_kernel(KernelProfile("tophat", 0.2), grid)).matrix)
+        default = certify_positivity_eigen(kern)
+        with _one_blas_thread():
+            one = certify_positivity_eigen(kern)
+        assert default.verdict == one.verdict == "not_positive"
+        assert default.witness.hex() == one.witness.hex()
+        assert default.violating_direction.tobytes() == one.violating_direction.tobytes()
+
+    def test_pin_leaves_a_library_at_one_thread_alone(self, monkeypatch):
+        # a set call in a forked sweep worker restarts OpenBLAS's thread pool
+        counts, calls = [1, 2], []
+
+        def library(i):
+            return (lambda: counts[i],
+                    lambda n: (calls.append((i, n)), counts.__setitem__(i, n)))
+        monkeypatch.setattr("nlkpp.kernels._openblas_thread_functions",
+                            lambda: [library(0), library(1)])
+        with _one_blas_thread():
+            assert counts == [1, 1]
+        assert counts == [1, 2]
+        assert calls == [(1, 1), (1, 2)]
 
     @pytest.mark.parametrize("c", [0.5, 2.0, 10.0])
     def test_scaling_covariance(self, balanced_tophat, c):
@@ -462,7 +533,7 @@ class TestCirculantCertificate:
             smallest, norm = _smallest_eigenvalue(kern)
             assert cert.witness <= smallest + 1e-15 * norm
             dense = certify_positivity_eigen(Kernel(grid, kern.matrix))
-            assert dense.solver == "eigh"
+            assert dense.solver == "lanczos"
             assert cert.verdict == dense.verdict == "positive"
             assert cert.tolerance == pytest.approx(dense.tolerance, rel=1e-12)
 
@@ -474,6 +545,17 @@ class TestCirculantCertificate:
         assert cert.verdict == "positive"
         assert cert.solver == "circulant_symbol"
         assert "matrix" not in vars(kern)
+
+    def test_failing_64x64_builds_no_matrix(self, monkeypatch):
+        monkeypatch.setattr(Kernel, "matrix", property(
+            lambda self: pytest.fail("dense kernel matrix built")))
+        grid = build_uniform_grid(((0, 1), (0, 1)), (64, 64))
+        kern = symmetrize_and_normalize(
+            sample_convolution_kernel(KernelProfile("tophat", 0.2), grid))
+        cert = certify_positivity_eigen(kern)
+        assert (cert.verdict, cert.solver) == ("not_positive", "lanczos")
+        # the smallest eigenvalue from a dense eigh of the 4096^2 form
+        assert cert.witness == pytest.approx(-3.609026180218039e-05, rel=1e-12)
 
     def test_window_is_sized_by_decay(self):
         # phi is still e^-2 two units out; a window reaching only 2n offsets
@@ -490,7 +572,7 @@ class TestCirculantCertificate:
         prof = KernelProfile("custom", 0.2, func=lambda z: np.where(
             np.abs(z) <= 1.0, np.exp(-z * z / 0.08), np.inf))
         cert = certify_positivity_eigen(sample_convolution_kernel(prof, unit_grid))
-        assert (cert.verdict, cert.solver) == ("positive", "eigh")
+        assert (cert.verdict, cert.solver) == ("positive", "lanczos")
         assert np.isfinite(cert.witness)
 
     @pytest.mark.parametrize("kern_of", [
@@ -500,7 +582,7 @@ class TestCirculantCertificate:
         lambda g: sample_convolution_kernel(KernelProfile("gaussian", 10.0), g),
     ], ids=["tophat", "general", "window_beyond_the_matrix"])
     def test_other_kernels_take_the_dense_path(self, unit_grid, kern_of):
-        assert certify_positivity_eigen(kern_of(unit_grid)).solver == "eigh"
+        assert certify_positivity_eigen(kern_of(unit_grid)).solver == "lanczos"
 
 
 class TestBochnerCertificate:

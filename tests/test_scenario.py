@@ -13,7 +13,7 @@ from nlkpp import (Field, Kernel, ValidationError, build_kernel,
                    write_field)
 from nlkpp.cli import main
 from nlkpp.diagnostics import Trace
-from nlkpp.scenario import _openblas_thread_functions
+from nlkpp.kernels import _openblas_thread_functions
 
 SCENARIOS = sorted((Path(__file__).parents[1] / "scenarios").glob("*.json"))
 
@@ -307,7 +307,7 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("family,verdict,solver", [
         ("gaussian", "positive", "circulant_symbol"),
-        ("tophat", "not_positive", "eigh"),
+        ("tophat", "not_positive", "lanczos"),
     ])
     def test_eigen_solver_is_recorded(self, tmp_path, family, verdict, solver):
         doc = minimal_doc(output={"artifacts": ["meta", "certificate"]})
@@ -548,11 +548,11 @@ class TestSweep:
         # whether the pin also reaches the OpenBLAS that scipy brings
         code = (
             "import json, sys\n"
-            "from nlkpp import scenario\n"
+            "from nlkpp import kernels, scenario\n"
             "def report(task):\n"
             "    import scipy.linalg  # what a point's simulate loads\n"
             "    return {'point': task[0], 'status': 'ok', 'blas_threads':\n"
-            "            [get() for get, _ in scenario._openblas_thread_functions()]}\n"
+            "            [get() for get, _ in kernels._openblas_thread_functions()]}\n"
             "assert 'scipy' not in sys.modules\n"
             "scenario._run_sweep_point = report\n"
             f"sweep = scenario.parse_sweep_dict({self.base_sweep()!r})\n"
