@@ -2,9 +2,12 @@
 
 Exit status: 0 on success, 2 on validation problems (bad files, bad
 parameters), 3 on numerical failures (step failure, non-convergence).
+:func:`main` returns the status; :func:`console_main`, the entry point of the
+``nlkpp`` script and of ``python -m nlkpp.cli``, ends the process with it.
 """
 
 import argparse
+import os
 import sys
 
 from . import __version__
@@ -68,5 +71,17 @@ def main(argv=None) -> int:
     return EXIT_OK
 
 
+def console_main():
+    """Run :func:`main` on the command line's arguments and end the process
+    with its status, skipping the interpreter's teardown: freeing every
+    module's state and joining the BLAS thread pools does no work for a run
+    whose artifacts are all written and closed when ``main`` returns. Only the
+    standard streams still hold data, so they are flushed first."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
-from .grid import Field, Grid, laplacian_matrix
+from .grid import Field, Grid, _laplacian_diagonals
 from .kernels import Kernel, apply_kernel
 
 TRACE_COLUMNS = ("t", "V", "D_total", "D_grad", "D_kernel",
@@ -208,9 +208,13 @@ def linearization_matrix(grid: Grid, kernel: Kernel | None,
     K[v] = v in local mode (no kernel).
 
     The kernel must be normalized (K[1] = 1), otherwise u = 1 is not a steady
-    state to linearize about.
+    state to linearize about. Lap is :func:`~nlkpp.grid.laplacian_matrix`,
+    entry for entry, built dense without scipy.sparse.
     """
-    L = laplacian_matrix(grid).toarray()
+    L = np.zeros((grid.n_nodes, grid.n_nodes))
+    for offset, values in _laplacian_diagonals(grid):
+        i = np.arange(values.size)
+        L[i + max(-offset, 0), i + max(offset, 0)] = values
     if kernel is None:
         return L - mu * np.eye(grid.n_nodes)
     _require_normalized(kernel)

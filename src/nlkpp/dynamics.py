@@ -95,6 +95,8 @@ class DiffusionSolver:
     checked for finiteness; a non-finite right-hand side gives a non-finite
     solution, which the step rejects. The solver keeps the grid's weights and
     edges, not the grid, so that a cache keyed weakly by the grid can hold it.
+    It keeps the factors and the last min(rhs) as state, so it serves one
+    thread at a time.
     """
 
     name = "banded_cholesky"
@@ -103,6 +105,7 @@ class DiffusionSolver:
         from scipy.linalg import get_lapack_funcs  # deferred: costly import
         self._weights, self._edges = grid.weights, grid.edges
         self._factors: dict[float, np.ndarray] = {}
+        self._rhs_min = math.nan
         self._pbtrf, self._pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), (np.empty(1),))
 
     def _factor(self, dt: float) -> np.ndarray:
@@ -132,7 +135,8 @@ class DiffusionSolver:
         return ab
 
     def solve(self, rhs: np.ndarray, dt: float) -> np.ndarray:
-        floor = rhs.min()
+        # step_imex reads min(rhs), the solution's lower bound, from _rhs_min
+        self._rhs_min = floor = rhs.min()
         return floor + self._pbtrs(self._factor(dt),
                                    self._weights * (rhs - floor))[0]
 
@@ -149,7 +153,9 @@ def step_imex(state: SimState, grid: Grid, kernel: Kernel | None,
 
     The reaction uses ``state.ku`` when it is set, and the new state carries
     K[u] of its own u, so consecutive steps apply the kernel once each.
-    Without a ``solver`` the grid's shared one is used, built on first need.
+    Without a ``solver`` the grid's shared one is used, built on first need;
+    a solver serves one thread at a time, so such calls on one grid belong in
+    one thread.
     """
     if solver is None:
         solver = _SOLVERS.get(grid)
@@ -165,8 +171,10 @@ def step_imex(state: SimState, grid: Grid, kernel: Kernel | None,
     u_new = None
     for halvings in range(config.max_dt_halvings + 1):
         u_new = solver.solve(u_old + dt * r, dt)
-        # NaN fails both tests, +inf the second
-        if floor <= u_new.min() and u_new.max() < math.inf:
+        # min(u) >= min(rhs) exactly, so u's own minimum is taken only when
+        # min(rhs) is below the floor; a NaN or +inf in u fails the max test
+        if ((floor <= solver._rhs_min or floor <= u_new.min())
+                and u_new.max() < math.inf):
             field = Field(grid, u_new)
             return SimState(t=state.t + dt, u=field, step=state.step + 1,
                             dt_next=min(2.0 * dt, config.dt), halvings=halvings,

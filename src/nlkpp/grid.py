@@ -165,16 +165,23 @@ def integrate(field: Field) -> float:
     return float(field.grid.weights @ field.values)
 
 
+def _laplacian_diagonals(grid: Grid) -> list[tuple[int, np.ndarray]]:
+    """``(offset, values)`` of each nonzero diagonal of L = -W^-1 G, with G the
+    graph Laplacian of ``grid.edges``, the main diagonal first."""
+    w = grid.weights
+    diagonals = []
+    degree = np.zeros(grid.n_nodes)
+    for stride, c in grid.edges:
+        diagonals += [(stride, c[stride:] / w[:-stride]),
+                      (-stride, c[stride:] / w[stride:])]
+        degree += c + np.roll(c, -stride)
+    return [(0, -degree / w), *diagonals]
+
+
 def laplacian_matrix(grid: Grid):
     """Second-order Laplacian with ghost-node reflection at the boundary, as a
     ``scipy.sparse`` CSR matrix acting on node values: L = -W^-1 G, with G
     the graph Laplacian of ``grid.edges``. Row sums are zero."""
     from scipy import sparse  # deferred: costly import
-    w = grid.weights
-    diagonals, offsets = [], []
-    degree = np.zeros(grid.n_nodes)
-    for stride, c in grid.edges:
-        diagonals += [c[stride:] / w[:-stride], c[stride:] / w[stride:]]
-        offsets += [stride, -stride]
-        degree += c + np.roll(c, -stride)
-    return sparse.diags([-degree / w, *diagonals], [0, *offsets], format="csr")
+    offsets, diagonals = zip(*_laplacian_diagonals(grid))
+    return sparse.diags(diagonals, offsets, format="csr")

@@ -30,11 +30,9 @@ import csv
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -65,11 +63,6 @@ CERTIFICATE_COLUMNS = ("method", "verdict", "witness", "tolerance",
 
 # abscissa needs a dense symmetric eigensolve; skip on grids bigger than this
 _STABILITY_MAX_NODES = 1024
-
-# sweep workers are forked, so they inherit the caller's BLAS thread count
-# (None, the platform's default, where there is no fork)
-_FORK = (multiprocessing.get_context("fork")
-         if "fork" in multiprocessing.get_all_start_methods() else None)
 
 _REQUIRED = object()
 
@@ -646,8 +639,13 @@ def run_sweep(sweep: SweepSpec, jobs: int = 1, out_dir=None,
     import scipy.linalg  # noqa: F401
     with _one_blas_thread():
         if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers,
-                                     mp_context=_FORK) as pool:
+            # loaded here, so that a process without a pool does not pay for
+            # them; None is the platform's default, where there is no fork
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            fork = (multiprocessing.get_context("fork")
+                    if "fork" in multiprocessing.get_all_start_methods() else None)
+            with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
                 rows = list(pool.map(_run_sweep_point, tasks))
         else:
             rows = [_run_sweep_point(task) for task in tasks]

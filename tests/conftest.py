@@ -26,18 +26,37 @@ def openblas_threads_restored():
         pytest.fail(f"OpenBLAS thread counts {before} became {after}")
 
 
+def _fresh_env() -> dict:
+    """This process's environment, with this nlkpp first on the path."""
+    src = str(Path(nlkpp.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.fixture(scope="session")
 def fresh_python():
     """Run Python source in a new interpreter that imports this nlkpp, and
     return its standard output: what a module import loads shows only there,
     since this process has loaded scipy already."""
-    src = str(Path(nlkpp.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _fresh_env()
 
     def run(code: str, cwd=None) -> str:
         return subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, check=True, env=env, cwd=cwd).stdout
+    return run
+
+
+@pytest.fixture(scope="session")
+def nlkpp_process():
+    """Run ``python -m nlkpp.cli`` with the given arguments in a new process
+    and return the completed process, its output as text. The process's
+    standard output is block-buffered, as it is by default into a pipe."""
+    env = _fresh_env()
+    env.pop("PYTHONUNBUFFERED", None)
+
+    def run(args: list, cwd=None) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-m", "nlkpp.cli", *args],
+                              capture_output=True, text=True, env=env, cwd=cwd)
     return run
 
 

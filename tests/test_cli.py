@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -337,23 +338,39 @@ def test_import_leaves_scipy_signal_unloaded(fresh_python):
     assert fresh_python(code).strip() == "False"
 
 
-@pytest.mark.parametrize("args,status,module,loaded", [
-    ([], None, "scipy", False),
-    (["certify", "gaussian.json"], 0, "scipy", False),  # decided by the circulant symbol
-    (["simulate", "columns.json"], 2, "scipy", False),
-    (["simulate", "gaussian.json"], 0, "scipy", True),  # the diffusion solve needs LAPACK
+# the pool's modules: scipy.linalg loads numpy.testing, which imports the rest
+# of concurrent.futures itself
+POOL = ("multiprocessing", "concurrent.futures.process")
+
+
+@pytest.mark.parametrize("args,status,modules,loaded", [
+    ([], None, ("scipy",), False),
+    (["certify", "gaussian.json"], 0, ("scipy",), False),  # decided by the circulant symbol
+    (["simulate", "columns.json"], 2, ("scipy",), False),
+    (["simulate", "gaussian.json"], 0, ("scipy",), True),  # the diffusion solve needs LAPACK
     # 1024 nodes: balancing applies the kernel by FFT
-    (["certify", "gaussian_2d.json"], 0, "scipy", False),
-    (["certify", "gaussian_1024.json"], 0, "scipy", False),
-    (["simulate", "gaussian_2d.json"], 0, "scipy.fft", False),
+    (["certify", "gaussian_2d.json"], 0, ("scipy",), False),
+    (["certify", "gaussian_1024.json"], 0, ("scipy",), False),
+    (["simulate", "gaussian_2d.json"], 0, ("scipy.fft", "scipy.sparse"), False),
     # not_positive: decided by Lanczos, matrix-free at 32 x 32
-    (["certify", "tophat.json"], 0, "scipy", False),
-    (["certify", "tophat_2d.json"], 0, "scipy", False),
+    (["certify", "tophat.json"], 0, ("scipy",), False),
+    (["certify", "tophat_2d.json"], 0, ("scipy",), False),
+    # the linearization builds its Laplacian dense, from the grid's edges
+    (["simulate", "gaussian.json"], 0, ("scipy.sparse",) + POOL, False),
+    # the process pool is imported only by a sweep that starts one
+    (["certify", "gaussian.json"], 0, POOL, False),
+    (["simulate", "columns.json"], 2, POOL, False),
+    (["sweep", "sweep.json", "--jobs", "1"], 0, POOL, False),
+    (["sweep", "sweep.json", "--jobs", "2"], 0, POOL, True),
 ], ids=["import", "certify", "refusal", "simulate", "certify_2d", "certify_1024",
-        "simulate_2d", "certify_tophat", "certify_tophat_2d"])
+        "simulate_2d", "certify_tophat", "certify_tophat_2d", "simulate_sparse_pool",
+        "certify_pool", "refusal_pool", "sweep_jobs_1", "sweep_jobs_2"])
 def test_scipy_loads_only_where_it_runs(tmp_path, fresh_python, args, status,
-                                        module, loaded):
+                                        modules, loaded):
     doc = scenario_doc()
+    write(tmp_path, {"base": doc, "parameters": [{"path": "sim.mu",
+                                                  "values": [0.5, 1.0]}]},
+          "sweep.json")
     doc["grid"]["counts"] = 1024
     write(tmp_path, doc, "gaussian_1024.json")
     doc["grid"]["counts"] = 128
@@ -372,6 +389,43 @@ def test_scipy_loads_only_where_it_runs(tmp_path, fresh_python, args, status,
     code = "import sys, nlkpp, nlkpp.cli\n"
     if args:
         code += f"assert nlkpp.cli.main({args + ['--out', 'o']!r}) == {status}\n"
-    code += (f"print(any(m == {module!r} or m.startswith({module + '.'!r})\n"
+    code += (f"print(any(m == x or m.startswith(x + '.') for x in {modules!r}\n"
              "          for m in sys.modules))")
     assert fresh_python(code, cwd=tmp_path).splitlines()[-1] == str(loaded)
+    if args[:1] == ["sweep"]:  # whatever the worker count, the same rows
+        assert main(["sweep", str(tmp_path / "sweep.json"), "--quiet",
+                     "--out", str(tmp_path / "serial")]) == 0
+        assert ((tmp_path / "o/sweep_summary.csv").read_bytes()
+                == (tmp_path / "serial/sweep_summary.csv").read_bytes())
+
+
+def test_console_script_is_console_main():
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    assert 'nlkpp = "nlkpp.cli:console_main"' in pyproject.read_text()
+
+
+@pytest.mark.parametrize("change,status", [
+    ({}, 0),
+    ({"sim": {"mu": -2.0, "dt": 1e-3, "t_end": 0.02}}, 2),
+    ({"sim": {"mu": 1e15, "dt": 1.0, "t_end": 1.0},
+      "initial": {"kind": "constant", "value": 4.0}}, 3),
+], ids=["ok", "validation", "numerical"])
+def test_process_exit_keeps_output(tmp_path, nlkpp_process, change, status):
+    # python -m nlkpp.cli ends by os._exit: what main printed and wrote must
+    # still arrive whole, and the artifacts match an in-process run's bytes
+    path = write(tmp_path, dict(scenario_doc(), **change), "sc.json")
+    proc = nlkpp_process(["simulate", path, "--out", str(tmp_path / "sub")])
+    assert proc.returncode == status
+    if status == 0:
+        assert re.fullmatch(r"\[sc\] steps=20 sup\|u-1\|=\S+ V=\S+ "
+                            r"abscissa=\S+ wall=\d+\.\d\ds\n", proc.stdout)
+        assert proc.stderr == ""
+        assert main(["simulate", path, "--out", str(tmp_path / "in"), "--quiet"]) == 0
+        for name in ("trace.csv", "certificate.csv", "final_field.bin"):
+            assert ((tmp_path / "sub" / name).read_bytes()
+                    == (tmp_path / "in" / name).read_bytes()), name
+    else:
+        prefix = "error: " if status == 2 else "numerical failure: "
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1
+        assert proc.stderr.endswith("\n")

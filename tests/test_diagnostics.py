@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from nlkpp import (DomainError, Field, Kernel, KernelProfile, SimConfig,
                    ValidationError, build_uniform_grid, integrate,
                    certify_positivity_eigen, cosine_mode_rates,
-                   decay_identity_residual, dissipation, linearization_matrix,
-                   lyapunov_value, most_unstable_cosine_mode, reaction_term, run,
+                   decay_identity_residual, dissipation, laplacian_matrix,
+                   linearization_matrix, lyapunov_value,
+                   most_unstable_cosine_mode, reaction_term, run,
                    sample_convolution_kernel, spectral_abscissa,
                    sup_distance_to_one, symmetrize_and_normalize)
 from nlkpp.diagnostics import TRACE_COLUMNS, Trace, kernel_action
@@ -166,6 +167,20 @@ class TestNormalizedKernelRule:
 
 
 class TestLinearization:
+    @pytest.mark.parametrize("extents,counts", [
+        ((0, 1), 256), (((0, 1), (0, 1.5)), (14, 17)),
+    ], ids=["1d", "2d"])
+    def test_equals_the_sparse_laplacian_form(self, extents, counts):
+        # entry for entry, without scipy.sparse
+        grid = build_uniform_grid(extents, counts)
+        kern = symmetrize_and_normalize(sample_convolution_kernel(
+            KernelProfile("gaussian", 0.2), grid))
+        L, mu = laplacian_matrix(grid).toarray(), 2.5
+        assert np.array_equal(linearization_matrix(grid, kern, mu),
+                              L - mu * (kern.matrix * grid.weights[None, :]))
+        assert np.array_equal(linearization_matrix(grid, None, mu),
+                              L - mu * np.eye(grid.n_nodes))
+
     def test_constant_mode_decays_at_mu(self, unit_grid, balanced_gaussian):
         mu = 1.7
         J = linearization_matrix(unit_grid, balanced_gaussian, mu)

@@ -99,6 +99,19 @@ class TestStepImex:
             with pytest.raises(StepFailure, match="node 0 reaches non-finite"):
                 run(Field.constant(grid, 1e300), grid, kern, cfg)
 
+    def test_right_hand_side_below_the_floor_is_lifted(self, unit_grid,
+                                                       balanced_gaussian):
+        # K[u] is about 3 at the node on the floor, so the reaction takes its
+        # right-hand side below the floor; diffusion from its neighbours
+        # lifts it, and u's own minimum accepts the step at the first try
+        u = np.full(unit_grid.n_nodes, 3.0)
+        u[64] = 1e-14
+        cfg = SimConfig(mu=1.0, dt=1e-3, t_end=1.0)
+        state = step_imex(SimState(t=0.0, u=Field(unit_grid, u)), unit_grid,
+                          balanced_gaussian, cfg)
+        assert state.halvings == 0
+        assert state.u.values.min() > 1e-6
+
     def test_solverless_steps_factor_once(self, monkeypatch):
         # without a solver argument each call used to build a solver of its
         # own and factor W (I - dt L) again

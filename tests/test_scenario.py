@@ -490,7 +490,8 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr("nlkpp.scenario.ProcessPoolExecutor", RecordingPool)
+        # run_sweep imports the pool from concurrent.futures when it starts one
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         rows = run_sweep(parse_sweep_dict(self.base_sweep()), jobs=64,
                          out_dir=tmp_path / "two", quiet=True)
         assert asked == [2]
