@@ -41,7 +41,7 @@ import numpy as np
 from . import fieldio
 from .diagnostics import (cosine_modes, linearization_matrix,
                           most_unstable_cosine_mode, spectral_abscissa)
-from .dynamics import SimConfig, run
+from .dynamics import SimConfig, _banded_cholesky, run
 from .errors import NumericalError, ValidationError
 from .grid import Field, Grid, build_uniform_grid
 from .kernels import (FAMILIES, Kernel, KernelProfile, PositivityCertificate,
@@ -622,7 +622,8 @@ def run_sweep(sweep: SweepSpec, jobs: int = 1, out_dir=None,
     worker count; wall times are deliberately left out of that file so its
     bytes are reproducible. The points run with OpenBLAS at one thread (see
     ``kernels._one_blas_thread``), so ``jobs`` is the number of cores a sweep
-    uses.
+    uses. A point's diffusion solve calls the LAPACK that numpy has loaded, so
+    a sweep loads no scipy and numpy's OpenBLAS is the one to pin.
     """
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
@@ -634,9 +635,10 @@ def run_sweep(sweep: SweepSpec, jobs: int = 1, out_dir=None,
     # the fork start method starts every worker up front, so ask for no more
     # than there are points; forked workers inherit the one BLAS thread
     workers = min(jobs, len(tasks))
-    # the pin reaches only the OpenBLAS libraries loaded by then, and every
-    # point needs scipy's: load it here, once, rather than in each worker
-    import scipy.linalg  # noqa: F401
+    # the pin reaches only the OpenBLAS libraries loaded by then: find the
+    # diffusion solve's LAPACK here, once, rather than in each worker (numpy's,
+    # already loaded; scipy's only where numpy's exports no pbtrf)
+    _banded_cholesky()
     with _one_blas_thread():
         if workers > 1:
             # loaded here, so that a process without a pool does not pay for

@@ -9,6 +9,7 @@ from nlkpp import (Field, KernelProfile, NumericalError, ShapeError,
                    laplacian_matrix, normalize_columns, reaction_term, run,
                    sample_convolution_kernel, step_imex,
                    symmetrize_and_normalize)
+from nlkpp import dynamics
 from nlkpp.dynamics import _MAX_FACTORS, DiffusionSolver, SimState
 
 
@@ -115,15 +116,14 @@ class TestStepImex:
     def test_solverless_steps_factor_once(self, monkeypatch):
         # without a solver argument each call used to build a solver of its
         # own and factor W (I - dt L) again
-        import scipy.linalg
-        lapack = scipy.linalg.get_lapack_funcs
+        lapack = dynamics._banded_cholesky
         factored = []
 
-        def counting(names, arrays):
-            pbtrf, pbtrs = lapack(names, arrays)
-            return (lambda *a, **kw: factored.append(1) or pbtrf(*a, **kw)), pbtrs
+        def counting():
+            pbtrf, pbtrs = lapack()
+            return (lambda *a: factored.append(1) or pbtrf(*a)), pbtrs
 
-        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counting)
+        monkeypatch.setattr(dynamics, "_banded_cholesky", counting)
         grid = build_uniform_grid((0, 1), 64)  # new, so no solver is kept for it
         cfg = SimConfig(mu=1.0, dt=1e-3, t_end=1.0)
         state = SimState(t=0.0, u=Field.constant(grid, 0.5))
@@ -401,6 +401,53 @@ class TestDiffusionSolver:
         # I - dt L is indefinite for dt < 0, so the Cholesky breaks down
         with pytest.raises(NumericalError, match="pbtrf"):
             DiffusionSolver(solver_grid).solve(np.ones(solver_grid.n_nodes), -1.0)
+
+    def test_failed_solve_is_numerical_error(self, unit_grid, monkeypatch):
+        solver = DiffusionSolver(unit_grid)
+        monkeypatch.setattr(solver, "_pbtrs", lambda factor: -8)  # LAPACK's bad LDB
+        with pytest.raises(NumericalError, match="pbtrs info -8"):
+            solver.solve(np.ones(unit_grid.n_nodes), 1e-3)
+
+    @pytest.mark.parametrize("extents,counts", [
+        ((0, 1), 128),
+        (((0, 1), (0, 1.5)), (14, 17)),
+        (((0, 1), (0, 1)), (64, 64)),  # bandwidth 64: LAPACK's blocked factor
+    ], ids=["unit_grid", "rect_2d", "64x64"])
+    def test_lapack_is_scipys_bit_for_bit(self, extents, counts, rng):
+        # numpy's LAPACK through ctypes, against scipy's f2py wrappers
+        from scipy.linalg import get_lapack_funcs
+        trf, trs = get_lapack_funcs(("pbtrf", "pbtrs"), (np.empty(1),))
+        grid = build_uniform_grid(extents, counts)
+        solver = DiffusionSolver(grid)
+        pbtrf, _ = dynamics._banded_cholesky()
+        dt = 1e-3
+        for step in (dt, dt / 2, 1e4 * min(grid.spacing) ** 2):  # dt / h^2 >> 1
+            expected, info = trf(solver._band(step))
+            factor = solver._band(step)
+            assert info == 0 and pbtrf(factor, np.empty(grid.n_nodes))[1] == 0
+            assert np.array_equal(factor, expected)
+            for _ in range(3):
+                rhs = rng.uniform(0.5, 2.0, grid.n_nodes)
+                rhs[::3] = floor = 1e-14  # nodes at the positivity floor
+                x, info = trs(expected, grid.weights * (rhs - floor))
+                assert info == 0
+                assert np.array_equal(solver.solve(rhs, step), floor + x)
+
+    def test_scipy_fallback_gives_the_same_trace(self, balanced_gaussian,
+                                                 unit_grid, tmp_path, monkeypatch):
+        # a numpy whose LAPACK exports no pbtrf takes scipy's, to the same bits
+        import scipy.linalg
+        lapack = scipy.linalg.get_lapack_funcs
+        looked_up = []
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs",
+                            lambda *a: looked_up.append(1) or lapack(*a))
+        cfg = SimConfig(mu=1.0, dt=2e-3, t_end=0.2)
+        u0 = Field(unit_grid, 0.5 + 0.4 * np.cos(np.pi * unit_grid.nodes[:, 0]))
+        run(u0, unit_grid, balanced_gaussian, cfg)[1].to_csv(tmp_path / "numpy")
+        monkeypatch.setattr(dynamics, "_numpy_lapack", lambda: None)
+        run(u0, unit_grid, balanced_gaussian, cfg)[1].to_csv(tmp_path / "scipy")
+        assert looked_up == [1]
+        assert (tmp_path / "numpy").read_bytes() == (tmp_path / "scipy").read_bytes()
 
     @pytest.mark.parametrize("r", [0.25, 32.0, 1e4])
     def test_1d_matches_solve_banded(self, unit_grid, rng, r):

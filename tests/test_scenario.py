@@ -546,22 +546,26 @@ class TestSweep:
     def test_fresh_process_points_run_at_one_blas_thread(self, tmp_path,
                                                         fresh_python, jobs):
         # this process has scipy loaded already, so only a fresh one shows
-        # whether the pin also reaches the OpenBLAS that scipy brings
+        # which OpenBLAS libraries a point's own run loads and at what count
         code = (
             "import json, sys\n"
             "from nlkpp import kernels, scenario\n"
+            "run_point = scenario._run_sweep_point\n"
             "def report(task):\n"
-            "    import scipy.linalg  # what a point's simulate loads\n"
-            "    return {'point': task[0], 'status': 'ok', 'blas_threads':\n"
-            "            [get() for get, _ in kernels._openblas_thread_functions()]}\n"
-            "assert 'scipy' not in sys.modules\n"
+            "    row = run_point(task)\n"
+            "    row['scipy'] = 'scipy' in sys.modules\n"
+            "    row['blas_threads'] = [get() for get, _ in\n"
+            "                           kernels._openblas_thread_functions()]\n"
+            "    return row\n"
             "scenario._run_sweep_point = report\n"
             f"sweep = scenario.parse_sweep_dict({self.base_sweep()!r})\n"
             f"rows = scenario.run_sweep(sweep, jobs={jobs}, out_dir='s', quiet=True)\n"
-            "print(json.dumps([r['blas_threads'] for r in rows]))\n")
+            "print(json.dumps([[r['status'], r['scipy'], r['blas_threads']]\n"
+            "                  for r in rows]))\n")
         points = json.loads(fresh_python(code, cwd=tmp_path))
         assert len(points) == 2
-        assert all(counts and set(counts) == {1} for counts in points), points
+        assert all(status == "ok" and scipy is False and counts and set(counts) == {1}
+                   for status, scipy, counts in points), points
 
     def test_two_parameter_grid(self, tmp_path):
         spec = self.base_sweep(values=(0.5, 1.0))
