@@ -44,8 +44,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run a one- or two-parameter sweep")
     sweep.add_argument("sweep", help="sweep JSON file")
     sweep.add_argument("--out", help="output directory")
-    sweep.add_argument("--jobs", type=int, default=1,
-                       help="parallel worker processes (default 1)")
+    sweep.add_argument("--jobs", type=int, default=None,
+                       help="parallel worker processes (default: one per "
+                            "usable CPU, at most one per point; the output "
+                            "bytes do not depend on it)")
     sweep.add_argument("--quiet", action="store_true")
     return parser
 

@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
+from .fieldio import _open_fresh
 from .grid import Field, Grid, _laplacian_diagonals
 from .kernels import Kernel, apply_kernel
 
@@ -70,7 +71,7 @@ class Trace:
     def to_csv(self, path) -> None:
         # the bytes csv.writer writes for repr(v): no float's repr needs quoting
         line = ",".join(["%r"] * len(TRACE_COLUMNS)) + "\r\n"
-        with open(path, "w", newline="") as fh:
+        with _open_fresh(path, newline="") as fh:
             csv.writer(fh).writerow(TRACE_COLUMNS)
             fh.writelines(line % row for row in self._rows)
 

@@ -388,7 +388,7 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path, columns, rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with fieldio._open_fresh(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
@@ -493,9 +493,10 @@ def _run_scenario_inner(scenario: Scenario, out_dir, quiet: bool,
         if "summary" in arts:
             _write_csv(out / "summary.csv", SUMMARY_COLUMNS, [summary])
         if "meta" in arts:
-            (out / "run_meta.json").write_text(
-                json.dumps({"scenario": scenario.raw, "metadata": trace.metadata},
-                           indent=2, default=str) + "\n")
+            with fieldio._open_fresh(out / "run_meta.json") as fh:
+                fh.write(json.dumps({"scenario": scenario.raw,
+                                     "metadata": trace.metadata},
+                                    indent=2, default=str) + "\n")
 
     if not quiet:
         print(f"[{scenario.name}] steps={state.step} "
@@ -614,18 +615,25 @@ def sweep_columns(sweep: SweepSpec) -> tuple[str, ...]:
     return ("point",) + param_cols + result_cols + ("error",)
 
 
-def run_sweep(sweep: SweepSpec, jobs: int = 1, out_dir=None,
+def run_sweep(sweep: SweepSpec, jobs: int | None = None, out_dir=None,
               quiet: bool = False) -> list[dict]:
     """Run every sweep point, tolerating per-point failures.
 
-    Rows land in ``sweep_summary.csv`` ordered by point index whatever the
-    worker count; wall times are deliberately left out of that file so its
-    bytes are reproducible. The points run with OpenBLAS at one thread (see
+    ``jobs`` is the number of worker processes; ``None`` means one per CPU
+    this process may run on (``os.sched_getaffinity`` where the platform has
+    it, else ``os.cpu_count()``). A sweep starts no more workers than it has
+    points, and with one worker the points run in the calling process. Rows
+    land in ``sweep_summary.csv`` ordered by point index whatever the worker
+    count; wall times are deliberately left out of that file so its bytes
+    are reproducible. The points run with OpenBLAS at one thread (see
     ``kernels._one_blas_thread``), so ``jobs`` is the number of cores a sweep
     uses. A point's diffusion solve calls the LAPACK that numpy has loaded, so
     a sweep loads no scipy and numpy's OpenBLAS is the one to pin.
     """
-    if jobs < 1:
+    if jobs is None:
+        jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+    elif jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
     root = _output_dir(out_dir, sweep.directory)
     points = _sweep_points(sweep)

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import warnings
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from nlkpp import __version__
-from nlkpp.cli import main
+from nlkpp.cli import build_parser, main
 
 
 def scenario_doc():
@@ -320,6 +321,11 @@ def test_overlong_integer_literal_is_exit_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_sweep_jobs_default_to_none():
+    # run_sweep resolves None to the usable CPUs
+    assert build_parser().parse_args(["sweep", "s.json"]).jobs is None
+
+
 def test_sweep_bad_jobs(tmp_path, capsys):
     sweep = {"base": scenario_doc(),
              "parameters": [{"path": "sim.mu", "values": [1.0]}]}
@@ -340,6 +346,9 @@ def test_import_leaves_scipy_signal_unloaded(fresh_python):
 
 # the pool's modules
 POOL = ("multiprocessing", "concurrent.futures")
+# a sweep without --jobs starts a pool exactly when more than one CPU is usable
+USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
 
 
 @pytest.mark.parametrize("args,status,modules,loaded", [
@@ -362,9 +371,11 @@ POOL = ("multiprocessing", "concurrent.futures")
     (["simulate", "columns.json"], 2, POOL, False),
     (["sweep", "sweep.json", "--jobs", "1"], 0, POOL, False),
     (["sweep", "sweep.json", "--jobs", "2"], 0, POOL, True),
+    (["sweep", "sweep.json"], 0, POOL, USABLE_CPUS > 1),
 ], ids=["import", "certify", "refusal", "simulate", "certify_2d", "certify_1024",
         "simulate_2d", "certify_tophat", "certify_tophat_2d", "simulate_sparse_pool",
-        "certify_pool", "refusal_pool", "sweep_jobs_1", "sweep_jobs_2"])
+        "certify_pool", "refusal_pool", "sweep_jobs_1", "sweep_jobs_2",
+        "sweep_default"])
 def test_scipy_loads_only_where_it_runs(tmp_path, fresh_python, args, status,
                                         modules, loaded):
     doc = scenario_doc()
@@ -397,7 +408,7 @@ def test_scipy_loads_only_where_it_runs(tmp_path, fresh_python, args, status,
     assert found == str(loaded)
     if args[:1] == ["sweep"]:  # with or without a pool, no scipy and the same rows
         assert scipy == "False"
-        assert main(["sweep", str(tmp_path / "sweep.json"), "--quiet",
+        assert main(["sweep", str(tmp_path / "sweep.json"), "--quiet", "--jobs", "1",
                      "--out", str(tmp_path / "serial")]) == 0
         assert ((tmp_path / "o/sweep_summary.csv").read_bytes()
                 == (tmp_path / "serial/sweep_summary.csv").read_bytes())

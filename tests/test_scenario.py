@@ -1,6 +1,7 @@
 import copy
 import itertools
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,30 @@ def _blas_threads_point(task):
     module level so that a pool can pickle it."""
     return {"point": task[0], "status": "ok",
             "blas_threads": [get() for get, _ in _openblas_thread_functions()]}
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the sweep's process pool by one that runs the points inline and
+    starts no process; returns the list of worker counts asked for."""
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, **options):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    # run_sweep imports the pool from concurrent.futures when it starts one
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    return asked
 
 
 def write_doc(tmp_path, doc, name="scenario.json"):
@@ -474,31 +499,56 @@ class TestSweep:
             [("0", "validation_error"), ("1", "validation_error"), ("2", "ok")]
         assert "nope.bin" in summary[0]["error"]
 
-    def test_pool_is_no_larger_than_the_sweep(self, tmp_path, monkeypatch):
-        asked = []
-
-        class RecordingPool:  # runs the points inline, starts no process
-            def __init__(self, max_workers, **options):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        # run_sweep imports the pool from concurrent.futures when it starts one
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    def test_pool_is_no_larger_than_the_sweep(self, tmp_path, pool_sizes):
         rows = run_sweep(parse_sweep_dict(self.base_sweep()), jobs=64,
                          out_dir=tmp_path / "two", quiet=True)
-        assert asked == [2]
+        assert pool_sizes == [2]
         assert [r["status"] for r in rows] == ["ok", "ok"]
         run_sweep(parse_sweep_dict(self.base_sweep(values=(1.0,))), jobs=64,
                   out_dir=tmp_path / "one", quiet=True)
-        assert asked == [2]  # one point runs inline
+        assert pool_sizes == [2]  # one point runs inline
+
+    # usable CPUs by affinity (None: the platform has no sched_getaffinity),
+    # os.cpu_count(), and the pool sizes a two-point sweep asks for
+    @pytest.mark.parametrize("affinity,cpu_count,asked", [
+        (1, 64, []), (4, 64, [2]), (None, 4, [2]), (None, 1, []), (None, None, []),
+    ])
+    def test_default_jobs_are_the_usable_cpus(self, tmp_path, monkeypatch, pool_sizes,
+                                              affinity, cpu_count, asked):
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(affinity)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        rows = run_sweep(parse_sweep_dict(self.base_sweep()),
+                         out_dir=tmp_path / "s", quiet=True)
+        assert pool_sizes == asked  # no pool: the points run inline
+        assert [r["status"] for r in rows] == ["ok", "ok"]
+
+    def test_rerun_leaves_hard_links_to_old_artifacts(self, tmp_path):
+        # a rerun writes each artifact as a new file instead of truncating
+        # the old one in place, so a hard link keeps the old bytes
+        spec = self.base_sweep(values=(0.5, 1.0))
+        spec["base"]["output"] = {"artifacts": ["trace", "certificate",
+                                                "final_field", "snapshots",
+                                                "summary", "meta"]}
+        spec["base"]["sim"]["snapshot_every"] = 10
+        out = tmp_path / "s"
+        run_sweep(parse_sweep_dict(spec), out_dir=out, quiet=True)
+        names = ["point_000/trace.csv", "point_000/certificate.csv",
+                 "point_000/final_field.bin", "point_000/snapshots/snap_00000010.bin",
+                 "point_000/summary.csv", "point_000/run_meta.json",
+                 "sweep_summary.csv"]
+        old = {name: (out / name).read_bytes() for name in names}
+        for i, name in enumerate(names):
+            os.link(out / name, tmp_path / f"link_{i}")
+        spec["parameters"][0]["values"] = [2.0, 1.0]
+        run_sweep(parse_sweep_dict(spec), out_dir=out, quiet=True)
+        assert (out / names[0]).read_bytes() != old[names[0]]
+        for i, name in enumerate(names):
+            assert (tmp_path / f"link_{i}").read_bytes() == old[name], name
+            assert not os.path.samefile(tmp_path / f"link_{i}", out / name), name
 
     def test_parallel_output_independent_of_jobs(self, tmp_path):
         # the 256-node tophat fails its symbol bound, so its eigen witness and
@@ -514,13 +564,17 @@ class TestSweep:
         }
         for name, spec in (("gaussian", self.base_sweep(values=(0.5, 1.0, 2.0))),
                            ("tophat", tophat)):
-            rows_serial = run_sweep(parse_sweep_dict(spec),
+            rows_serial = run_sweep(parse_sweep_dict(spec), jobs=1,
                                     out_dir=tmp_path / name / "s1", quiet=True)
             rows_par = run_sweep(parse_sweep_dict(spec), jobs=2,
                                  out_dir=tmp_path / name / "s2", quiet=True)
-            assert (tmp_path / name / "s1/sweep_summary.csv").read_bytes() == \
-                (tmp_path / name / "s2/sweep_summary.csv").read_bytes()
-            assert [r["point"] for r in rows_serial] == [r["point"] for r in rows_par]
+            rows_default = run_sweep(parse_sweep_dict(spec),
+                                     out_dir=tmp_path / name / "s0", quiet=True)
+            serial = (tmp_path / name / "s1/sweep_summary.csv").read_bytes()
+            assert (tmp_path / name / "s2/sweep_summary.csv").read_bytes() == serial
+            assert (tmp_path / name / "s0/sweep_summary.csv").read_bytes() == serial
+            assert ([r["point"] for r in rows_serial] == [r["point"] for r in rows_par]
+                    == [r["point"] for r in rows_default])
             assert [r["status"] for r in rows_par] == ["ok"] * 3
 
     @pytest.mark.parametrize("jobs", [1, 2])
