@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
 from .fieldio import _open_fresh
-from .grid import Field, Grid, _laplacian_diagonals
+from .grid import Field, Grid, laplacian_matrix
 from .kernels import Kernel, apply_kernel
 
 TRACE_COLUMNS = ("t", "V", "D_total", "D_grad", "D_kernel",
@@ -209,13 +209,9 @@ def linearization_matrix(grid: Grid, kernel: Kernel | None,
     K[v] = v in local mode (no kernel).
 
     The kernel must be normalized (K[1] = 1), otherwise u = 1 is not a steady
-    state to linearize about. Lap is :func:`~nlkpp.grid.laplacian_matrix`,
-    entry for entry, built dense without scipy.sparse.
+    state to linearize about. Lap is :func:`~nlkpp.grid.laplacian_matrix`.
     """
-    L = np.zeros((grid.n_nodes, grid.n_nodes))
-    for offset, values in _laplacian_diagonals(grid):
-        i = np.arange(values.size)
-        L[i + max(-offset, 0), i + max(offset, 0)] = values
+    L = laplacian_matrix(grid)
     if kernel is None:
         return L - mu * np.eye(grid.n_nodes)
     _require_normalized(kernel)

@@ -9,14 +9,13 @@ Lyapunov bookkeeping. The accepted step size recovers by doubling back up to
 the configured dt.
 """
 
-import ctypes
-import functools
 import math
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._openblas import _banded_cholesky
 from .diagnostics import Trace, kernel_action, trace_rows
 from .errors import NumericalError, ShapeError, StepFailure, ValidationError
 from .grid import Field, Grid
@@ -82,83 +81,13 @@ def reaction_term(u: Field, kernel: Kernel | None, mu: float) -> Field:
     return Field(u.grid, mu * (1.0 - kernel_action(u, kernel)) * u.values)
 
 
-@functools.cache
-def _numpy_lapack():
-    """``(dpbtrf, dpbtrs, integer type)`` of the LAPACK that numpy has loaded,
-    found through ctypes in the library its linalg extension links; None where
-    it exports none of the names probed."""
-    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    for name, integer in (("scipy_{}_64_", ctypes.c_int64), ("{}_64_", ctypes.c_int64),
-                          ("{}_", ctypes.c_int)):
-        pbtrf = getattr(lib, name.format("dpbtrf"), None)
-        pbtrs = getattr(lib, name.format("dpbtrs"), None)
-        if pbtrf is not None and pbtrs is not None:
-            # no argtypes: _banded_cholesky builds every argument with its exact
-            # ctypes type, once per factor, and checking ten of them on each
-            # call cost 0.5 us of a 4 us solve
-            pbtrf.restype = pbtrs.restype = None
-            return pbtrf, pbtrs, integer
-    return None
-
-
-def _banded_cholesky():
-    """LAPACK's upper banded Cholesky as ``(pbtrf, pbtrs)``: ``pbtrf(ab, b)``
-    factors the Fortran-ordered band ``ab`` (diagonal last) in place and
-    returns ``(factor, info)``; ``pbtrs(factor)`` overwrites ``b``, the
-    buffer it was factored with, by the solution and returns LAPACK's info.
-
-    The routines are those of the LAPACK that numpy has loaded, called through
-    ctypes with every argument built once per factor; only where numpy's
-    exports none of them are scipy's taken instead."""
-    found = _numpy_lapack()
-    if found is None:
-        from scipy.linalg import get_lapack_funcs  # deferred: costly import
-        trf, trs = get_lapack_funcs(("pbtrf", "pbtrs"), (np.empty(1),))
-
-        def pbtrf(ab, b):
-            factor, info = trf(ab, overwrite_ab=1)
-            return (factor, b), info
-
-        def pbtrs(factor):
-            x, info = trs(*factor, overwrite_b=1)
-            factor[1][:] = x
-            return info
-        return pbtrf, pbtrs
-
-    trf, trs, integer = found
-    # the upper triangle, and the hidden length of that one-character argument
-    upper, length = ctypes.c_char_p(b"U"), ctypes.c_size_t(1)
-
-    def pbtrf(ab, b):
-        if not (ab.dtype == b.dtype == np.float64 and ab.flags.f_contiguous
-                and b.flags.c_contiguous and b.shape == ab.shape[1:]):
-            raise ValueError("pbtrf takes a Fortran-ordered float64 band and a "
-                             "contiguous float64 vector of its length")
-        ref = ctypes.byref
-        n, kd, ld = integer(ab.shape[1]), integer(ab.shape[0] - 1), integer(ab.shape[0])
-        info = integer()
-        # data_as keeps its array alive, so the factor holds both buffers
-        ab_p, b_p = ab.ctypes.data_as(ctypes.c_void_p), b.ctypes.data_as(ctypes.c_void_p)
-        trf(upper, ref(n), ref(kd), ab_p, ref(ld), ref(info), length)
-        args = (upper, ref(n), ref(kd), ref(integer(1)), ab_p, ref(ld), b_p, ref(n),
-                ref(info), length)
-        return (args, info), info.value
-
-    def pbtrs(factor):
-        args, info = factor
-        trs(*args)
-        return info.value
-    return pbtrf, pbtrs
-
-
 class DiffusionSolver:
     """Exact solver for (I - dt L) u = rhs with the ghost-node Neumann Laplacian.
 
     It factors the symmetric W (I - dt L), W the trapezoid weights, by banded
     Cholesky (LAPACK ``pbtrf``; bandwidth 1 in 1D, n1 in 2D) and solves for
     u - min(rhs). The LAPACK is the one numpy has loaded, called through
-    ctypes (scipy's where numpy's exports no ``dpbtrf``), so a solve loads no
-    scipy. Scaled by W the matrix is a symmetric M-matrix and Cholesky
+    ctypes. Scaled by W the matrix is a symmetric M-matrix and Cholesky
     does not pivot, so the factor's signs are exact and both substitutions add
     nonnegative terms only: min(u) >= min(rhs) holds exactly, as the maximum
     principle says, and each node is accurate relative to its own size (a

@@ -165,23 +165,17 @@ def integrate(field: Field) -> float:
     return float(field.grid.weights @ field.values)
 
 
-def _laplacian_diagonals(grid: Grid) -> list[tuple[int, np.ndarray]]:
-    """``(offset, values)`` of each nonzero diagonal of L = -W^-1 G, with G the
-    graph Laplacian of ``grid.edges``, the main diagonal first."""
+def laplacian_matrix(grid: Grid) -> np.ndarray:
+    """Second-order Laplacian with ghost-node reflection at the boundary, as a
+    dense N x N array acting on node values: L = -W^-1 G, with G the graph
+    Laplacian of ``grid.edges``. Row sums are zero."""
     w = grid.weights
-    diagonals = []
+    L = np.zeros((grid.n_nodes, grid.n_nodes))
+    i = np.arange(grid.n_nodes)
     degree = np.zeros(grid.n_nodes)
     for stride, c in grid.edges:
-        diagonals += [(stride, c[stride:] / w[:-stride]),
-                      (-stride, c[stride:] / w[stride:])]
+        L[i[:-stride], i[stride:]] = c[stride:] / w[:-stride]
+        L[i[stride:], i[:-stride]] = c[stride:] / w[stride:]
         degree += c + np.roll(c, -stride)
-    return [(0, -degree / w), *diagonals]
-
-
-def laplacian_matrix(grid: Grid):
-    """Second-order Laplacian with ghost-node reflection at the boundary, as a
-    ``scipy.sparse`` CSR matrix acting on node values: L = -W^-1 G, with G
-    the graph Laplacian of ``grid.edges``. Row sums are zero."""
-    from scipy import sparse  # deferred: costly import
-    offsets, diagonals = zip(*_laplacian_diagonals(grid))
-    return sparse.diags(diagonals, offsets, format="csr")
+    L[i, i] = -degree / w
+    return L

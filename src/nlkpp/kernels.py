@@ -23,8 +23,6 @@ w @ K one instead; that does not pin K[1], so its kernels are labelled
 ``"columns"``, not ``normalized``, and the dynamics refuse them.
 """
 
-import contextlib
-import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -32,6 +30,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
+from ._openblas import _one_blas_thread
 from .errors import BalancingError, KernelError, ShapeError, ValidationError
 from .grid import Field, Grid
 
@@ -402,61 +401,6 @@ class PositivityCertificate:
     def __repr__(self) -> str:
         return (f"PositivityCertificate({self.method}, {self.verdict}, "
                 f"witness={self.witness:.6g})")
-
-
-def _openblas_thread_functions() -> list[tuple]:
-    """The ``(get, set)`` thread-count functions of each OpenBLAS this process
-    has loaded (numpy and scipy bundle one each), found through
-    ``/proc/self/maps``; empty where there is none or no such file."""
-    import ctypes
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return []
-    found = []
-    for lib in libs:
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        for prefix, suffix in itertools.product(("scipy_openblas_", "openblas_"),
-                                                ("64_", "")):
-            get = getattr(handle, f"{prefix}get_num_threads{suffix}", None)
-            set_ = getattr(handle, f"{prefix}set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                found.append((get, set_))
-                break
-    return found
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with every loaded OpenBLAS at one thread and restore each
-    one's count afterwards.
-
-    The Lanczos eigen certificate runs in it, so that its witness has the
-    same bits whatever the threading and it does not wake numpy's thread
-    pool. A sweep runs its points in it: a sweep's parallelism is its points,
-    and with ``jobs`` workers each running a multithreaded BLAS, the threads
-    outnumber the cores and spin against each other; ``jobs=1`` runs at one
-    thread too, so that a dense eigensolve, whose last bits follow the thread
-    count, gives the same rows for every ``jobs``. No environment variable is
-    read or set.
-    """
-    # a library already at one thread is left alone: in a forked sweep worker
-    # any set call restarts OpenBLAS's thread pool, whose threads then spin
-    changed = [(set_, count) for get, set_ in _openblas_thread_functions()
-               if (count := get()) != 1]
-    for set_, _ in changed:
-        set_(1)
-    try:
-        yield
-    finally:
-        for set_, count in changed:
-            set_(count)
 
 
 def _circulant_bound(kernel: Kernel, a: np.ndarray) -> float | None:

@@ -39,15 +39,15 @@ from pathlib import Path
 import numpy as np
 
 from . import fieldio
+from ._openblas import _one_blas_thread
 from .diagnostics import (cosine_modes, linearization_matrix,
                           most_unstable_cosine_mode, spectral_abscissa)
-from .dynamics import SimConfig, _banded_cholesky, run
+from .dynamics import SimConfig, run
 from .errors import NumericalError, ValidationError
 from .grid import Field, Grid, build_uniform_grid
 from .kernels import (FAMILIES, Kernel, KernelProfile, PositivityCertificate,
-                      _one_blas_thread, certify_positivity_bochner,
-                      certify_positivity_eigen, sample_convolution_kernel,
-                      symmetrize_and_normalize)
+                      certify_positivity_bochner, certify_positivity_eigen,
+                      sample_convolution_kernel, symmetrize_and_normalize)
 
 OUTPUT_DIR_ENV = "NLKPP_OUT"
 
@@ -625,10 +625,9 @@ def run_sweep(sweep: SweepSpec, jobs: int | None = None, out_dir=None,
     points, and with one worker the points run in the calling process. Rows
     land in ``sweep_summary.csv`` ordered by point index whatever the worker
     count; wall times are deliberately left out of that file so its bytes
-    are reproducible. The points run with OpenBLAS at one thread (see
-    ``kernels._one_blas_thread``), so ``jobs`` is the number of cores a sweep
-    uses. A point's diffusion solve calls the LAPACK that numpy has loaded, so
-    a sweep loads no scipy and numpy's OpenBLAS is the one to pin.
+    are reproducible. The points run with numpy's OpenBLAS, the one BLAS
+    nlkpp calls, at one thread (see ``_openblas._one_blas_thread``), so
+    ``jobs`` is the number of cores a sweep uses.
     """
     if jobs is None:
         jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -643,10 +642,6 @@ def run_sweep(sweep: SweepSpec, jobs: int | None = None, out_dir=None,
     # the fork start method starts every worker up front, so ask for no more
     # than there are points; forked workers inherit the one BLAS thread
     workers = min(jobs, len(tasks))
-    # the pin reaches only the OpenBLAS libraries loaded by then: find the
-    # diffusion solve's LAPACK here, once, rather than in each worker (numpy's,
-    # already loaded; scipy's only where numpy's exports no pbtrf)
-    _banded_cholesky()
     with _one_blas_thread():
         if workers > 1:
             # loaded here, so that a process without a pool does not pay for

@@ -5,25 +5,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-# nlkpp loads scipy where it first needs it; loading it here fixes the set of
-# OpenBLAS libraries that openblas_threads_restored compares for the session
-import scipy.linalg  # noqa: F401
 
 import nlkpp
 from nlkpp import (KernelProfile, build_uniform_grid, sample_convolution_kernel,
                    symmetrize_and_normalize)
-from nlkpp.kernels import _openblas_thread_functions
+from nlkpp._openblas import _thread_functions
 
 
 @pytest.fixture(autouse=True)
 def openblas_threads_restored():
-    """Fail a test that leaves an OpenBLAS thread count changed: every later
-    test would run at the wrong count."""
-    before = [get() for get, _ in _openblas_thread_functions()]
+    """Fail a test that leaves numpy's OpenBLAS thread count changed: every
+    later test would run at the wrong count."""
+    functions = _thread_functions()
+    before = functions and functions[0]()
     yield
-    after = [get() for get, _ in _openblas_thread_functions()]
+    after = functions and functions[0]()
     if after != before:
-        pytest.fail(f"OpenBLAS thread counts {before} became {after}")
+        pytest.fail(f"OpenBLAS thread count {before} became {after}")
 
 
 def _fresh_env() -> dict:
@@ -37,7 +35,7 @@ def _fresh_env() -> dict:
 def fresh_python():
     """Run Python source in a new interpreter that imports this nlkpp, and
     return its standard output: what a module import loads shows only there,
-    since this process has loaded scipy already."""
+    since this process has loaded what earlier tests imported."""
     env = _fresh_env()
 
     def run(code: str, cwd=None) -> str:

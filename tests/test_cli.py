@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from nlkpp import __version__
+from nlkpp import __version__, read_csv_rows
 from nlkpp.cli import build_parser, main
 
 
@@ -412,6 +412,41 @@ def test_scipy_loads_only_where_it_runs(tmp_path, fresh_python, args, status,
                      "--out", str(tmp_path / "serial")]) == 0
         assert ((tmp_path / "o/sweep_summary.csv").read_bytes()
                 == (tmp_path / "serial/sweep_summary.csv").read_bytes())
+
+
+def test_runs_without_scipy(tmp_path, fresh_python):
+    # scipy is a test dependency only: with its import blocked, every command
+    # runs and the public Laplacian and linearization build
+    doc = scenario_doc()
+    write(tmp_path, doc, "gaussian.json")
+    write(tmp_path, {"base": doc, "parameters": [{"path": "sim.mu",
+                                                  "values": [0.5, 1.0]}]},
+          "sweep.json")
+    doc = scenario_doc()
+    doc["grid"] = {"extents": [[0.0, 1.0], [0.0, 1.0]], "counts": [32, 32]}
+    write(tmp_path, doc, "gaussian_2d.json")
+    doc = scenario_doc()  # not_positive, decided by Lanczos
+    doc["grid"] = {"extents": [0.0, 5.0], "counts": 256}
+    doc["kernel"] = {"family": "tophat", "sigma": 1.0}
+    write(tmp_path, doc, "tophat.json")
+    runs = [["certify", "gaussian.json"], ["certify", "tophat.json"],
+            ["certify", "gaussian_2d.json"], ["simulate", "gaussian.json"],
+            ["simulate", "gaussian_2d.json"], ["sweep", "sweep.json", "--jobs", "1"],
+            ["sweep", "sweep.json", "--jobs", "2"]]
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from nlkpp import *\n"
+            "from nlkpp.cli import main\n"
+            f"for i, args in enumerate({runs!r}):\n"
+            "    assert main(args + ['--quiet', '--out', f'o{i}']) == 0, args\n"
+            "g = build_uniform_grid((0, 1), 32)\n"
+            "k = symmetrize_and_normalize(sample_convolution_kernel(\n"
+            "    KernelProfile('gaussian', 0.2), g))\n"
+            "print(laplacian_matrix(g).shape, linearization_matrix(g, k, 1.0).shape)")
+    assert fresh_python(code, cwd=tmp_path).splitlines()[-1] == "(32, 32) (32, 32)"
+    assert "eigen,not_positive," in (tmp_path / "o1/certificate.csv").read_text()
+    assert all(row["status"] == "ok" for i in (5, 6)
+               for row in read_csv_rows(tmp_path / f"o{i}/sweep_summary.csv"))
 
 
 def test_console_script_is_console_main():

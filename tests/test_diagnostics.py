@@ -171,11 +171,11 @@ class TestLinearization:
         ((0, 1), 256), (((0, 1), (0, 1.5)), (14, 17)),
     ], ids=["1d", "2d"])
     def test_equals_the_sparse_laplacian_form(self, extents, counts):
-        # entry for entry, without scipy.sparse
+        # the dense Laplacian and the kernel term, entry for entry
         grid = build_uniform_grid(extents, counts)
         kern = symmetrize_and_normalize(sample_convolution_kernel(
             KernelProfile("gaussian", 0.2), grid))
-        L, mu = laplacian_matrix(grid).toarray(), 2.5
+        L, mu = laplacian_matrix(grid), 2.5
         assert np.array_equal(linearization_matrix(grid, kern, mu),
                               L - mu * (kern.matrix * grid.weights[None, :]))
         assert np.array_equal(linearization_matrix(grid, None, mu),

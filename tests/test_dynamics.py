@@ -1,4 +1,5 @@
 import gc
+import json
 import weakref
 
 import numpy as np
@@ -9,7 +10,8 @@ from nlkpp import (Field, KernelProfile, NumericalError, ShapeError,
                    laplacian_matrix, normalize_columns, reaction_term, run,
                    sample_convolution_kernel, step_imex,
                    symmetrize_and_normalize)
-from nlkpp import dynamics
+from nlkpp import _openblas, dynamics
+from nlkpp.cli import main
 from nlkpp.dynamics import _MAX_FACTORS, DiffusionSolver, SimState
 
 
@@ -433,21 +435,20 @@ class TestDiffusionSolver:
                 assert info == 0
                 assert np.array_equal(solver.solve(rhs, step), floor + x)
 
-    def test_scipy_fallback_gives_the_same_trace(self, balanced_gaussian,
-                                                 unit_grid, tmp_path, monkeypatch):
-        # a numpy whose LAPACK exports no pbtrf takes scipy's, to the same bits
-        import scipy.linalg
-        lapack = scipy.linalg.get_lapack_funcs
-        looked_up = []
-        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs",
-                            lambda *a: looked_up.append(1) or lapack(*a))
-        cfg = SimConfig(mu=1.0, dt=2e-3, t_end=0.2)
-        u0 = Field(unit_grid, 0.5 + 0.4 * np.cos(np.pi * unit_grid.nodes[:, 0]))
-        run(u0, unit_grid, balanced_gaussian, cfg)[1].to_csv(tmp_path / "numpy")
-        monkeypatch.setattr(dynamics, "_numpy_lapack", lambda: None)
-        run(u0, unit_grid, balanced_gaussian, cfg)[1].to_csv(tmp_path / "scipy")
-        assert looked_up == [1]
-        assert (tmp_path / "numpy").read_bytes() == (tmp_path / "scipy").read_bytes()
+    def test_numpy_without_the_routines_is_exit_3(self, tmp_path, monkeypatch,
+                                                  capsys):
+        # a numpy whose library exports no dpbtrf/dpbtrs fails loudly
+        monkeypatch.setattr(_openblas, "_numpy_lapack", lambda: None)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({
+            "grid": {"extents": [0.0, 1.0], "counts": 48},
+            "kernel": {"family": "gaussian", "sigma": 0.2},
+            "initial": {"kind": "constant", "value": 0.2},
+            "sim": {"mu": 1.0, "dt": 1e-3, "t_end": 0.02}}))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "dpbtrf" in err and np.linalg._umath_linalg.__file__ in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("r", [0.25, 32.0, 1e4])
     def test_1d_matches_solve_banded(self, unit_grid, rng, r):
@@ -460,7 +461,7 @@ class TestDiffusionSolver:
         rhs[::3] = 1e-14 * rng.uniform(1.0, 1.01, rhs[::3].size)
         kept = rhs.copy()
         for step in (dt, dt / 2, dt):
-            a = np.eye(unit_grid.n_nodes) - step * laplacian_matrix(unit_grid).toarray()
+            a = np.eye(unit_grid.n_nodes) - step * laplacian_matrix(unit_grid)
             band = np.stack([np.r_[0, a.diagonal(1)], a.diagonal(),
                              np.r_[a.diagonal(-1), 0]])
             expected = solve_banded((1, 1), band, rhs)
@@ -469,12 +470,12 @@ class TestDiffusionSolver:
         assert np.array_equal(rhs, kept)
 
     def test_matches_sparse_solve(self, solver_grid, rng):
-        from scipy.sparse import identity
+        from scipy.sparse import csr_matrix
         from scipy.sparse.linalg import spsolve
         # one solver at dt and at dt / 2, as a rejected step uses it
         solver = DiffusionSolver(solver_grid)
         rhs = rng.uniform(0.5, 2.0, solver_grid.n_nodes)
         for dt in (7e-3, 3.5e-3):
-            A = identity(solver_grid.n_nodes) - dt * laplacian_matrix(solver_grid)
-            exact = spsolve(A.tocsc(), rhs)
+            A = np.eye(solver_grid.n_nodes) - dt * laplacian_matrix(solver_grid)
+            exact = spsolve(csr_matrix(A), rhs)
             assert np.max(np.abs(solver.solve(rhs, dt) - exact)) < 1e-12

@@ -127,7 +127,7 @@ class TestNeumannLaplacian:
 class TestLaplacianMatrix:
     def test_three_node_stencil(self):
         grid = build_uniform_grid((0, 1), 3)
-        L = laplacian_matrix(grid).toarray()
+        L = laplacian_matrix(grid)
         h2 = 0.5**2
         expected = np.array([[-2, 2, 0], [1, -2, 1], [0, 2, -2]]) / h2
         np.testing.assert_allclose(L, expected, atol=0)
@@ -140,14 +140,14 @@ class TestLaplacianMatrix:
     @settings(max_examples=30)
     def test_weighted_symmetry(self, n, lo, width):
         grid = build_uniform_grid((lo, lo + width), n)
-        L = laplacian_matrix(grid).toarray()
+        L = laplacian_matrix(grid)
         WL = grid.weights[:, None] * L
         scale = np.max(np.abs(WL))
         assert np.max(np.abs(WL - WL.T)) <= 1e-13 * scale
 
     def test_weighted_symmetry_2d(self):
         grid = build_uniform_grid(((0, 1), (0, 0.5)), (9, 7))
-        L = laplacian_matrix(grid).toarray()
+        L = laplacian_matrix(grid)
         WL = grid.weights[:, None] * L
         assert np.max(np.abs(WL - WL.T)) <= 1e-13 * np.max(np.abs(WL))
 

@@ -479,17 +479,18 @@ class TestEigenCertificate:
 
     def test_pin_leaves_a_library_at_one_thread_alone(self, monkeypatch):
         # a set call in a forked sweep worker restarts OpenBLAS's thread pool
-        counts, calls = [1, 2], []
-
-        def library(i):
-            return (lambda: counts[i],
-                    lambda n: (calls.append((i, n)), counts.__setitem__(i, n)))
-        monkeypatch.setattr("nlkpp.kernels._openblas_thread_functions",
-                            lambda: [library(0), library(1)])
-        with _one_blas_thread():
-            assert counts == [1, 1]
-        assert counts == [1, 2]
-        assert calls == [(1, 1), (1, 2)]
+        for start, expected in ((1, []), (2, [1, 2])):
+            count, calls = [start], []
+            library = (lambda: count[0],
+                       lambda n: (calls.append(n), count.__setitem__(0, n)))
+            monkeypatch.setattr("nlkpp._openblas._thread_functions", lambda: library)
+            with _one_blas_thread():
+                assert count == [1]
+            assert count == [start]
+            assert calls == expected
+        monkeypatch.setattr("nlkpp._openblas._thread_functions", lambda: None)
+        with _one_blas_thread():  # a numpy without OpenBLAS has nothing to pin
+            pass
 
     @pytest.mark.parametrize("c", [0.5, 2.0, 10.0])
     def test_scaling_covariance(self, balanced_tophat, c):

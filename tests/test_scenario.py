@@ -12,9 +12,9 @@ from nlkpp import (Field, Kernel, ValidationError, build_kernel,
                    parse_scenario_dict, parse_sweep, parse_sweep_dict,
                    read_csv_rows, read_field, run_scenario, run_sweep,
                    write_field)
+from nlkpp._openblas import _thread_functions
 from nlkpp.cli import main
 from nlkpp.diagnostics import Trace
-from nlkpp.kernels import _openblas_thread_functions
 
 SCENARIOS = sorted((Path(__file__).parents[1] / "scenarios").glob("*.json"))
 
@@ -31,10 +31,9 @@ def minimal_doc(**overrides):
 
 
 def _blas_threads_point(task):
-    """A sweep point that reports the OpenBLAS thread counts it runs at; at
+    """A sweep point that reports the OpenBLAS thread count it runs at; at
     module level so that a pool can pickle it."""
-    return {"point": task[0], "status": "ok",
-            "blas_threads": [get() for get, _ in _openblas_thread_functions()]}
+    return {"point": task[0], "status": "ok", "blas_threads": _thread_functions()[0]()}
 
 
 @pytest.fixture
@@ -579,37 +578,35 @@ class TestSweep:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_points_run_at_one_blas_thread(self, tmp_path, monkeypatch, jobs):
-        functions = _openblas_thread_functions()
-        if not functions:
-            pytest.skip("no OpenBLAS is loaded")
-        saved = [get() for get, _ in functions]
+        functions = _thread_functions()
+        if functions is None:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        get, set_ = functions
+        saved = get()
         try:
-            for _, set_ in functions:
-                set_(2)
-            caller = [get() for get, _ in functions]
+            set_(2)
+            caller = get()
             monkeypatch.setattr("nlkpp.scenario._run_sweep_point", _blas_threads_point)
             rows = run_sweep(parse_sweep_dict(self.base_sweep()), jobs=jobs,
                              out_dir=tmp_path / "s", quiet=True)
-            assert [r["blas_threads"] for r in rows] == [[1] * len(functions)] * 2
-            assert [get() for get, _ in functions] == caller
+            assert [r["blas_threads"] for r in rows] == [1, 1]
+            assert get() == caller
         finally:
-            for (_, set_), count in zip(functions, saved):
-                set_(count)
+            set_(saved)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_fresh_process_points_run_at_one_blas_thread(self, tmp_path,
                                                         fresh_python, jobs):
-        # this process has scipy loaded already, so only a fresh one shows
-        # which OpenBLAS libraries a point's own run loads and at what count
+        # only a fresh process shows what a point's own run loads, and that
+        # numpy's OpenBLAS runs it at one thread
         code = (
             "import json, sys\n"
-            "from nlkpp import kernels, scenario\n"
+            "from nlkpp import _openblas, scenario\n"
             "run_point = scenario._run_sweep_point\n"
             "def report(task):\n"
             "    row = run_point(task)\n"
             "    row['scipy'] = 'scipy' in sys.modules\n"
-            "    row['blas_threads'] = [get() for get, _ in\n"
-            "                           kernels._openblas_thread_functions()]\n"
+            "    row['blas_threads'] = _openblas._thread_functions()[0]()\n"
             "    return row\n"
             "scenario._run_sweep_point = report\n"
             f"sweep = scenario.parse_sweep_dict({self.base_sweep()!r})\n"
@@ -618,8 +615,8 @@ class TestSweep:
             "                  for r in rows]))\n")
         points = json.loads(fresh_python(code, cwd=tmp_path))
         assert len(points) == 2
-        assert all(status == "ok" and scipy is False and counts and set(counts) == {1}
-                   for status, scipy, counts in points), points
+        assert all(status == "ok" and scipy is False and count == 1
+                   for status, scipy, count in points), points
 
     def test_two_parameter_grid(self, tmp_path):
         spec = self.base_sweep(values=(0.5, 1.0))
