@@ -10,7 +10,6 @@ the configured dt.
 """
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +53,9 @@ class SimConfig:
 _BLOCK_VALUES = 8192
 
 # a solver keeps the factors of this many step sizes, dropping the oldest: a run
-# visits a few (dt, its halvings, the last step's remainder), but a solver kept
-# per grid meets every max_dt its callers pass
+# visits a few (dt, its halvings, the last step's remainder), but a step that
+# ends in StepFailure factors max_dt_halvings + 1 of them (41 by default), and
+# a 2D band factor is 2 MB at 64 x 64 and 135 MB at 256 x 256
 _MAX_FACTORS = 16
 
 
@@ -95,10 +95,9 @@ class DiffusionSolver:
     positivity floor below it). Factors are cached per dt, for the
     ``_MAX_FACTORS`` most recently factored step sizes. Inputs are not
     checked for finiteness; a non-finite right-hand side gives a non-finite
-    solution, which the step rejects. The solver keeps the grid's weights and
-    edges, not the grid, so that a cache keyed weakly by the grid can hold it.
-    It keeps the factors, the last min(rhs) and the buffer it solves in as
-    state, so it serves one thread at a time.
+    solution, which the step rejects. The solver keeps the factors, the last
+    min(rhs) and the buffer it solves in as state, so it serves one thread at
+    a time.
     """
 
     name = "banded_cholesky"
@@ -149,11 +148,6 @@ class DiffusionSolver:
         return floor + x
 
 
-# the solver of step_imex calls that pass none, one per grid so that each dt is
-# factored once; a grid hashes by identity, and its entry goes when it does
-_SOLVERS: "weakref.WeakKeyDictionary[Grid, DiffusionSolver]" = weakref.WeakKeyDictionary()
-
-
 def step_imex(state: SimState, grid: Grid, kernel: Kernel | None,
               config: SimConfig, solver: DiffusionSolver | None = None,
               max_dt: float | None = None) -> SimState:
@@ -161,14 +155,11 @@ def step_imex(state: SimState, grid: Grid, kernel: Kernel | None,
 
     The reaction uses ``state.ku`` when it is set, and the new state carries
     K[u] of its own u, so consecutive steps apply the kernel once each.
-    Without a ``solver`` the grid's shared one is used, built on first need;
-    a solver serves one thread at a time, so such calls on one grid belong in
-    one thread.
+    Without a ``solver`` the call builds one for itself and factors afresh;
+    :func:`run` passes one solver to all its steps.
     """
     if solver is None:
-        solver = _SOLVERS.get(grid)
-        if solver is None:
-            solver = _SOLVERS[grid] = DiffusionSolver(grid)
+        solver = DiffusionSolver(grid)
     u_old = state.u.values
     ku = kernel_action(state.u, kernel) if state.ku is None else state.ku
     r = config.mu * (1.0 - ku) * u_old

@@ -60,8 +60,9 @@ class KernelProfile:
         if self.family not in FAMILIES:
             raise ValidationError(
                 f"unknown kernel family {self.family!r}; choose from {FAMILIES}")
-        if not self.sigma > 0:
-            raise ValidationError(f"kernel sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise ValidationError(
+                f"kernel sigma must be finite and positive, got {self.sigma}")
         if self.family == "custom" and self.func is None:
             raise ValidationError("custom profiles need an evaluation function")
 
@@ -160,12 +161,12 @@ class Kernel:
     use (the dense apply below ``_FFT_AUTO_THRESHOLD`` nodes, the
     linearization, ``normalize_columns``) and kept from then on, so it appears in
     ``vars(kernel)`` only once built. Every other kernel has no profile and is
-    its dense ``matrix`` alone. ``apply_method`` is what
-    :func:`apply_kernel` runs by default: ``"fft"`` for convolution kernels of
-    at least ``_FFT_AUTO_THRESHOLD`` nodes, where it beats the dense matvec,
-    else ``"dense"``. ``balance_iterations`` and ``balance_deviation`` are set
-    by :func:`symmetrize_and_normalize`. Treat instances as immutable; the
-    normalization operations return new kernels.
+    its dense ``matrix`` alone. The kernel chooses how :func:`apply_kernel`
+    runs, and names it in ``apply_method``: ``"fft"`` for convolution kernels
+    of at least ``_FFT_AUTO_THRESHOLD`` nodes, where it beats the dense
+    matvec, else ``"dense"``. ``balance_iterations`` and
+    ``balance_deviation`` are set by :func:`symmetrize_and_normalize`. Treat
+    instances as immutable; the normalization operations return new kernels.
     """
 
     def __init__(self, grid: Grid, matrix: np.ndarray | None = None,
@@ -347,33 +348,27 @@ def symmetrize_and_normalize(kernel: Kernel, max_iterations: int = 5000,
     return balanced
 
 
-def _matvec(kernel: Kernel, values: np.ndarray, method: str = "auto") -> np.ndarray:
-    """K @ values, dense or through the convolution stencil."""
-    if method == "auto":
-        method = kernel.apply_method
-    if method == "dense":
+def _matvec(kernel: Kernel, values: np.ndarray) -> np.ndarray:
+    """K @ values, by the kernel's ``apply_method``: dense or through the
+    convolution stencil."""
+    if kernel.apply_method == "dense":
         return kernel.matrix @ values
-    if method != "fft":
-        raise ValidationError(f"unknown apply method {method!r}")
-    if kernel.profile is None:
-        raise ValidationError("fft application needs a convolution kernel")
     if kernel.scale is None:
         return kernel._stencil.convolve(values)
     return kernel.scale * kernel._stencil.convolve(kernel.scale * values)
 
 
-def apply_kernel(kernel: Kernel, field: Field, method: str = "auto") -> Field:
+def apply_kernel(kernel: Kernel, field: Field) -> Field:
     """Weighted application (K[u])_i = sum_j w_j K_ij u_j.
 
-    ``method`` is ``"dense"``, ``"fft"`` (zero-padded linear convolution,
-    available for convolution kernels on these uniform grids), or ``"auto"``
-    which runs ``kernel.apply_method``: FFT only when the grid is large
-    enough for it to win.
+    The kernel chooses the matvec (``kernel.apply_method``): the dense
+    matrix, or the zero-padded linear convolution of a convolution kernel
+    when the grid is large enough for it to win.
     """
     grid = kernel.grid
     if field.grid is not grid and not field.grid.same_layout(grid):
         raise ShapeError("field does not live on the kernel's grid")
-    return Field(grid, _matvec(kernel, grid.weights * field.values, method))
+    return Field(grid, _matvec(kernel, grid.weights * field.values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -506,10 +501,9 @@ def certify_positivity_eigen(kernel: Kernel, tol: float = 1e-9) -> PositivityCer
         a = w if kernel.scale is None else w * kernel.scale
         table = kernel._stencil.table
         # max_i sum_j |M_ij|, as the dense kernel computes it from the matrix
-        if table.min() >= 0:
-            rows = w * _matvec(kernel, w, "fft")
-        else:
-            rows = a * _Stencil(np.abs(table), grid.counts).convolve(a)
+        absolute = kernel._stencil if table.min() >= 0 else _Stencil(
+            np.abs(table), grid.counts)
+        rows = a * absolute.convolve(a)
         even = _symmetric_by_construction(kernel)
         # (Phi + Phi^T) / 2 is the convolution with the table's even part
         stencil = kernel._stencil if even else _Stencil(

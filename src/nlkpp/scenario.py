@@ -435,9 +435,10 @@ def _run_scenario_inner(scenario: Scenario, out_dir, quiet: bool,
 
     u0, initial_info = _build_initial(scenario, grid, jacobian, skipped)
 
-    meta = {"scenario": scenario.name, "initial": initial_info,
-            "spectral_abscissa": abscissa}
-    if skipped is not None:
+    meta = {"scenario": scenario.name, "initial": initial_info}
+    if skipped is None:
+        meta["spectral_abscissa"] = abscissa
+    else:
         meta["stability_skipped"] = skipped
     cert_fields = {}
     for cert in certificates:
@@ -446,6 +447,9 @@ def _run_scenario_inner(scenario: Scenario, out_dir, quiet: bool,
         if cert.solver is not None:
             cert_fields[f"{cert.method}_solver"] = cert.solver
     meta.update(cert_fields)
+    for cert in certificates:
+        if math.isnan(cert.witness):  # inconclusive; run_meta.json has no NaN
+            meta[f"{cert.method}_witness"] = None
     meta["kernel_strictly_positive"] = kernel.strictly_positive
     if not kernel.strictly_positive and any(
             c.verdict == "positive" for c in certificates):
@@ -496,7 +500,7 @@ def _run_scenario_inner(scenario: Scenario, out_dir, quiet: bool,
             with fieldio._open_fresh(out / "run_meta.json") as fh:
                 fh.write(json.dumps({"scenario": scenario.raw,
                                      "metadata": trace.metadata},
-                                    indent=2, default=str) + "\n")
+                                    indent=2, default=str, allow_nan=False) + "\n")
 
     if not quiet:
         print(f"[{scenario.name}] steps={state.step} "

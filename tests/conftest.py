@@ -12,6 +12,14 @@ from nlkpp import (KernelProfile, build_uniform_grid, sample_convolution_kernel,
 from nlkpp._openblas import _thread_functions
 
 
+def stencil_apply(kern, f):
+    """K[f] of a balanced convolution kernel through its stencil, the FFT
+    path, at any size: ``apply_kernel`` takes that path from 512 nodes on,
+    and the eigen certificate's Lanczos at every size."""
+    return kern.scale * kern._stencil.convolve(
+        kern.scale * (kern.grid.weights * f.values))
+
+
 @pytest.fixture(autouse=True)
 def openblas_threads_restored():
     """Fail a test that leaves numpy's OpenBLAS thread count changed: every

@@ -1,6 +1,4 @@
-import gc
 import json
-import weakref
 
 import numpy as np
 import pytest
@@ -115,28 +113,23 @@ class TestStepImex:
         assert state.halvings == 0
         assert state.u.values.min() > 1e-6
 
-    def test_solverless_steps_factor_once(self, monkeypatch):
-        # without a solver argument each call used to build a solver of its
-        # own and factor W (I - dt L) again
-        lapack = dynamics._banded_cholesky
-        factored = []
-
-        def counting():
-            pbtrf, pbtrs = lapack()
-            return (lambda *a: factored.append(1) or pbtrf(*a)), pbtrs
-
-        monkeypatch.setattr(dynamics, "_banded_cholesky", counting)
-        grid = build_uniform_grid((0, 1), 64)  # new, so no solver is kept for it
-        cfg = SimConfig(mu=1.0, dt=1e-3, t_end=1.0)
-        state = SimState(t=0.0, u=Field.constant(grid, 0.5))
-        for _ in range(100):
-            state = step_imex(state, grid, None, cfg)
-        assert state.step == 100 and len(factored) == 1
-        # the kept solver does not keep the grid alive
-        alive = weakref.ref(grid)
-        del grid, state
-        gc.collect()
-        assert alive() is None
+    @pytest.mark.parametrize("kernel", [None, "gaussian"])
+    def test_solverless_steps_match_a_shared_solver(self, unit_grid,
+                                                    balanced_gaussian, kernel):
+        # a step without a solver builds its own; from 3 at mu = 30 and
+        # dt = 0.05 the first steps halve, as in test_dt_halving_recovers
+        kern = balanced_gaussian if kernel else None
+        cfg = SimConfig(mu=30.0, dt=0.05, t_end=20.0)
+        solver = DiffusionSolver(unit_grid)
+        alone = shared = SimState(t=0.0, u=Field.constant(unit_grid, 3.0))
+        halved = 0
+        for _ in range(200):
+            alone = step_imex(alone, unit_grid, kern, cfg)
+            shared = step_imex(shared, unit_grid, kern, cfg, solver=solver)
+            assert alone.t == shared.t and alone.halvings == shared.halvings
+            assert np.array_equal(alone.u.values, shared.u.values)
+            halved += alone.halvings
+        assert alone.step == 200 and halved > 0
 
 
 @pytest.fixture(scope="module")
@@ -391,7 +384,7 @@ class TestDiffusionSolver:
             assert solver.solve(rhs, dt).min() >= 1e-14
 
     def test_keeps_a_bounded_set_of_factors(self, unit_grid, rng):
-        # a solver shared by solverless step_imex calls meets every max_dt
+        # a step that ends in StepFailure factors max_dt_halvings + 1 sizes
         solver = DiffusionSolver(unit_grid)
         rhs = rng.uniform(0.5, 2.0, unit_grid.n_nodes)
         dts = [1e-3 * (1 + k / 100) for k in range(100)]

@@ -66,6 +66,12 @@ def write_doc(tmp_path, doc, name="scenario.json"):
     return path
 
 
+def refuse_non_json(constant):
+    """A ``parse_constant`` for ``json.loads``: RFC 8259 has no NaN or
+    Infinity, which Python's json reads and writes by default."""
+    raise AssertionError(f"{constant} is not JSON")
+
+
 @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.name)
 def test_committed_scenario_parses(path):
     if "parameters" not in json.loads(path.read_text()):
@@ -281,8 +287,10 @@ class TestRunScenario:
         doc["output"] = {"artifacts": ["meta"]}
         summary = run_scenario(parse_scenario_dict(doc),
                                out_dir=tmp_path / "big", quiet=True)
-        meta = json.loads((tmp_path / "big/run_meta.json").read_text())
+        meta = json.loads((tmp_path / "big/run_meta.json").read_text(),
+                          parse_constant=refuse_non_json)
         assert meta["metadata"]["stability_skipped"] == "1089 nodes > 1024"
+        assert "spectral_abscissa" not in meta["metadata"]
         assert np.isnan(summary["spectral_abscissa"])
         doc["initial"] = {"kind": "cosine", "mode": "most_unstable"}
         with pytest.raises(ValidationError, match="1089 nodes > 1024"):
@@ -343,6 +351,21 @@ class TestRunScenario:
         rows = read_csv_rows(tmp_path / "e/certificate.csv")
         assert list(rows[0]) == ["method", "verdict", "witness", "tolerance",
                                  "grid_n", "kernel_family", "sigma"]
+
+    def test_inconclusive_witness_is_null_in_run_meta(self, tmp_path, monkeypatch):
+        # run_meta.json is strict JSON; the CSV files keep the witness's nan
+        def unconverged(apply, n):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr("nlkpp.kernels._lanczos_smallest", unconverged)
+        doc = minimal_doc(output={"artifacts": ["meta", "certificate", "summary"]})
+        doc["kernel"]["family"] = "tophat"
+        run_scenario(parse_scenario_dict(doc), out_dir=tmp_path / "i", quiet=True)
+        meta = json.loads((tmp_path / "i/run_meta.json").read_text(),
+                          parse_constant=refuse_non_json)["metadata"]
+        assert (meta["eigen_verdict"], meta["eigen_witness"]) == ("inconclusive", None)
+        cert = {r["method"]: r for r in read_csv_rows(tmp_path / "i/certificate.csv")}
+        assert cert["eigen"]["witness"] == "nan"
+        assert read_csv_rows(tmp_path / "i/summary.csv")[0]["eigen_witness"] == "nan"
 
     def test_matrix_free_run_builds_no_matrix(self, tmp_path, monkeypatch):
         # at 48 x 48 = 2304 nodes the kernel applies by FFT; with certify and
