@@ -120,24 +120,53 @@ class _Stencil:
     sum_j phi(x_i - x_j) v_j: with padded length at least 2n - 1 per axis the
     circular convolution does not wrap there (circulant embedding of the
     Toeplitz / block-Toeplitz matrix).
+
+    ``convolve`` works in two arrays built with the spectrum and kept with
+    it: ``_work``, a half spectrum of the padded shape, and ``_full``, the
+    inverse's output (in 2D only the valid rows). Its result is a fresh
+    copy, but the stencil serves one thread at a time, like
+    ``DiffusionSolver``: the raw kernel, the kernel balanced from it and the
+    eigen certificate's Lanczos share it. In 2D only the data rows are
+    transformed along the last axis, and only the valid rows back. The result
+    has the bits of ``irfftn(spectrum * rfftn(v, shape), shape)[valid]``:
+    ``_operands`` multiplies in the order numpy evaluates that product in,
+    which turns at numpy's 256 KiB temporary elision.
     """
 
     def __init__(self, table: np.ndarray, counts: tuple[int, ...]):
         self.table = table
         self.counts = counts
-        self._shape: tuple[int, ...] = ()
         self._spectrum: np.ndarray | None = None
 
+    def _build(self) -> None:
+        shape = tuple(_fast_len(2 * n - 1) for n in self.counts)
+        self._spectrum = np.fft.rfftn(self.table, shape, tuple(range(len(shape))))
+        self._work = np.empty_like(self._spectrum)
+        self._full = np.empty(self.counts[:-1] + shape[-1:])
+        # numpy evaluates spectrum * temporary as temporary * spectrum once it
+        # elides the temporary (256 KiB on), and FMA rounds the orders apart
+        self._operands = ((self._work, self._spectrum) if self._work.nbytes >= 1 << 18
+                          else (self._spectrum, self._work))
+
     def convolve(self, values: np.ndarray) -> np.ndarray:
-        counts = self.counts
-        axes = tuple(range(len(counts)))
         if self._spectrum is None:
-            self._shape = tuple(_fast_len(2 * n - 1) for n in counts)
-            self._spectrum = np.fft.rfftn(self.table, self._shape, axes)
-        full = np.fft.irfftn(
-            self._spectrum * np.fft.rfftn(values.reshape(counts), self._shape, axes),
-            self._shape, axes)
-        return full[tuple(slice(n - 1, 2 * n - 1) for n in counts)].ravel()
+            self._build()
+        work, full = self._work, self._full
+        n = self.counts[0]
+        if len(self.counts) == 1:
+            np.fft.rfft(values.reshape(n), len(full), out=work)
+            np.multiply(*self._operands, out=work)
+            np.fft.irfft(work, len(full), out=full)
+            # a copy: SimState.ku keeps K[u] across applies
+            return full[n - 1:2 * n - 1].copy()
+        m = self.counts[1]
+        work[n:] = 0  # the padding rows, which the previous inverse overwrote
+        np.fft.rfft(values.reshape(n, m), full.shape[1], axis=1, out=work[:n])
+        np.fft.fft(work, axis=0, out=work)
+        np.multiply(*self._operands, out=work)
+        np.fft.ifft(work, axis=0, out=work)
+        np.fft.irfft(work[n - 1:2 * n - 1], full.shape[1], axis=1, out=full)
+        return full[:, m - 1:2 * m - 1].ravel()  # a copy: rows are padded
 
     def dense(self) -> np.ndarray:
         """The matrix ``convolve`` applies: entry (i, j) is ``table`` at offset
@@ -551,8 +580,11 @@ def certify_positivity_bochner(profile: KernelProfile, n_samples: int = 2048,
     spanning (-half_width, half_width], takes the discrete Fourier transform,
     and reports the smallest real part. A positive verdict certifies the
     quadratic form on any bounded domain. ``dim=2`` runs the radial profile
-    through a 2D transform on a square window. The peak, edge and evenness
-    checks read the window's line along axis 0.
+    through a 2D transform on a square window; the window's rows past n/2
+    repeat earlier ones, so only its n/2 + 1 distinct rows are sampled and
+    transformed along the last axis, and the half spectrum's other rows are
+    copied from theirs. The peak, edge and evenness checks read the window's
+    line along axis 0.
     """
     if dim not in (1, 2):
         raise ValidationError(f"bochner check supports dim 1 or 2, got {dim}")
@@ -570,17 +602,19 @@ def certify_positivity_bochner(profile: KernelProfile, n_samples: int = 2048,
     if dim == 1:
         # signed offsets, so that an asymmetric profile shows below
         window = _sample_profile(profile, [_periodic_offsets(n, delta)])
+        line = window
     else:
         # phi(hypot(a, b)) has the same bits for every sign of a and b: sample
-        # offsets 0 .. n/2 per axis and mirror them into the rest of the window
+        # offsets 0 .. n/2 per axis and mirror them along the last axis; the
+        # window's rows m.. would repeat rows m - 2 .. 1, so they are left out
         m = n // 2 + 1
-        window = np.empty((n, n))
-        window[:m, :m] = _sample_profile(profile, [np.arange(m) * delta] * 2)
-        window[m:, :m] = window[m - 2:0:-1, :m]
+        window = np.empty((m, n))
+        window[:, :m] = _sample_profile(profile, [np.arange(m) * delta] * 2)
         window[:, m:] = window[:, m - 2:0:-1]
+        # phi(k delta), the window's line along axis 0
+        line = np.concatenate([window[:, 0], window[m - 2:0:-1, 0]])
     if not np.all(np.isfinite(window)):
         raise KernelError("profile is not finite on the sampling window")
-    line = window.reshape(n, -1)[:, 0]  # phi(k delta), the line along axis 0
     peak = float(np.max(np.abs(line)))
     if peak == 0.0:
         raise KernelError("profile vanishes identically on the window")
@@ -595,17 +629,25 @@ def certify_positivity_bochner(profile: KernelProfile, n_samples: int = 2048,
         raise KernelError(
             f"asymmetric profile: max |phi(z) - phi(-z)| = {asym:.3g}")
 
-    # the transform of axis 0 runs in place on the half spectrum of the last
-    # axis, once the window is freed: two arrays of the window's size at most
-    spectrum = np.fft.rfft(window)
-    del window, line
-    if dim == 2:
+    if dim == 1:
+        spectrum = np.fft.rfft(window)
+    else:
+        # the transform of axis 0 runs in place on the half spectrum of the
+        # last axis, whose rows m.. mirror rows m - 2 .. 1 as the window's do
+        spectrum = np.empty((n, n // 2 + 1), complex)
+        np.fft.rfft(window, out=spectrum[:m])
+        spectrum[m:] = spectrum[m - 2:0:-1]
         np.fft.fft(spectrum, axis=0, out=spectrum)
+    del window, line
     spectrum *= delta**dim
 
-    scale = float(np.max(np.abs(spectrum)))
+    # maxima over blocks of rows, exact, with no temporary of the spectrum's size
+    rows = spectrum.reshape(-1, spectrum.shape[-1])
+    blocks = [rows[i:i + 64] for i in range(0, len(rows), 64)]
+    scale = float(np.max([np.max(np.abs(b)) for b in blocks]))
     threshold = tol * scale
-    if float(np.max(np.abs(spectrum.imag))) > max(threshold, 1e-12 * scale):
+    imaginary = float(np.max([np.max(np.abs(b.imag)) for b in blocks]))
+    if imaginary > max(threshold, 1e-12 * scale):
         raise KernelError("transform has a nontrivial imaginary part; "
                           "the sampled profile is not even")
     re = spectrum.real
