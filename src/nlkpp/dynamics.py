@@ -225,7 +225,7 @@ def run(u0: Field, grid: Grid, kernel: Kernel | None, config: SimConfig,
         "mu": config.mu,
         "dt": config.dt,
         "local_mode": kernel is None,
-        "kernel_normalization": kernel.normalization if kernel else "none",
+        "kernel_normalization": "balanced" if kernel else "none",
         "kernel_apply": kernel.apply_method if kernel else "none",
     }
     if kernel is not None:

@@ -17,10 +17,10 @@ Two certificates decide whether the double-integral quadratic form
 
 The dynamics need the weighted row sums K[1] = K @ w to be one, so that the
 homogeneous state 1 is a steady state. Symmetric balancing of a symmetric
-kernel gives that (and the column sums too), and it is the only normalization
-the simulation accepts. ``normalize_columns`` makes the weighted *column* sums
-w @ K one instead; that does not pin K[1], so its kernels are labelled
-``"columns"``, not ``normalized``, and the dynamics refuse them.
+kernel gives that (and the column sums too); the kernels it returns are the
+only ``normalized`` ones, which the simulation accepts. ``normalize_columns``
+makes the weighted *column* sums w @ K one instead; that does not pin K[1], so
+its result is a plain dense kernel, which the dynamics refuse.
 """
 
 import math
@@ -180,40 +180,38 @@ class _Stencil:
 
 
 class Kernel:
-    """A kernel sampled on a grid.
+    """A kernel sampled on a grid: K = diag(scale) A diag(scale), ``scale`` a
+    positive vector, all ones until balancing.
 
-    ``matrix[i, j]`` approximates K(x_i, x_j) including any normalization
-    scalings applied so far. A convolution kernel is its ``profile`` plus one
-    ``scale`` vector, K = diag(scale) Phi diag(scale) with Phi the Toeplitz
-    (block-Toeplitz in 2D) matrix of the profile's offset table, where
-    ``scale`` is None until balancing; its dense ``matrix`` is gathered on first
-    use (the dense apply below ``_FFT_AUTO_THRESHOLD`` nodes, the
-    linearization, ``normalize_columns``) and kept from then on, so it appears in
-    ``vars(kernel)`` only once built. Every other kernel has no profile and is
-    its dense ``matrix`` alone. The kernel chooses how :func:`apply_kernel`
-    runs, and names it in ``apply_method``: ``"fft"`` for convolution kernels
-    of at least ``_FFT_AUTO_THRESHOLD`` nodes, where it beats the dense
-    matvec, else ``"dense"``. ``balance_iterations`` and
-    ``balance_deviation`` are set by :func:`symmetrize_and_normalize`. Treat
-    instances as immutable; the normalization operations return new kernels.
+    A is a convolution kernel's offset table (standing for the Toeplitz, in 2D
+    block-Toeplitz, matrix of its ``profile``) or a dense matrix with no
+    profile. ``matrix[i, j]`` approximates K(x_i, x_j): A itself for an
+    unscaled dense kernel, else gathered on first use (the dense apply below
+    ``_FFT_AUTO_THRESHOLD`` nodes, the linearization, ``normalize_columns``)
+    and kept, so it appears in ``vars(kernel)`` only once built. The kernel
+    chooses how :func:`apply_kernel` runs, and names it in ``apply_method``:
+    ``"fft"`` for convolution kernels of at least ``_FFT_AUTO_THRESHOLD``
+    nodes, where it beats the dense matvec, else ``"dense"``. Only the kernels
+    :func:`symmetrize_and_normalize` returns are ``normalized``; it sets their
+    ``balance_iterations`` and ``balance_deviation``. Treat instances as
+    immutable; the normalization operations return new kernels.
     """
 
     def __init__(self, grid: Grid, matrix: np.ndarray | None = None,
                  profile: KernelProfile | None = None,
-                 normalization: str = "none",  # none | columns | balanced
                  scale: np.ndarray | None = None):
         if matrix is None and profile is None:
             raise ValidationError("a kernel needs a matrix or a convolution profile")
         self.grid = grid
         self.profile = profile
-        self.normalization = normalization
-        self.scale = scale
+        self._dense = matrix  # A, for a kernel without a profile
+        self.scale = np.ones(grid.n_nodes) if scale is None else scale
+        if matrix is not None and scale is None:
+            self.matrix = matrix  # unscaled: A itself
         self.apply_method = ("fft" if profile is not None
                              and grid.n_nodes >= _FFT_AUTO_THRESHOLD else "dense")
         self.balance_iterations: int | None = None
         self.balance_deviation: float | None = None
-        if matrix is not None:
-            self.matrix = matrix
 
     @cached_property
     def _stencil(self) -> _Stencil:
@@ -224,14 +222,14 @@ class Kernel:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """Dense K_ij; a convolution kernel builds it here on first use."""
-        raw = self._stencil.dense()
-        return raw if self.scale is None else np.outer(self.scale, self.scale) * raw
+        """Dense K_ij, gathered here on first use."""
+        A = self._stencil.dense() if self._dense is None else self._dense
+        return np.outer(self.scale, self.scale) * A
 
     @property
     def normalized(self) -> bool:
-        """Whether K[1] = 1, which only balancing guarantees."""
-        return self.normalization == "balanced"
+        """Whether K[1] = 1: true exactly for what balancing returned."""
+        return self.balance_iterations is not None
 
     @property
     def family(self) -> str:
@@ -241,15 +239,14 @@ class Kernel:
     def strictly_positive(self) -> bool:
         """Whether K > 0 pointwise on the grid (assumed, not required, by the theory).
 
-        A convolution kernel's scaling is positive, so its profile over the
-        grid's offsets decides, without building the matrix.
+        The scaling is positive, so A decides, without building the matrix.
         """
-        values = self.matrix if self.profile is None else self._stencil.table
-        return float(values.min()) > 0.0
+        A = self._stencil.table if self._dense is None else self._dense
+        return float(A.min()) > 0.0
 
     def __repr__(self) -> str:
         return (f"Kernel(family={self.family}, n={self.grid.n_nodes}, "
-                f"normalization={self.normalization})")
+                f"normalized={self.normalized})")
 
 
 def _check_finite(matrix: np.ndarray) -> None:
@@ -300,7 +297,7 @@ def normalize_columns(kernel: Kernel) -> Kernel:
 
     This does not make K[1] = 1, so the result is not ``normalized`` and the
     dynamics refuse it; use :func:`symmetrize_and_normalize` for simulation.
-    The result is a dense kernel without a profile.
+    The result is a plain dense kernel without a profile.
 
     Columns whose sampled support is only the diagonal node cannot represent
     any neighbour interaction at this resolution (a tophat narrower than the
@@ -316,7 +313,7 @@ def normalize_columns(kernel: Kernel) -> Kernel:
         raise KernelError(
             f"degenerate kernel: column {j} has weighted sum {sums[j]:.3g} and "
             f"{support[j]} nonzero entries; the profile is unresolved on this grid")
-    return Kernel(kernel.grid, kernel.matrix / sums[None, :], normalization="columns")
+    return Kernel(kernel.grid, kernel.matrix / sums[None, :])
 
 
 def _symmetric_by_construction(kernel: Kernel) -> bool:
@@ -335,18 +332,19 @@ def symmetrize_and_normalize(kernel: Kernel, max_iterations: int = 5000,
     The input must be symmetric (a convolution kernel with an even stencil, or
     a dense matrix equal to its transpose), entrywise nonnegative and with no
     zero row; the result is exactly symmetric, which the stability analysis
-    relies on. The products K @ (w d) run through the kernel's own matvec. A
-    convolution kernel's result is matrix-free: its ``scale`` absorbs d and it
-    shares the input's stencil. The result records ``balance_iterations``
-    (scalings computed) and ``balance_deviation`` (the final max |sum - 1|).
+    relies on. The products K @ (w d) run through the kernel's own matvec. The
+    result keeps the input's A (a convolution kernel's stencil is shared) and
+    its ``scale`` absorbs d. It records ``balance_iterations`` (scalings
+    computed) and ``balance_deviation`` (the final max |sum - 1|).
     """
     w = kernel.grid.weights
-    even = _symmetric_by_construction(kernel)
-    # an even stencil's table has the matrix's signs (the scalings are positive)
-    K = kernel._stencil.table if even else kernel.matrix
-    if not (even or np.array_equal(K, K.T)):  # diag(d) K diag(d) keeps K^T = K
+    # the scale is positive, so K has A's signs and is symmetric when A is; a
+    # Toeplitz matrix is symmetric exactly when its table is even
+    A = kernel._stencil.table if kernel._dense is None else kernel._dense
+    if not (_symmetric_by_construction(kernel)  # diag(d) K diag(d) keeps K^T = K
+            or kernel._dense is not None and np.array_equal(A, A.T)):
         raise KernelError("balancing by one scaling requires a symmetric kernel")
-    if K.min() < 0:
+    if A.min() < 0:
         raise KernelError("balancing requires an entrywise nonnegative kernel")
     sums = _matvec(kernel, w)
     if np.any(sums <= 0):
@@ -365,12 +363,8 @@ def symmetrize_and_normalize(kernel: Kernel, max_iterations: int = 5000,
             f"balancing stalled at deviation {err:.3g} after "
             f"{max_iterations} iterations (tol {tol:.3g})")
 
-    if kernel.profile is None:
-        balanced = Kernel(kernel.grid, np.outer(d, d) * K, normalization="balanced")
-    else:
-        # matrix-free: diag(scale) phi diag(scale), gathered on first dense use
-        scale = d if kernel.scale is None else kernel.scale * d
-        balanced = Kernel(kernel.grid, None, kernel.profile, "balanced", scale)
+    balanced = Kernel(kernel.grid, kernel._dense, kernel.profile, kernel.scale * d)
+    if kernel.profile is not None:
         balanced._stencil = kernel._stencil  # share the offset table and spectrum
     balanced.balance_iterations = iterations
     balanced.balance_deviation = err
@@ -382,8 +376,6 @@ def _matvec(kernel: Kernel, values: np.ndarray) -> np.ndarray:
     convolution stencil."""
     if kernel.apply_method == "dense":
         return kernel.matrix @ values
-    if kernel.scale is None:
-        return kernel._stencil.convolve(values)
     return kernel.scale * kernel._stencil.convolve(kernel.scale * values)
 
 
@@ -527,7 +519,7 @@ def certify_positivity_eigen(kernel: Kernel, tol: float = 1e-9) -> PositivityCer
         apply = S.__matmul__
         bound = None
     else:
-        a = w if kernel.scale is None else w * kernel.scale
+        a = w * kernel.scale
         table = kernel._stencil.table
         # max_i sum_j |M_ij|, as the dense kernel computes it from the matrix
         absolute = kernel._stencil if table.min() >= 0 else _Stencil(

@@ -120,26 +120,26 @@ def _as_str(value, where: str) -> str:
 class KernelSpec:
     family: str
     sigma: float
-    normalization: str = "balanced"  # the only accepted value
-    certify: bool = True
+    normalization: str  # "balanced", the only accepted value
+    certify: bool
 
 
 @dataclass(frozen=True)
 class InitialSpec:
     kind: str  # constant | random_uniform | cosine | file
-    value: float = 1.0
-    low: float = 0.5
-    high: float = 1.5
-    seed: int = 0
-    amplitude: float = 0.01
-    mode: int | str = 1  # int or "most_unstable"
-    path: str = ""
+    value: float | None = None  # None where the kind does not read it
+    low: float | None = None
+    high: float | None = None
+    seed: int | None = None
+    amplitude: float | None = None
+    mode: int | str | None = None  # an int >= 1 or "most_unstable"
+    path: str | None = None
 
 
 @dataclass(frozen=True)
 class OutputSpec:
-    directory: str = "out"
-    artifacts: tuple[str, ...] = ARTIFACTS
+    directory: str
+    artifacts: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -234,7 +234,8 @@ def _parse_sim(raw) -> SimConfig:
         mu=_as_number(sec.take("mu"), "sim.mu"),
         dt=_as_number(sec.take("dt"), "sim.dt"),
         t_end=_as_number(sec.take("t_end"), "sim.t_end"),
-        snapshot_every=_as_int(sec.take("snapshot_every", 100), "sim.snapshot_every"),
+        snapshot_every=_as_int(sec.take("snapshot_every", SimConfig.snapshot_every),
+                               "sim.snapshot_every"),
     )
     sec.finish()
     return config
@@ -322,7 +323,7 @@ def build_kernel(spec: KernelSpec, grid: Grid) -> tuple[Kernel, list[PositivityC
 
 
 def _build_initial(scenario: Scenario, grid: Grid, jacobian: np.ndarray | None,
-                   stability_skipped: str | None) -> tuple[Field, dict]:
+                   stability: dict) -> tuple[Field, dict]:
     spec = scenario.initial
     info: dict = {"kind": spec.kind}
     if spec.kind == "constant":
@@ -337,23 +338,21 @@ def _build_initial(scenario: Scenario, grid: Grid, jacobian: np.ndarray | None,
             if jacobian is None:
                 raise ValidationError(
                     "initial.mode 'most_unstable' needs the stability analysis, "
-                    f"which was skipped: {stability_skipped}")
+                    f"which was skipped: {stability['stability_skipped']}")
             mode = most_unstable_cosine_mode(grid, jacobian)
         info["mode"] = int(mode)
         return Field(grid, 1.0 + spec.amplitude * cosine_modes(grid, mode)), info
-    if spec.kind == "file":
-        path = Path(spec.path)
-        if not path.is_absolute():
-            path = Path(scenario.base_dir) / path
-        field = fieldio.read_field(path)
-        if not field.grid.same_layout(grid):
-            raise ValidationError(
-                f"initial field file {path} has layout "
-                f"{field.grid.counts}/{field.grid.extents}, scenario grid is "
-                f"{grid.counts}/{grid.extents}")
-        info["path"] = str(path)
-        return Field(grid, field.values), info
-    raise ValidationError(f"unhandled initial kind {spec.kind!r}")
+    path = Path(spec.path)  # kind "file", the last one _parse_initial admits
+    if not path.is_absolute():
+        path = Path(scenario.base_dir) / path
+    field = fieldio.read_field(path)
+    if not field.grid.same_layout(grid):
+        raise ValidationError(
+            f"initial field file {path} has layout "
+            f"{field.grid.counts}/{field.grid.extents}, scenario grid is "
+            f"{grid.counts}/{grid.extents}")
+    info["path"] = str(path)
+    return Field(grid, field.values), info
 
 
 def _output_dir(out_dir, fallback) -> Path:
@@ -425,31 +424,23 @@ def _run_scenario_inner(scenario: Scenario, out_dir, quiet: bool,
     kernel, certificates = build_kernel(scenario.kernel, grid)
 
     jacobian = None
-    abscissa = math.nan
-    skipped = None
     if grid.n_nodes > _STABILITY_MAX_NODES:
-        skipped = f"{grid.n_nodes} nodes > {_STABILITY_MAX_NODES}"
+        stability = {"stability_skipped":
+                     f"{grid.n_nodes} nodes > {_STABILITY_MAX_NODES}"}
     else:
         jacobian = linearization_matrix(grid, kernel, scenario.sim.mu)
-        abscissa = spectral_abscissa(grid, jacobian)
+        stability = {"spectral_abscissa": spectral_abscissa(grid, jacobian)}
 
-    u0, initial_info = _build_initial(scenario, grid, jacobian, skipped)
+    u0, initial_info = _build_initial(scenario, grid, jacobian, stability)
 
-    meta = {"scenario": scenario.name, "initial": initial_info}
-    if skipped is None:
-        meta["spectral_abscissa"] = abscissa
-    else:
-        meta["stability_skipped"] = skipped
-    cert_fields = {}
+    meta = {"scenario": scenario.name, "initial": initial_info, **stability}
     for cert in certificates:
-        cert_fields[f"{cert.method}_verdict"] = cert.verdict
-        cert_fields[f"{cert.method}_witness"] = cert.witness
+        meta[f"{cert.method}_verdict"] = cert.verdict
+        # an inconclusive verdict has a NaN witness; run_meta.json has no NaN
+        meta[f"{cert.method}_witness"] = (None if math.isnan(cert.witness)
+                                          else cert.witness)
         if cert.solver is not None:
-            cert_fields[f"{cert.method}_solver"] = cert.solver
-    meta.update(cert_fields)
-    for cert in certificates:
-        if math.isnan(cert.witness):  # inconclusive; run_meta.json has no NaN
-            meta[f"{cert.method}_witness"] = None
+            meta[f"{cert.method}_solver"] = cert.solver
     meta["kernel_strictly_positive"] = kernel.strictly_positive
     if not kernel.strictly_positive and any(
             c.verdict == "positive" for c in certificates):
@@ -463,6 +454,7 @@ def _run_scenario_inner(scenario: Scenario, out_dir, quiet: bool,
     final_v = trace.column("V")[-1]
     final_sup = trace.column("sup_dist_one")[-1]
     wall = time.perf_counter() - start
+    certified = {c.method: c for c in certificates}  # empty when certify is off
     summary = {
         "name": scenario.name,
         "status": "ok",
@@ -472,11 +464,11 @@ def _run_scenario_inner(scenario: Scenario, out_dir, quiet: bool,
         "final_V": float(final_v),
         "final_mass": float(trace.column("mass")[-1]),
         "min_u": float(trace.column("min_u").min()),
-        "eigen_verdict": cert_fields.get("eigen_verdict", ""),
-        "eigen_witness": cert_fields.get("eigen_witness", ""),
-        "bochner_verdict": cert_fields.get("bochner_verdict", ""),
-        "bochner_witness": cert_fields.get("bochner_witness", ""),
-        "spectral_abscissa": abscissa,
+        "eigen_verdict": certified["eigen"].verdict if certified else "",
+        "eigen_witness": certified["eigen"].witness if certified else "",
+        "bochner_verdict": certified["bochner"].verdict if certified else "",
+        "bochner_witness": certified["bochner"].witness if certified else "",
+        "spectral_abscissa": stability.get("spectral_abscissa", math.nan),
         "wall_time_s": wall,
     }
 
@@ -505,7 +497,7 @@ def _run_scenario_inner(scenario: Scenario, out_dir, quiet: bool,
     if not quiet:
         print(f"[{scenario.name}] steps={state.step} "
               f"sup|u-1|={final_sup:.3e} V={final_v:.3e} "
-              f"abscissa={abscissa:.3g} wall={wall:.2f}s")
+              f"abscissa={summary['spectral_abscissa']:.3g} wall={wall:.2f}s")
     return summary
 
 

@@ -52,11 +52,16 @@ def test_missing_scenario_is_validation_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_missing_initial_field_file_is_exit_2(tmp_path, capsys):
+def test_missing_initial_field_file_is_exit_2(tmp_path, capsys, monkeypatch):
     doc = scenario_doc()
     doc["initial"] = {"kind": "file", "path": "nope.bin"}
-    assert main(["simulate", write(tmp_path, doc, "sc.json")]) == 2
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(["simulate", write(tmp_path, doc, "sc.json"),
+                 "--out", str(tmp_path / "o")]) == 2
     assert "nope.bin" in capsys.readouterr().err
+    assert not any(cwd.iterdir())  # the run writes under --out only
 
 
 @pytest.mark.parametrize("kind", ["directory", "binary"])

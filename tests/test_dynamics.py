@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nlkpp import (Field, KernelProfile, NumericalError, ShapeError,
+from nlkpp import (Field, Kernel, KernelProfile, NumericalError, ShapeError,
                    SimConfig, StepFailure, ValidationError, build_uniform_grid,
                    laplacian_matrix, normalize_columns, reaction_term, run,
                    sample_convolution_kernel, step_imex,
@@ -28,6 +28,11 @@ class TestSimConfig:
         args[field] = value
         with pytest.raises(ValidationError, match=f"{field} must be finite"):
             SimConfig(**args)
+
+    @pytest.mark.parametrize("field", ["snapshot_every", "max_dt_halvings"])
+    def test_refuses_negative_counts(self, field):
+        with pytest.raises(ValidationError, match=f"{field} must be >= 0"):
+            SimConfig(mu=1.0, dt=0.1, t_end=1.0, **{field: -1})
 
 
 class TestReactionTerm:
@@ -224,6 +229,22 @@ class TestRun:
         cfg = SimConfig(mu=1.0, dt=1e-2, t_end=0.1)
         with pytest.raises(ValidationError, match="normalized"):
             run(Field.constant(unit_grid, 1.0), unit_grid, kern, cfg)
+
+    def test_rejects_an_unbalanced_matrix(self, unit_grid, balanced_gaussian):
+        # twice a balanced matrix would carry u = 1 away; only balancing makes
+        # a kernel that run accepts
+        kern = Kernel(unit_grid, 2 * balanced_gaussian.matrix)
+        cfg = SimConfig(mu=1.0, dt=1e-2, t_end=0.1)
+        with pytest.raises(ValidationError, match="normalized"):
+            run(Field.constant(unit_grid, 1.0), unit_grid, kern, cfg)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_initial(self, unit_grid, balanced_gaussian, value):
+        cfg = SimConfig(mu=1.0, dt=1e-2, t_end=0.1)
+        values = np.ones(unit_grid.n_nodes)
+        values[3] = value
+        with pytest.raises(ValidationError, match="non-finite"):
+            run(Field(unit_grid, values), unit_grid, balanced_gaussian, cfg)
 
     def test_rejects_datum_on_another_grid(self, unit_grid, balanced_gaussian):
         # same node count, other extent: the datum must not be moved onto grid

@@ -53,6 +53,19 @@ def test_truncated_rejected(tmp_path):
         read_field(path)
 
 
+@pytest.mark.parametrize("raw,message", [
+    (b"NLKPPFLD" + struct.pack("<I", 1), "truncated field file"),
+    (b"NLKPPFLD" + struct.pack("<III", 2, 0, 1), "unsupported field format version 2"),
+    (b"NLKPPFLD" + struct.pack("<III", 1, 0, 3), "unsupported dimension 3"),
+    (b"NLKPPFLD" + struct.pack("<IIII", 1, 0, 1, 8), "truncated field file"),
+], ids=["short_header", "version", "dimension", "short_axes"])
+def test_malformed_header_rejected(tmp_path, raw, message):
+    path = tmp_path / "crafted.bin"
+    path.write_bytes(raw)
+    with pytest.raises(ValidationError, match=message):
+        read_field(path)
+
+
 def crafted_file(counts, n_values):
     dim = len(counts)
     return (b"NLKPPFLD" + struct.pack("<II", 1, 0) + struct.pack("<I", dim)

@@ -39,6 +39,16 @@ class TestBuildUniformGrid:
         with pytest.raises(ValidationError, match="integers"):
             build_uniform_grid(extents, counts)
 
+    @pytest.mark.parametrize("extents", [((0, 1), (0,)), ("lo", "hi"), (0, 1, 2)],
+                             ids=["ragged", "text", "triple"])
+    def test_rejects_malformed_extents(self, extents):
+        with pytest.raises(ValidationError, match=r"one/two \(lo, hi\) pairs"):
+            build_uniform_grid(extents, 5)
+
+    def test_counts_must_match_the_dimension(self):
+        with pytest.raises(ValidationError, match="2 entries for a 1-dimensional"):
+            build_uniform_grid((0, 1), (5, 5))
+
     @pytest.mark.parametrize("extents,counts", [
         ((0, np.inf), 5), ((np.nan, 1), 5), (((0, 1), (-np.inf, 0)), (5, 5)),
     ], ids=["inf", "nan", "2d"])

@@ -49,6 +49,10 @@ class TestProfiles:
         with pytest.raises(ValidationError, match="unknown kernel family"):
             KernelProfile(family, 1.0)
 
+    def test_custom_profile_needs_a_function(self):
+        with pytest.raises(ValidationError, match="evaluation function"):
+            KernelProfile("custom", 1.0)
+
     def test_difference_of_gaussians_is_signed(self):
         prof = difference_of_gaussians(0.5, 0.8)
         z = np.linspace(0, 5, 200)
@@ -135,7 +139,6 @@ class TestNormalization:
     def test_column_sums_are_one(self, unit_grid):
         kern = sample_convolution_kernel(KernelProfile("gaussian", 0.15), unit_grid)
         kern = normalize_columns(kern)
-        assert kern.normalization == "columns"
         assert not kern.normalized  # K[1] = 1 is not implied
         sums = unit_grid.weights @ kern.matrix
         np.testing.assert_allclose(sums, 1.0, atol=1e-12)
@@ -168,6 +171,22 @@ class TestNormalization:
         kern = sample_convolution_kernel(difference_of_gaussians(0.2, 0.8), unit_grid)
         with pytest.raises(KernelError, match="nonnegative"):
             symmetrize_and_normalize(kern)
+
+    def test_balancing_rejects_a_zero_row(self):
+        grid = build_uniform_grid((0, 1), 9)
+        # node 0 interacts with no node, itself included
+        kern = sample_general_kernel(lambda x, y: 1.0 * (x > 0) * (y > 0), grid)
+        with pytest.raises(KernelError, match="no zero row"):
+            symmetrize_and_normalize(kern)
+
+    def test_only_balancing_makes_a_kernel_normalized(self, unit_grid):
+        raw = sample_convolution_kernel(KernelProfile("gaussian", 0.2), unit_grid)
+        balanced = symmetrize_and_normalize(raw)
+        assert balanced.normalized and not raw.normalized
+        # a matrix that is balanced, or claims to be, is a plain dense kernel
+        doubled = Kernel(unit_grid, 2 * balanced.matrix)
+        assert not Kernel(unit_grid, balanced.matrix).normalized
+        assert not doubled.normalized and symmetrize_and_normalize(doubled).normalized
 
     def test_balancing_iteration_cap(self, unit_grid):
         kern = sample_convolution_kernel(KernelProfile("gaussian", 0.2), unit_grid)
@@ -300,7 +319,7 @@ class TestMatrixFree:
             Kernel(unit_grid)
         assert Kernel(unit_grid, np.eye(128)).profile is None
         kern = Kernel(unit_grid, profile=KernelProfile("gaussian", 0.2))
-        assert kern.profile is not None and kern.scale is None
+        assert kern.profile is not None and np.array_equal(kern.scale, np.ones(128))
 
     def test_dense_only_results_have_no_profile(self, unit_grid):
         # column normalization is not diag(s) phi diag(s), so it drops the
@@ -314,6 +333,17 @@ class TestMatrixFree:
             unit_grid)
         with pytest.raises(KernelError, match="symmetric"):
             symmetrize_and_normalize(shifted)
+
+    def test_refusing_an_odd_table_builds_no_matrix(self):
+        # a Toeplitz matrix is symmetric exactly when its table is even, so the
+        # refusal reads the table and gathers no 1024 x 1024 matrix
+        grid = build_uniform_grid((0, 1), 1024)
+        shifted = sample_convolution_kernel(
+            KernelProfile("custom", 0.2, func=lambda z: np.exp(-(z - 0.05) ** 2 / 0.08)),
+            grid)
+        with pytest.raises(KernelError, match="symmetric"):
+            symmetrize_and_normalize(shifted)
+        assert "matrix" not in vars(shifted)
 
 
 class TestApplyKernel:
@@ -679,6 +709,21 @@ class TestBochnerCertificate:
                              func=lambda z: np.exp(-np.abs(z - 0.5)))
         with pytest.raises(KernelError, match="symmetric|asymmetric"):
             certify_positivity_bochner(prof, half_width=30.0)
+
+    @pytest.mark.parametrize("profile,options,error,message", [
+        (KernelProfile("gaussian", 1.0), {"dim": 3}, ValidationError, "dim 1 or 2"),
+        (KernelProfile("gaussian", 1.0), {"half_width": 0.0}, ValidationError,
+         "half_width must be positive"),
+        (KernelProfile("gaussian", 1.0), {"n_samples": 15}, ValidationError,
+         "at least 16 samples"),
+        (KernelProfile("custom", 1.0, func=lambda z: np.where(z == 0, np.inf, 1.0)),
+         {"half_width": 1.0}, KernelError, "not finite"),
+        (KernelProfile("custom", 1.0, func=lambda z: 0.0 * z), {"half_width": 1.0},
+         KernelError, "vanishes identically"),
+    ], ids=["dim", "half_width", "n_samples", "non_finite", "vanishing"])
+    def test_refuses_what_it_cannot_transform(self, profile, options, error, message):
+        with pytest.raises(error, match=message):
+            certify_positivity_bochner(profile, **options)
 
     def test_custom_profile_needs_half_width(self):
         prof = KernelProfile("custom", 1.0, func=lambda z: np.exp(-z**2))

@@ -113,6 +113,35 @@ class TestParsing:
         assert sc.kernel.certify is True
         assert sc.output.directory == "out"
 
+    @pytest.mark.parametrize("initial,defaults", [
+        ({"kind": "random_uniform", "low": 0.5, "high": 1.5}, {"seed": 0}),
+        ({"kind": "cosine"}, {"amplitude": 0.01, "mode": "most_unstable"}),
+    ], ids=["random_uniform", "cosine"])
+    def test_initial_defaults(self, initial, defaults):
+        spec = parse_scenario_dict(minimal_doc(initial=initial)).initial
+        assert {key: getattr(spec, key) for key in defaults} == defaults
+
+    @pytest.mark.parametrize("section,value,message", [
+        ("sim", [1.0, 1e-3, 0.05], "'sim' must be a JSON object"),
+        ("kernel", {"family": "gaussian", "sigma": "0.2"},
+         "'kernel.sigma' must be a number, got '0.2'"),
+        ("kernel", {"family": "gaussian", "sigma": 0.2, "certify": 1},
+         "'kernel.certify' must be true or false"),
+        ("grid", {"extents": "0 1", "counts": 48}, "grid.extents must be"),
+        ("grid", {"extents": [0.0, 1.0], "counts": 2},
+         "grid: axis 0: need at least 3 nodes"),
+        ("initial", {"kind": "constant", "value": -0.5}, "initial.value must be >= 0"),
+        ("initial", {"kind": "random_uniform", "low": 1.5, "high": 0.5},
+         "initial.low/high must satisfy"),
+        ("initial", {"kind": "cosine", "amplitude": 1.0},
+         r"initial.amplitude must lie in \[0, 1\)"),
+        ("output", {"artifacts": "trace"}, "output.artifacts must be a list"),
+    ], ids=["section", "number", "bool", "extents", "counts", "value", "low_high",
+            "amplitude", "artifacts"])
+    def test_malformed_section_is_refused(self, section, value, message):
+        with pytest.raises(ValidationError, match=message):
+            parse_scenario_dict(minimal_doc(**{section: value}))
+
     def test_negative_mu_names_field(self, tmp_path):
         doc = minimal_doc()
         doc["sim"]["mu"] = -1.0
@@ -675,6 +704,21 @@ class TestSweep:
         spec = self.base_sweep()
         spec["parameters"].append({"path": "sim.mu", "values": [3.0, 4.0]})
         with pytest.raises(ValidationError, match="'sim.mu' is swept twice"):
+            parse_sweep_dict(spec)
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda spec: spec.update(base=[]), "'base' must be a scenario object"),
+        (lambda spec: spec["parameters"][0].update(path="mu"),
+         "must look like 'section.key', got 'mu'"),
+        (lambda spec: spec["parameters"][0].update(path="sim.mu.x"),
+         "must look like 'section.key', got 'sim.mu.x'"),
+        (lambda spec: spec["parameters"][0].update(values=[1.0, float("nan")]),
+         "'sim.mu' has non-finite value"),
+    ], ids=["base", "no_dot", "two_dots", "nan"])
+    def test_malformed_sweep_is_refused(self, change, message):
+        spec = self.base_sweep()
+        change(spec)
+        with pytest.raises(ValidationError, match=message):
             parse_sweep_dict(spec)
 
     def test_empty_values_rejected(self):
