@@ -2,7 +2,9 @@
 """Map the Turing onset for a positivity-violating tophat kernel.
 
 Scans mu, printing the spectral abscissa of the linearization at u = 1 and
-the fastest-growing cosine mode, then bisects for the onset mu*. Linear
+the fastest-growing cosine mode, then bisects for the onset mu*. Each of
+``spectral_abscissa``, ``most_unstable_cosine_mode`` and ``cosine_mode_rates``
+takes the grid, the kernel and mu, and builds the linearization itself. Linear
 analysis predicts mu* ~ 84 / sigma^2 for a width-sigma tophat whenever the
 domain is wide enough to host the unstable wavelength (~1.4 sigma); kernels
 wider than the domain degenerate to a positive rank-one-like form and never
@@ -17,13 +19,8 @@ import numpy as np
 
 from nlkpp import (Field, KernelProfile, SimConfig, build_uniform_grid,
                    certify_positivity_eigen, cosine_mode_rates, cosine_modes,
-                   linearization_matrix, most_unstable_cosine_mode, run,
-                   sample_convolution_kernel, spectral_abscissa,
-                   symmetrize_and_normalize, write_field)
-
-
-def abscissa_at(grid, kernel, mu):
-    return spectral_abscissa(grid, linearization_matrix(grid, kernel, mu))
+                   most_unstable_cosine_mode, run, sample_convolution_kernel,
+                   spectral_abscissa, symmetrize_and_normalize, write_field)
 
 
 def main() -> None:
@@ -51,9 +48,8 @@ def main() -> None:
     mus = np.geomspace(1.0, args.mu_max, 10)
     lo_mu, hi_mu = None, None
     for mu in mus:
-        jac = linearization_matrix(grid, kernel, mu)
-        absc = spectral_abscissa(grid, jac)
-        k = most_unstable_cosine_mode(grid, jac)
+        absc = spectral_abscissa(grid, kernel, mu)
+        k = most_unstable_cosine_mode(grid, kernel, mu)
         print(f"{mu:10.2f} {absc:12.4f} {k:14d}")
         if absc < 0:
             lo_mu = mu
@@ -65,7 +61,7 @@ def main() -> None:
         return
     for _ in range(25):
         mid = 0.5 * (lo_mu + hi_mu)
-        if abscissa_at(grid, kernel, mid) < 0:
+        if spectral_abscissa(grid, kernel, mid) < 0:
             lo_mu = mid
         else:
             hi_mu = mid
@@ -74,9 +70,8 @@ def main() -> None:
 
     if args.simulate:
         mu = 1.5 * onset
-        jac = linearization_matrix(grid, kernel, mu)
-        k = most_unstable_cosine_mode(grid, jac)
-        rate = cosine_mode_rates(grid, jac)[k - 1]
+        k = most_unstable_cosine_mode(grid, kernel, mu)
+        rate = cosine_mode_rates(grid, kernel, mu)[k - 1]
         print(f"simulating at mu = {mu:.1f}: seeding cosine mode k={k} "
               f"(growth rate {rate:.3f})")
         u0 = Field(grid, 1.0 + 0.01 * cosine_modes(grid, k))

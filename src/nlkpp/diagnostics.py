@@ -19,7 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ValidationError
+from ._openblas import _one_blas_thread
+from .errors import DomainError, NumericalError, ShapeError, ValidationError
 from .fieldio import _open_fresh
 from .grid import Field, Grid, laplacian_matrix
 from .kernels import Kernel, apply_kernel
@@ -209,26 +210,30 @@ def linearization_matrix(grid: Grid, kernel: Kernel | None,
     K[v] = v in local mode (no kernel).
 
     The kernel must be normalized (K[1] = 1), otherwise u = 1 is not a steady
-    state to linearize about. Lap is :func:`~nlkpp.grid.laplacian_matrix`.
+    state to linearize about, and must lie on ``grid``. Lap is
+    :func:`~nlkpp.grid.laplacian_matrix`.
     """
     L = laplacian_matrix(grid)
     if kernel is None:
-        return L - mu * np.eye(grid.n_nodes)
+        L.flat[::grid.n_nodes + 1] -= mu
+        return L
     _require_normalized(kernel)
+    if not kernel.grid.same_layout(grid):
+        raise ShapeError(f"kernel lies on {kernel.grid}, the linearization on {grid}")
     return L - mu * (kernel.matrix * grid.weights[None, :])
 
 
-def spectral_abscissa(grid: Grid, jacobian: np.ndarray) -> float:
-    """Largest eigenvalue of J, negative for linear stability. W L and a
-    balanced K are symmetric, so J = L - mu K W is similar to the symmetric
-    S = W^{1/2} J W^{-1/2}; a J whose S is not symmetric to round-off is refused."""
+def spectral_abscissa(grid: Grid, kernel: Kernel | None, mu: float) -> float:
+    """Largest eigenvalue of the Jacobian J of :func:`linearization_matrix`,
+    negative for linear stability. W L and a balanced K are symmetric, so
+    J = L - mu K W is similar to the symmetric S = W^{1/2} J W^{-1/2}. The
+    eigensolve runs at one OpenBLAS thread, so that its bits do not follow
+    the threading."""
     r = np.sqrt(grid.weights)
-    S = r[:, None] * np.asarray(jacobian, dtype=float) / r[None, :]
-    asym = float(np.max(np.abs(S - S.T)))
-    if not asym <= 1e-12 * float(np.max(np.abs(S))):  # NaN fails too
-        raise ValidationError(f"J is not self-adjoint: max |S - S^T| = {asym:.3g}")
+    S = r[:, None] * linearization_matrix(grid, kernel, mu) / r[None, :]
     try:
-        return float(np.linalg.eigvalsh(0.5 * (S + S.T))[-1])
+        with _one_blas_thread():
+            return float(np.linalg.eigvalsh(0.5 * (S + S.T))[-1])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
 
@@ -242,15 +247,17 @@ def cosine_modes(grid: Grid, k) -> np.ndarray:
     return np.cos(np.multiply.outer(xhat, np.asarray(k) * np.pi))
 
 
-def cosine_mode_rates(grid: Grid, jacobian: np.ndarray) -> np.ndarray:
-    """Weighted Rayleigh quotients of J on the cosine modes
-    1 <= k <= n0 - 2 (``cosine_modes``)."""
+def cosine_mode_rates(grid: Grid, kernel: Kernel | None, mu: float) -> np.ndarray:
+    """Weighted Rayleigh quotients of the Jacobian J of
+    :func:`linearization_matrix` on the cosine modes 1 <= k <= n0 - 2
+    (``cosine_modes``)."""
     V = cosine_modes(grid, np.arange(1, grid.counts[0] - 1))
     w = grid.weights
-    return (np.einsum("i,ij,ij->j", w, V, jacobian @ V)
+    JV = linearization_matrix(grid, kernel, mu) @ V
+    return (np.einsum("i,ij,ij->j", w, V, JV)
             / np.einsum("i,ij,ij->j", w, V, V))
 
 
-def most_unstable_cosine_mode(grid: Grid, jacobian: np.ndarray) -> int:
+def most_unstable_cosine_mode(grid: Grid, kernel: Kernel | None, mu: float) -> int:
     """Index k >= 1 of the fastest-growing cosine perturbation of u = 1."""
-    return int(np.argmax(cosine_mode_rates(grid, jacobian))) + 1
+    return int(np.argmax(cosine_mode_rates(grid, kernel, mu))) + 1

@@ -273,7 +273,7 @@ def run(u0: Field, grid: Grid, kernel: Kernel | None, config: SimConfig,
                 trace.add_snapshot(state.step, state.t, state.u)
         if times:
             flush()
-    if not trace.snapshots or trace.snapshots[-1].step != state.step:
+    if trace.snapshots[-1].step != state.step:
         trace.add_snapshot(state.step, state.t, state.u)
     # the datum and every accepted state are applied once each
     trace.metadata.update(steps_rejected=steps_rejected, dt_min=dt_min,

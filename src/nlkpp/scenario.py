@@ -40,8 +40,7 @@ import numpy as np
 
 from . import fieldio
 from ._openblas import _one_blas_thread
-from .diagnostics import (cosine_modes, linearization_matrix,
-                          most_unstable_cosine_mode, spectral_abscissa)
+from .diagnostics import cosine_modes, most_unstable_cosine_mode, spectral_abscissa
 from .dynamics import SimConfig, run
 from .errors import NumericalError, ValidationError
 from .grid import Field, Grid, build_uniform_grid
@@ -322,7 +321,7 @@ def build_kernel(spec: KernelSpec, grid: Grid) -> tuple[Kernel, list[PositivityC
     return kernel, certificates
 
 
-def _build_initial(scenario: Scenario, grid: Grid, jacobian: np.ndarray | None,
+def _build_initial(scenario: Scenario, grid: Grid, kernel: Kernel,
                    stability: dict) -> tuple[Field, dict]:
     spec = scenario.initial
     info: dict = {"kind": spec.kind}
@@ -335,11 +334,11 @@ def _build_initial(scenario: Scenario, grid: Grid, jacobian: np.ndarray | None,
     if spec.kind == "cosine":
         mode = spec.mode
         if mode == "most_unstable":
-            if jacobian is None:
+            if "stability_skipped" in stability:
                 raise ValidationError(
                     "initial.mode 'most_unstable' needs the stability analysis, "
                     f"which was skipped: {stability['stability_skipped']}")
-            mode = most_unstable_cosine_mode(grid, jacobian)
+            mode = most_unstable_cosine_mode(grid, kernel, scenario.sim.mu)
         info["mode"] = int(mode)
         return Field(grid, 1.0 + spec.amplitude * cosine_modes(grid, mode)), info
     path = Path(spec.path)  # kind "file", the last one _parse_initial admits
@@ -380,18 +379,12 @@ def _writing_into(out: Path):
             f"cannot write '{exc.filename or out}': {exc.strerror or exc}") from None
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path, columns, rows) -> None:
     with fieldio._open_fresh(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(row.get(c, "")) for c in columns])
+            writer.writerow([row.get(c, "") for c in columns])
 
 
 def read_csv_rows(path) -> list[dict]:
@@ -423,15 +416,14 @@ def _run_scenario_inner(scenario: Scenario, out_dir, quiet: bool,
     grid = scenario.grid
     kernel, certificates = build_kernel(scenario.kernel, grid)
 
-    jacobian = None
     if grid.n_nodes > _STABILITY_MAX_NODES:
         stability = {"stability_skipped":
                      f"{grid.n_nodes} nodes > {_STABILITY_MAX_NODES}"}
     else:
-        jacobian = linearization_matrix(grid, kernel, scenario.sim.mu)
-        stability = {"spectral_abscissa": spectral_abscissa(grid, jacobian)}
+        stability = {"spectral_abscissa":
+                     spectral_abscissa(grid, kernel, scenario.sim.mu)}
 
-    u0, initial_info = _build_initial(scenario, grid, jacobian, stability)
+    u0, initial_info = _build_initial(scenario, grid, kernel, stability)
 
     meta = {"scenario": scenario.name, "initial": initial_info, **stability}
     for cert in certificates:

@@ -223,6 +223,22 @@ def test_sweep_cli(tmp_path):
     assert text.count("ok") == 2
 
 
+def test_simulate_and_a_one_point_sweep_write_one_abscissa(tmp_path):
+    # 256 nodes: there numpy's eigvalsh splits its work over the BLAS threads
+    doc = {"grid": {"extents": [0.0, 5.0], "counts": 256},
+           "kernel": {"family": "tophat", "sigma": 1.0, "certify": False},
+           "initial": {"kind": "constant", "value": 0.5},
+           "sim": {"mu": 150.0, "dt": 1e-4, "t_end": 2e-4}}
+    sweep = {"base": doc, "parameters": [{"path": "sim.mu", "values": [150.0]}]}
+    assert main(["simulate", write(tmp_path, doc, "sc.json"),
+                 "--out", str(tmp_path / "sim"), "--quiet"]) == 0
+    assert main(["sweep", write(tmp_path, sweep, "sw.json"), "--jobs", "1",
+                 "--out", str(tmp_path / "sw"), "--quiet"]) == 0
+    simulated = read_csv_rows(tmp_path / "sim/summary.csv")[0]["spectral_abscissa"]
+    swept = read_csv_rows(tmp_path / "sw/sweep_summary.csv")[0]["spectral_abscissa"]
+    assert simulated == swept
+
+
 def test_sweep_into_a_non_object_section_is_exit_2(tmp_path, capsys):
     sweep = {"base": dict(scenario_doc(), name="base"),
              "parameters": [{"path": "name.tag", "values": ["a", "b"]}]}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlkpp import (DomainError, Field, KernelProfile, SimConfig,
+from nlkpp import (DomainError, Field, KernelProfile, ShapeError, SimConfig,
                    ValidationError, build_uniform_grid, integrate,
                    certify_positivity_eigen, cosine_mode_rates,
                    decay_identity_residual, dissipation, laplacian_matrix,
@@ -15,6 +15,7 @@ from nlkpp import (DomainError, Field, KernelProfile, SimConfig,
                    most_unstable_cosine_mode, reaction_term, run,
                    sample_convolution_kernel, spectral_abscissa,
                    sup_distance_to_one, symmetrize_and_normalize)
+from nlkpp._openblas import _one_blas_thread
 from nlkpp.diagnostics import TRACE_COLUMNS, Trace, kernel_action
 
 
@@ -149,9 +150,14 @@ class TestNormalizedKernelRule:
         lambda g, k: reaction_term(Field.constant(g, 1.0), k, 1.0),
         lambda g, k: dissipation(Field.constant(g, 1.0), k, 1.0),
         lambda g, k: linearization_matrix(g, k, 1.0),
+        lambda g, k: spectral_abscissa(g, k, 1.0),
+        lambda g, k: cosine_mode_rates(g, k, 1.0),
+        lambda g, k: most_unstable_cosine_mode(g, k, 1.0),
         lambda g, k: run(Field.constant(g, 1.0), g, k,
                          SimConfig(mu=1.0, dt=1e-2, t_end=0.1)),
-    ], ids=["reaction_term", "dissipation", "linearization_matrix", "run"])
+    ], ids=["reaction_term", "dissipation", "linearization_matrix",
+            "spectral_abscissa", "cosine_mode_rates", "most_unstable_cosine_mode",
+            "run"])
     def test_raw_kernel_refused_with_one_message(self, unit_grid, call):
         raw = sample_convolution_kernel(KernelProfile("gaussian", 0.2), unit_grid)
         field = Field.constant(unit_grid, 1.0)
@@ -188,20 +194,17 @@ class TestLinearization:
         np.testing.assert_allclose(J @ ones, -mu * ones, atol=1e-9)
 
     def test_mu_zero_gives_heat_abscissa(self, unit_grid, balanced_gaussian):
-        J = linearization_matrix(unit_grid, balanced_gaussian, 0.0)
-        assert abs(spectral_abscissa(unit_grid, J)) < 1e-10
+        assert abs(spectral_abscissa(unit_grid, balanced_gaussian, 0.0)) < 1e-10
 
     def test_local_analogue_shifts_spectrum(self, unit_grid):
         mu = 2.2
-        J = linearization_matrix(unit_grid, None, mu)
-        assert spectral_abscissa(unit_grid, J) == pytest.approx(-mu, abs=1e-9)
+        assert spectral_abscissa(unit_grid, None, mu) == pytest.approx(-mu, abs=1e-9)
 
     def test_gaussian_kernel_is_stable(self):
         grid = build_uniform_grid((0, 1), 64)
         kern = symmetrize_and_normalize(sample_convolution_kernel(
             KernelProfile("gaussian", 0.2), grid))
-        J = linearization_matrix(grid, kern, 1.0)
-        assert spectral_abscissa(grid, J) < 0
+        assert spectral_abscissa(grid, kern, 1.0) < 0
 
     @pytest.mark.parametrize("mu", [0.5, 1.0, 5.0])
     @pytest.mark.parametrize("family,sigma,ratio", [
@@ -213,8 +216,7 @@ class TestLinearization:
         kern = symmetrize_and_normalize(sample_convolution_kernel(
             KernelProfile(family, sigma), grid))
         assert certify_positivity_eigen(kern).verdict == "positive"
-        J = linearization_matrix(grid, kern, mu)
-        assert spectral_abscissa(grid, J) <= 1e-8
+        assert spectral_abscissa(grid, kern, mu) <= 1e-8
 
     @pytest.mark.parametrize("extents,counts,family,sigma,mu", [
         ((0, 1), 128, "gaussian", 0.2, 0.0),
@@ -233,14 +235,20 @@ class TestLinearization:
         J = linearization_matrix(grid, kern, mu)
         reference = float(np.linalg.eigvals(J).real.max())
         norm = float(np.abs(J).sum(axis=1).max())
-        assert abs(spectral_abscissa(grid, J) - reference) <= 1e-14 * norm
+        assert abs(spectral_abscissa(grid, kern, mu) - reference) <= 1e-14 * norm
 
-    def test_abscissa_refuses_a_nonsymmetric_kernel(self, unit_grid):
-        x = unit_grid.nodes[:, 0]
-        M = (1.0 + 0.2 * x)[:, None] * np.ones(x.size)  # depends on the row only
-        J = laplacian_matrix(unit_grid) - M * unit_grid.weights
-        with pytest.raises(ValidationError, match="self-adjoint"):
-            spectral_abscissa(unit_grid, J)
+    @pytest.mark.parametrize("counts", [128, 64])
+    @pytest.mark.parametrize("call", [
+        linearization_matrix, spectral_abscissa, cosine_mode_rates,
+        most_unstable_cosine_mode,
+    ], ids=lambda f: f.__name__)
+    def test_refuses_a_kernel_from_another_grid(self, unit_grid, call, counts):
+        # balanced on [0, 5]: with 128 nodes its matrix has unit_grid's shape
+        other = build_uniform_grid((0, 5), counts)
+        kern = symmetrize_and_normalize(sample_convolution_kernel(
+            KernelProfile("tophat", 1.0), other))
+        with pytest.raises(ShapeError, match="kernel lies on"):
+            call(unit_grid, kern, 150.0)
 
     @pytest.mark.parametrize("family,sigma,hi,n,mu", [
         ("tophat", 1.0, 5.0, 256, 150.0), ("gaussian", 0.2, 1.0, 128, 1.0),
@@ -256,7 +264,7 @@ class TestLinearization:
         for k in range(1, n - 1):
             v = np.cos(k * np.pi * x)
             expected.append((w * v) @ (J @ v) / ((w * v) @ v))
-        np.testing.assert_allclose(cosine_mode_rates(grid, J), expected,
+        np.testing.assert_allclose(cosine_mode_rates(grid, kern, mu), expected,
                                    rtol=1e-13, atol=0)
 
 
@@ -274,15 +282,20 @@ class TestPatternRegime:
 
     def test_abscissa_positive_above_onset(self, unstable_setup):
         grid, kern = unstable_setup
-        J = linearization_matrix(grid, kern, 150.0)
-        assert spectral_abscissa(grid, J) > 1.0
+        assert spectral_abscissa(grid, kern, 150.0) > 1.0
+
+    def test_abscissa_bits_do_not_follow_the_blas_threads(self, unstable_setup):
+        grid, kern = unstable_setup
+        default = spectral_abscissa(grid, kern, 150.0)
+        with _one_blas_thread():
+            one = spectral_abscissa(grid, kern, 150.0)
+        assert default.hex() == one.hex()
 
     def test_perturbation_grows_and_saturates(self, unstable_setup):
         grid, kern = unstable_setup
         mu = 150.0
-        J = linearization_matrix(grid, kern, mu)
-        k = most_unstable_cosine_mode(grid, J)
-        assert cosine_mode_rates(grid, J)[k - 1] > 0
+        k = most_unstable_cosine_mode(grid, kern, mu)
+        assert cosine_mode_rates(grid, kern, mu)[k - 1] > 0
         x = grid.nodes[:, 0]
         u0 = Field(grid, 1.0 + 0.01 * np.cos(k * np.pi * x / 5.0))
         cfg = SimConfig(mu=mu, dt=2e-4, t_end=1.5)

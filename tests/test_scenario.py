@@ -536,6 +536,14 @@ class TestSweep:
         assert [(r["point"], r["status"]) for r in summary] == \
             [("0", "ok"), ("1", "validation_error")]
 
+    def test_a_null_value_writes_an_empty_cell(self, tmp_path):
+        spec = self.base_sweep()
+        spec["parameters"] = [{"path": "initial.seed", "values": [None, 1]}]
+        run_sweep(parse_sweep_dict(spec), out_dir=tmp_path / "s", quiet=True)
+        lines = (tmp_path / "s/sweep_summary.csv").read_text().splitlines()
+        assert lines[1].startswith("0,,validation_error,")
+        assert lines[2].startswith("1,1,ok,")
+
     def test_unreadable_initial_file_fails_its_point_only(self, tmp_path):
         grid = build_uniform_grid((0.0, 1.0), 48)
         write_field(tmp_path / "good.bin", Field.constant(grid, 0.5))
