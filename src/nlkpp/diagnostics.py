@@ -147,17 +147,17 @@ def trace_rows(grid: Grid, u: np.ndarray, ku: np.ndarray,
     mu * sum_i w_i (1 - u_i)(1 - K[u]_i), which for a normalized kernel is the
     quadratic form mu * sum_ij w_i w_j K_ij (1 - u_i)(1 - u_j) up to the
     balancing tolerance, and exactly the form of the reaction factor the
-    integrator uses; ``D_grad`` sums c du^2 / u_mid^2 over the edges of
-    ``Grid.edges`` with the edge midpoint average in the denominator. That
-    pairing matches the Neumann Laplacian of those edges under summation by
-    parts to second order, which is what makes the decay identity testable.
+    integrator uses; ``D_grad`` sums c du^2 / (u_i u_j) over the edges (i, j)
+    of ``Grid.edges``: with W L = -G, G their graph Laplacian, summation by
+    parts makes it -sum_i w_i (1 - 1/u_i) (L u)_i exactly, so dV/dt = -D_total
+    along the semi-discrete system and the decay identity is first order in dt.
     """
     w = grid.weights
     d_grad = np.zeros(u.shape[0])
     for stride, c in grid.edges:
-        du = u[:, stride:] - u[:, :-stride]
-        mid = 0.5 * (u[:, stride:] + u[:, :-stride])
-        d_grad += (du * du / (mid * mid)) @ c[stride:]
+        lo, hi = u[:, :-stride], u[:, stride:]
+        du = hi - lo
+        d_grad += (du * du / (lo * hi)) @ c[stride:]
     d_kernel = mu * (((1.0 - u) * (1.0 - ku)) @ w)
     return {"V": (u - 1.0 - np.log(u)) @ w, "D_total": d_grad + d_kernel,
             "D_grad": d_grad, "D_kernel": d_kernel,

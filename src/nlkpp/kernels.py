@@ -24,7 +24,7 @@ its result is a plain dense kernel, which the dynamics refuse.
 """
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -419,6 +419,34 @@ class PositivityCertificate:
                 f"witness={self.witness:.6g})")
 
 
+def _even_window_spectrum(profile: KernelProfile, periods: Sequence[int],
+                          spacing: Sequence[float]) -> np.ndarray | None:
+    """``rfftn`` of the even periodic window phi(|k h|), an even number P of
+    offsets k h per axis with the origin at index 0; None when a sample is not
+    finite. For an even profile this is the window sampled at signed offsets,
+    bit for bit, and so is its transform.
+
+    Only the offsets 0 .. P/2 per axis are sampled, and mirrored along the
+    last axis. In 2D the window's rows past P/2 would repeat rows P/2 - 1 .. 1,
+    so the half spectrum's rows there are copied from theirs, and the
+    transform of axis 0 runs on it in place.
+    """
+    sampled = _sample_profile(profile, [np.arange(p // 2 + 1) * h
+                                        for p, h in zip(periods, spacing)])
+    if not np.all(np.isfinite(sampled)):
+        return None
+    window = np.concatenate([sampled, sampled[..., -2:0:-1]], axis=-1)
+    del sampled  # in 2D only the window and the spectrum are held at once
+    if len(periods) == 1:
+        return np.fft.rfft(window)
+    m = len(window)
+    spectrum = np.empty((periods[0], periods[1] // 2 + 1), complex)
+    np.fft.rfft(window, out=spectrum[:m])
+    spectrum[m:] = spectrum[m - 2:0:-1]
+    np.fft.fft(spectrum, axis=0, out=spectrum)
+    return spectrum
+
+
 def _circulant_bound(kernel: Kernel, a: np.ndarray) -> float | None:
     """A lower bound on the smallest eigenvalue of the weighted form from one
     FFT, for a convolution kernel with an even stencil and a = w * scale;
@@ -426,10 +454,10 @@ def _circulant_bound(kernel: Kernel, a: np.ndarray) -> float | None:
 
     The weighted form is M = diag(a) Phi diag(a) with a = w * scale, and Phi
     (the Toeplitz / block-Toeplitz matrix of the offset table) is a principal
-    submatrix of the symmetric circulant that phi builds on a periodic window
-    of P >= 2n offsets per axis. Interlacing bounds lambda_min(Phi) below by
-    lambda_C, the smallest value of that circulant's symbol, and Sylvester's
-    law of inertia with Ostrowski's theorem carry it to M:
+    submatrix of the symmetric circulant that phi builds on an even periodic
+    window of P >= 2n offsets per axis. Interlacing bounds lambda_min(Phi)
+    below by lambda_C, the smallest value of that circulant's symbol, and
+    Sylvester's law of inertia with Ostrowski's theorem carry it to M:
     lambda_min(M) >= lambda_C * (min a^2 if lambda_C >= 0 else max a^2).
     The window reaches as far as the profile takes to decay, so the symbol
     converges to the profile's sampled transform instead of being cut off.
@@ -440,10 +468,10 @@ def _circulant_bound(kernel: Kernel, a: np.ndarray) -> float | None:
                for n, h in zip(grid.counts, grid.spacing)]
     if math.prod(periods) > grid.n_nodes ** 2:
         return None  # the window would outweigh the dense matrix
-    window = _sample_profile(profile, map(_periodic_offsets, periods, grid.spacing))
-    if not np.all(np.isfinite(window)):
+    spectrum = _even_window_spectrum(profile, periods, grid.spacing)
+    if spectrum is None:
         return None
-    lam = float(np.fft.rfftn(window).real.min())
+    lam = float(spectrum.real.min())
     return lam * float(np.min(a * a) if lam >= 0 else np.max(a * a))
 
 
@@ -566,17 +594,14 @@ def default_half_width(profile: KernelProfile, tol: float = 1e-9) -> float:
 def certify_positivity_bochner(profile: KernelProfile, n_samples: int = 2048,
                                half_width: float | None = None,
                                tol: float = 1e-9, dim: int = 1) -> PositivityCertificate:
-    """Fourier certificate for convolution profiles.
-
-    Samples phi on a periodic window of ``n_samples`` offsets per axis
-    spanning (-half_width, half_width], takes the discrete Fourier transform,
-    and reports the smallest real part. A positive verdict certifies the
-    quadratic form on any bounded domain. ``dim=2`` runs the radial profile
-    through a 2D transform on a square window; the window's rows past n/2
-    repeat earlier ones, so only its n/2 + 1 distinct rows are sampled and
-    transformed along the last axis, and the half spectrum's other rows are
-    copied from theirs. The peak, edge and evenness checks read the window's
-    line along axis 0.
+    """Fourier certificate for convolution profiles: the smallest real part of
+    the discrete Fourier transform of phi on an even periodic window of
+    ``n_samples`` offsets per axis spanning (-half_width, half_width]
+    (``_even_window_spectrum``). A positive verdict certifies the quadratic
+    form on any bounded domain. ``dim=2`` runs the radial profile through a 2D
+    transform on a square window. The peak, edge and evenness checks read phi
+    along axis 0: at signed offsets in 1D, so that an asymmetric profile is
+    refused, and in 2D at their size.
     """
     if dim not in (1, 2):
         raise ValidationError(f"bochner check supports dim 1 or 2, got {dim}")
@@ -589,25 +614,12 @@ def certify_positivity_bochner(profile: KernelProfile, n_samples: int = 2048,
         raise ValidationError("need at least 16 samples for the transform")
     n += n % 2
     delta = 2.0 * half_width / n
-    # the window with its origin at index 0; it is real, so the half spectrum
-    # along the last axis holds every value of the full one
-    if dim == 1:
-        # signed offsets, so that an asymmetric profile shows below
-        window = _sample_profile(profile, [_periodic_offsets(n, delta)])
-        line = window
-    else:
-        # phi(hypot(a, b)) has the same bits for every sign of a and b: sample
-        # offsets 0 .. n/2 per axis and mirror them along the last axis; the
-        # window's rows m.. would repeat rows m - 2 .. 1, so they are left out
-        m = n // 2 + 1
-        window = np.empty((m, n))
-        window[:, :m] = _sample_profile(profile, [np.arange(m) * delta] * 2)
-        window[:, m:] = window[:, m - 2:0:-1]
-        # phi(k delta), the window's line along axis 0
-        line = np.concatenate([window[:, 0], window[m - 2:0:-1, 0]])
-    if not np.all(np.isfinite(window)):
-        raise KernelError("profile is not finite on the sampling window")
+    # phi(hypot(k delta, 0)) is phi(|k delta|): the line along axis 0 in 2D
+    line = _sample_profile(profile, [_periodic_offsets(n, delta)]
+                           + [np.zeros(1)] * (dim - 1)).ravel()
     peak = float(np.max(np.abs(line)))
+    if not peak < math.inf:
+        raise KernelError("profile is not finite on the sampling window")
     if peak == 0.0:
         raise KernelError("profile vanishes identically on the window")
     edge = abs(float(line[n // 2]))  # phi(half_width)
@@ -621,27 +633,13 @@ def certify_positivity_bochner(profile: KernelProfile, n_samples: int = 2048,
         raise KernelError(
             f"asymmetric profile: max |phi(z) - phi(-z)| = {asym:.3g}")
 
-    if dim == 1:
-        spectrum = np.fft.rfft(window)
-    else:
-        # the transform of axis 0 runs in place on the half spectrum of the
-        # last axis, whose rows m.. mirror rows m - 2 .. 1 as the window's do
-        spectrum = np.empty((n, n // 2 + 1), complex)
-        np.fft.rfft(window, out=spectrum[:m])
-        spectrum[m:] = spectrum[m - 2:0:-1]
-        np.fft.fft(spectrum, axis=0, out=spectrum)
-    del window, line
+    spectrum = _even_window_spectrum(profile, [n] * dim, [delta] * dim)
+    if spectrum is None:
+        raise KernelError("profile is not finite on the sampling window")
     spectrum *= delta**dim
-
-    # maxima over blocks of rows, exact, with no temporary of the spectrum's size
-    rows = spectrum.reshape(-1, spectrum.shape[-1])
-    blocks = [rows[i:i + 64] for i in range(0, len(rows), 64)]
-    scale = float(np.max([np.max(np.abs(b)) for b in blocks]))
-    threshold = tol * scale
-    imaginary = float(np.max([np.max(np.abs(b.imag)) for b in blocks]))
-    if imaginary > max(threshold, 1e-12 * scale):
-        raise KernelError("transform has a nontrivial imaginary part; "
-                          "the sampled profile is not even")
+    # max |spectrum| over blocks of rows, with no temporary of the spectrum's size
+    threshold = tol * float(max(np.max(np.abs(spectrum[i:i + 64]))
+                                for i in range(0, len(spectrum), 64)))
     re = spectrum.real
     witness = float(re.min())
     if witness >= -threshold:

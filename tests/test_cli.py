@@ -365,6 +365,29 @@ def test_import_leaves_scipy_signal_unloaded(fresh_python):
     assert fresh_python(code).strip() == "False"
 
 
+def test_certify_loads_only_numpy_fft(tmp_path, fresh_python):
+    # a certify process is mostly start-up: past `import nlkpp.cli`, which
+    # loads no pool, random generator or scipy, and the parser (argparse's
+    # gettext loads locale), a 1D and a 2D certify load numpy.fft alone
+    doc = scenario_doc()
+    write(tmp_path, doc, "gaussian.json")
+    doc["grid"] = {"extents": [[0.0, 1.0], [0.0, 1.0]], "counts": [32, 32]}
+    write(tmp_path, doc, "gaussian_2d.json")
+    code = ("import sys, nlkpp.cli\n"
+            "nlkpp.cli.build_parser()\n"
+            "imported = set(sys.modules)\n"
+            "for name in ('gaussian', 'gaussian_2d'):\n"
+            "    assert nlkpp.cli.main(['certify', name + '.json', '--quiet',\n"
+            "                           '--out', name]) == 0\n"
+            "print(*sorted(imported))\n"
+            "print(*sorted(set(sys.modules) - imported))")
+    imported, certify = (line.split() for line in
+                         fresh_python(code, cwd=tmp_path).split("\n")[-3:-1])
+    assert not [m for m in imported if m.partition(".")[0] in (
+        "multiprocessing", "concurrent", "scipy") or m.startswith("numpy.random")]
+    assert certify and all(m.startswith("numpy.fft") for m in certify)
+
+
 # the pool's modules
 POOL = ("multiprocessing", "concurrent.futures")
 # a sweep without --jobs starts a pool exactly when more than one CPU is usable

@@ -1,6 +1,8 @@
 import csv
 import io
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,15 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlkpp import (DomainError, Field, KernelProfile, ShapeError, SimConfig,
-                   ValidationError, build_uniform_grid, integrate,
-                   certify_positivity_eigen, cosine_mode_rates,
+                   ValidationError, build_kernel, build_uniform_grid, integrate,
+                   certify_positivity_eigen, cosine_mode_rates, cosine_modes,
                    decay_identity_residual, dissipation, laplacian_matrix,
                    linearization_matrix, lyapunov_value,
-                   most_unstable_cosine_mode, reaction_term, run,
+                   most_unstable_cosine_mode, parse_scenario, reaction_term, run,
                    sample_convolution_kernel, spectral_abscissa,
                    sup_distance_to_one, symmetrize_and_normalize)
 from nlkpp._openblas import _one_blas_thread
 from nlkpp.diagnostics import TRACE_COLUMNS, Trace, kernel_action
+
+SCENARIOS = Path(__file__).parents[1] / "scenarios"
 
 
 class TestLyapunovValue:
@@ -121,6 +125,25 @@ class TestDecayIdentity:
                               for k in range(len(trace) - 1)))
         for coarse, fine in zip(maxres, maxres[1:]):
             assert 1.7 <= coarse / fine <= 2.3
+
+    def test_first_order_on_a_rough_state(self):
+        # pattern.json's final state (min u 0.16, max 2.48, jumps at the
+        # tophat's edges): D_total is the exact derivative of V, so one step's
+        # residual falls with dt; with the edge-midpoint form of D_grad it
+        # stayed at 0.169 at every dt
+        scenario = parse_scenario(SCENARIOS / "pattern.json")
+        grid, mu = scenario.grid, scenario.sim.mu
+        kern, _ = build_kernel(replace(scenario.kernel, certify=False), grid)
+        mode = most_unstable_cosine_mode(grid, kern, mu)
+        u0 = Field(grid, 1.0 + scenario.initial.amplitude * cosine_modes(grid, mode))
+        state, _ = run(u0, grid, kern, replace(scenario.sim, snapshot_every=0))
+        residuals = []
+        for dt in (1e-4, 1e-5, 1e-6):
+            _, trace = run(state.u, grid, kern,
+                           SimConfig(mu=mu, dt=dt, t_end=dt, snapshot_every=0))
+            residuals.append(decay_identity_residual(trace, 0))
+        for coarse, fine in zip(residuals, residuals[1:]):
+            assert coarse >= 5.0 * fine
 
     def test_reads_trace_csv(self, tmp_path, unit_grid, balanced_gaussian, rng):
         # no snapshots kept: the residual needs the trace rows only, and the

@@ -300,11 +300,11 @@ class TestMatrixFree:
     @pytest.mark.parametrize("check,shapes", [
         (lambda g: sample_convolution_kernel(
             KernelProfile("custom", 0.1, func=lambda z: 1.0), g), ("()", "(255,)")),
-        # elementwise on the 255 node offsets only, not on the certificate's
-        # 512-offset periodic window
+        # elementwise on the 255 node offsets only, not on the offsets 0 .. 256
+        # of the certificate's 512-offset periodic window
         (lambda g: certify_positivity_eigen(sample_convolution_kernel(
             KernelProfile("custom", 0.1, func=lambda z: np.exp(-z[:255] ** 2)), g)),
-         ("(255,)", "(512,)")),
+         ("(255,)", "(257,)")),
         (lambda g: certify_positivity_bochner(
             KernelProfile("custom", 0.1, func=lambda z: 1.0), half_width=1.0),
          ("()", "(2048,)")),
@@ -588,22 +588,41 @@ def _smallest_eigenvalue(kern):
     return np.linalg.eigvalsh(S)[0], np.linalg.norm(S)
 
 
+def _full_window_circulant(kern):
+    """The circulant bound from ``rfftn`` of the full decay window, phi at
+    every signed offset; None where that window would outweigh the matrix."""
+    grid, profile = kern.grid, kern.profile
+    reach = 0.0 if profile.family == "custom" else default_half_width(profile)
+    periods = [2 * max(2 * n, math.ceil(reach / h))
+               for n, h in zip(grid.counts, grid.spacing)]
+    if math.prod(periods) > grid.n_nodes ** 2:
+        return None
+    window = _sample_profile(profile, map(_periodic_offsets, periods, grid.spacing))
+    lam = float(np.fft.rfftn(window).real.min())
+    a = grid.weights * kern.scale
+    return lam * float(np.min(a * a) if lam >= 0 else np.max(a * a))
+
+
+CIRCULANT_PROFILES = pytest.mark.parametrize("profile", [
+    KernelProfile("gaussian", 0.05),
+    KernelProfile("gaussian", 0.2),
+    KernelProfile("gaussian", 1.0),
+    KernelProfile("exponential", 0.2),
+    difference_of_gaussians(0.1, 0.2),  # signed, positive in 1D and 2D
+], ids=["gaussian_0.05", "gaussian_0.2", "gaussian_1", "exponential_0.2", "dog"])
+CIRCULANT_GRIDS = pytest.mark.parametrize("extents,counts", [
+    ((0, 1), 32), ((0, 1), 128), ((0, 1), 512),
+    (((0, 1), (0, 1)), (16, 16)),
+    (((0, 1), (0, 2)), (20, 24)),  # unequal spacing
+], ids=["32", "128", "512", "16x16", "20x24"])
+
+
 class TestCirculantCertificate:
     """Positive verdicts for even convolution stencils come from one FFT of a
     circulant symbol, and their witness bounds the smallest eigenvalue below."""
 
-    @pytest.mark.parametrize("profile", [
-        KernelProfile("gaussian", 0.05),
-        KernelProfile("gaussian", 0.2),
-        KernelProfile("gaussian", 1.0),
-        KernelProfile("exponential", 0.2),
-        difference_of_gaussians(0.1, 0.2),  # signed, positive in 1D and 2D
-    ], ids=["gaussian_0.05", "gaussian_0.2", "gaussian_1", "exponential_0.2", "dog"])
-    @pytest.mark.parametrize("extents,counts", [
-        ((0, 1), 32), ((0, 1), 128), ((0, 1), 512),
-        (((0, 1), (0, 1)), (16, 16)),
-        (((0, 1), (0, 2)), (20, 24)),  # unequal spacing
-    ], ids=["32", "128", "512", "16x16", "20x24"])
+    @CIRCULANT_PROFILES
+    @CIRCULANT_GRIDS
     def test_witness_is_a_lower_bound(self, profile, extents, counts):
         grid = build_uniform_grid(extents, counts)
         raw = sample_convolution_kernel(profile, grid)
@@ -617,6 +636,21 @@ class TestCirculantCertificate:
             assert dense.solver == "lanczos"
             assert cert.verdict == dense.verdict == "positive"
             assert cert.tolerance == pytest.approx(dense.tolerance, rel=1e-12)
+
+    @CIRCULANT_PROFILES
+    @CIRCULANT_GRIDS
+    def test_witness_has_the_full_window_bits(self, profile, extents, counts):
+        # the mirrored window of an even profile is the signed one, bit for bit
+        raw = sample_convolution_kernel(profile, build_uniform_grid(extents, counts))
+        kernels = [raw] if profile.family == "custom" else [
+            raw, symmetrize_and_normalize(raw)]
+        for kern in kernels:
+            cert = certify_positivity_eigen(kern)
+            bound = _full_window_circulant(kern)
+            if bound is None:
+                assert cert.solver == "lanczos"
+            else:
+                assert (cert.solver, cert.witness) == ("circulant_symbol", bound)
 
     def test_64x64_builds_no_matrix(self):
         grid = build_uniform_grid(((0, 1), (0, 1)), (64, 64))
