@@ -23,7 +23,7 @@ from ._openblas import _one_blas_thread
 from .errors import DomainError, NumericalError, ShapeError, ValidationError
 from .fieldio import _open_fresh
 from .grid import Field, Grid, laplacian_matrix
-from .kernels import Kernel, apply_kernel
+from .kernels import Kernel, _matvec, apply_kernel
 
 TRACE_COLUMNS = ("t", "V", "D_total", "D_grad", "D_kernel",
                  "sup_dist_one", "mass", "min_u", "dt_used")
@@ -120,11 +120,14 @@ def _require_positive(u: np.ndarray) -> None:
             f"strictly positive field required; node {i} has value {u[i]:.6g}")
 
 
-def _require_normalized(kernel: Kernel) -> None:
-    """Unless K[1] = 1, u = 1 is not the steady state all of this is about."""
+def _require_normalized(kernel: Kernel, grid: Grid | None = None) -> None:
+    """Unless K[1] = 1, u = 1 is not the steady state all of this is about;
+    the linearization on ``grid``, when one is given, needs K on it too."""
     if not kernel.normalized:
         raise ValidationError("the kernel must be normalized (balanced: weighted "
                               "row sums K[1] equal to one)")
+    if grid is not None and not kernel.grid.same_layout(grid):
+        raise ShapeError(f"kernel lies on {kernel.grid}, the linearization on {grid}")
 
 
 def kernel_action(field: Field, kernel: Kernel | None) -> np.ndarray:
@@ -163,6 +166,20 @@ def trace_rows(grid: Grid, u: np.ndarray, ku: np.ndarray,
             "D_grad": d_grad, "D_kernel": d_kernel,
             "sup_dist_one": abs(u - 1.0).max(axis=1), "mass": u @ w,
             "min_u": u.min(axis=1)}
+
+
+def steady_state_residual(grid: Grid, u: np.ndarray, ku: np.ndarray,
+                          mu: float) -> float:
+    """||L u + mu u (1 - K[u])||_W, zero exactly at a steady state; ``ku`` is
+    K[u], or u itself in local mode. L u = -W^-1 G u comes from the edges of
+    ``Grid.edges``, G their graph Laplacian, without an N x N array."""
+    gu = np.zeros_like(u)
+    for stride, c in grid.edges:
+        flux = c[stride:] * (u[stride:] - u[:-stride])
+        gu[stride:] += flux
+        gu[:-stride] -= flux
+    r = mu * u * (1.0 - ku) - gu / grid.weights
+    return math.sqrt(r * r @ grid.weights)
 
 
 def lyapunov_value(field: Field) -> float:
@@ -217,9 +234,7 @@ def linearization_matrix(grid: Grid, kernel: Kernel | None,
     if kernel is None:
         L.flat[::grid.n_nodes + 1] -= mu
         return L
-    _require_normalized(kernel)
-    if not kernel.grid.same_layout(grid):
-        raise ShapeError(f"kernel lies on {kernel.grid}, the linearization on {grid}")
+    _require_normalized(kernel, grid)
     return L - mu * (kernel.matrix * grid.weights[None, :])
 
 
@@ -249,13 +264,29 @@ def cosine_modes(grid: Grid, k) -> np.ndarray:
 
 def cosine_mode_rates(grid: Grid, kernel: Kernel | None, mu: float) -> np.ndarray:
     """Weighted Rayleigh quotients of the Jacobian J of
-    :func:`linearization_matrix` on the cosine modes 1 <= k <= n0 - 2
-    (``cosine_modes``)."""
-    V = cosine_modes(grid, np.arange(1, grid.counts[0] - 1))
-    w = grid.weights
-    JV = linearization_matrix(grid, kernel, mu) @ V
-    return (np.einsum("i,ij,ij->j", w, V, JV)
-            / np.einsum("i,ij,ij->j", w, V, V))
+    :func:`linearization_matrix` on the cosine modes v, 1 <= k <= n0 - 2
+    (``cosine_modes``), without J: mode k is constant along axis 1 and an
+    eigenvector of the Laplacian, eigenvalue -(2/h0 sin(k pi/(2 n0 - 2)))^2,
+    and (w v)^T v = |Omega|/2, so its rate is that minus 2 mu (w v)^T K[v]/|Omega|."""
+    n0 = grid.counts[0]
+    k = np.arange(1, n0 - 1)
+    rates = -(2.0 / grid.spacing[0] * np.sin(np.pi / (2 * n0 - 2) * k)) ** 2
+    if kernel is None:
+        return rates - mu
+    _require_normalized(kernel, grid)
+    # mode k at axis-0 index j is period[k j mod 2 n0 - 2]; 4 MiB blocks of modes
+    j = np.arange(grid.n_nodes) // (grid.n_nodes // n0)
+    period = np.cos(np.pi / (n0 - 1) * np.arange(2 * n0 - 2))
+    size = max(1, (1 << 19) // grid.n_nodes)
+    for block in np.split(k, range(size, k.size, size)):
+        WV = grid.weights[:, None] * period[np.multiply.outer(j, block) % (2 * n0 - 2)]
+        if kernel.apply_method == "dense" or grid.n_nodes <= 1024:
+            # a dense K, or one of 8 MiB at most: one product beats an FFT per mode
+            q = np.einsum("ij,ij->j", WV, kernel.matrix @ WV)
+        else:
+            q = np.array([v @ _matvec(kernel, v) for v in WV.T])
+        rates[block - 1] -= 2.0 * mu / grid.weights.sum() * q
+    return rates
 
 
 def most_unstable_cosine_mode(grid: Grid, kernel: Kernel | None, mu: float) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._openblas import _banded_cholesky
-from .diagnostics import Trace, kernel_action, trace_rows
+from .diagnostics import Trace, kernel_action, steady_state_residual, trace_rows
 from .errors import NumericalError, ShapeError, StepFailure, ValidationError
 from .grid import Field, Grid
 from .kernels import Kernel
@@ -201,9 +201,11 @@ def run(u0: Field, grid: Grid, kernel: Kernel | None, config: SimConfig,
     ``kernel_apply`` says which matvec ran (``dense``, ``fft`` or ``none``),
     ``kernel_applications`` how often (once for the datum and once per
     accepted step; 0 in local mode), and ``balance_iterations`` /
-    ``balance_deviation`` copy the kernel's balancing. The rows are those of
-    :func:`~nlkpp.diagnostics.trace_rows`, computed in blocks of steps; a run
-    that raises returns no trace.
+    ``balance_deviation`` copy the kernel's balancing; ``floor_lifted_nodes``
+    counts the datum's nodes lifted to the floor, and ``steady_state_residual``
+    is :func:`~nlkpp.diagnostics.steady_state_residual` of the final state.
+    The rows are those of :func:`~nlkpp.diagnostics.trace_rows`, computed in
+    blocks of steps; a run that raises returns no trace.
     """
     if not u0.grid.same_layout(grid):
         raise ShapeError(f"initial datum lies on {u0.grid}, the run on {grid}")
@@ -276,6 +278,10 @@ def run(u0: Field, grid: Grid, kernel: Kernel | None, config: SimConfig,
     if trace.snapshots[-1].step != state.step:
         trace.add_snapshot(state.step, state.t, state.u)
     # the datum and every accepted state are applied once each
-    trace.metadata.update(steps_rejected=steps_rejected, dt_min=dt_min,
-                          kernel_applications=0 if kernel is None else state.step + 1)
+    trace.metadata.update(
+        steps_rejected=steps_rejected, dt_min=dt_min,
+        kernel_applications=0 if kernel is None else state.step + 1,
+        floor_lifted_nodes=int(np.count_nonzero(vals < config.positivity_floor)),
+        steady_state_residual=steady_state_residual(grid, state.u.values, state.ku,
+                                                    config.mu))
     return state, trace

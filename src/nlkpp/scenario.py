@@ -131,7 +131,7 @@ class InitialSpec:
     high: float | None = None
     seed: int | None = None
     amplitude: float | None = None
-    mode: int | str | None = None  # an int >= 1 or "most_unstable"
+    mode: int | str | None = None  # 1 <= int <= n0 - 1, or "most_unstable"
     path: str | None = None
 
 
@@ -190,7 +190,7 @@ def _parse_kernel(raw) -> KernelSpec:
     return spec
 
 
-def _parse_initial(raw) -> InitialSpec:
+def _parse_initial(raw, grid: Grid) -> InitialSpec:
     sec = _Section(raw, "initial")
     kind = sec.take("kind")
     if kind == "constant":
@@ -215,6 +215,11 @@ def _parse_initial(raw) -> InitialSpec:
             if mode < 1:
                 raise ValidationError("initial.mode must be >= 1")
             _as_number(mode, "initial.mode")  # cosine_modes takes it as a float
+            # cos(k pi j / (n0 - 1)) has period 2 (n0 - 1) in k: a higher k aliases
+            if mode > grid.counts[0] - 1:
+                raise ValidationError(
+                    f"initial.mode {mode} exceeds {grid.counts[0] - 1}, the highest "
+                    f"cosine mode of {grid.counts[0]} nodes along axis 0")
         if not 0 <= amplitude < 1:
             raise ValidationError("initial.amplitude must lie in [0, 1)")
         spec = InitialSpec(kind=kind, amplitude=amplitude, mode=mode)
@@ -262,7 +267,7 @@ def parse_scenario_dict(raw: dict, name: str = "scenario",
     grid = _parse_grid(top.take("grid"))
     sim = _parse_sim(top.take("sim"))
     kernel = _parse_kernel(top.take("kernel"))
-    initial = _parse_initial(top.take("initial"))
+    initial = _parse_initial(top.take("initial"), grid)
     output = _parse_output(top.take("output", {}))
     top.finish()
     return Scenario(name=name, grid=grid, kernel=kernel, initial=initial,
@@ -321,8 +326,7 @@ def build_kernel(spec: KernelSpec, grid: Grid) -> tuple[Kernel, list[PositivityC
     return kernel, certificates
 
 
-def _build_initial(scenario: Scenario, grid: Grid, kernel: Kernel,
-                   stability: dict) -> tuple[Field, dict]:
+def _build_initial(scenario: Scenario, grid: Grid, kernel: Kernel) -> tuple[Field, dict]:
     spec = scenario.initial
     info: dict = {"kind": spec.kind}
     if spec.kind == "constant":
@@ -332,13 +336,8 @@ def _build_initial(scenario: Scenario, grid: Grid, kernel: Kernel,
         info["seed"] = spec.seed
         return Field(grid, rng.uniform(spec.low, spec.high, grid.n_nodes)), info
     if spec.kind == "cosine":
-        mode = spec.mode
-        if mode == "most_unstable":
-            if "stability_skipped" in stability:
-                raise ValidationError(
-                    "initial.mode 'most_unstable' needs the stability analysis, "
-                    f"which was skipped: {stability['stability_skipped']}")
-            mode = most_unstable_cosine_mode(grid, kernel, scenario.sim.mu)
+        mode = (most_unstable_cosine_mode(grid, kernel, scenario.sim.mu)
+                if spec.mode == "most_unstable" else spec.mode)
         info["mode"] = int(mode)
         return Field(grid, 1.0 + spec.amplitude * cosine_modes(grid, mode)), info
     path = Path(spec.path)  # kind "file", the last one _parse_initial admits
@@ -423,7 +422,7 @@ def _run_scenario_inner(scenario: Scenario, out_dir, quiet: bool,
         stability = {"spectral_abscissa":
                      spectral_abscissa(grid, kernel, scenario.sim.mu)}
 
-    u0, initial_info = _build_initial(scenario, grid, kernel, stability)
+    u0, initial_info = _build_initial(scenario, grid, kernel)
 
     meta = {"scenario": scenario.name, "initial": initial_info, **stability}
     for cert in certificates:

@@ -1,6 +1,8 @@
 import csv
+import functools
 import io
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,7 +20,8 @@ from nlkpp import (DomainError, Field, KernelProfile, ShapeError, SimConfig,
                    sample_convolution_kernel, spectral_abscissa,
                    sup_distance_to_one, symmetrize_and_normalize)
 from nlkpp._openblas import _one_blas_thread
-from nlkpp.diagnostics import TRACE_COLUMNS, Trace, kernel_action
+from nlkpp.diagnostics import (TRACE_COLUMNS, Trace, kernel_action,
+                               steady_state_residual)
 
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
 
@@ -289,6 +292,76 @@ class TestLinearization:
             expected.append((w * v) @ (J @ v) / ((w * v) @ v))
         np.testing.assert_allclose(cosine_mode_rates(grid, kern, mu), expected,
                                    rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("mu", [0.0, 1.0, 150.0, 3000.0])
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("family", ["gaussian", "exponential", "tophat"])
+    def test_no_mode_outgrows_the_abscissa(self, family, dim, mu):
+        # a Rayleigh quotient of the W-self-adjoint J is at most its top
+        # eigenvalue; tophat 0.5 is past its onset at mu = 3000
+        grid, kern = _scan_setup(family, dim)
+        bound = spectral_abscissa(grid, kern, mu) + _scan_tolerance(grid, mu)
+        assert cosine_mode_rates(grid, kern, mu).max() <= bound
+
+    @pytest.mark.parametrize("extents,counts", [
+        ((0, 5), 1024), ((0, 5), 1100), (((0, 2), (0, 3)), (20, 30)),
+    ], ids=["1024", "1100-stencil", "20x30"])
+    def test_cosine_mode_rates_match_the_jacobian(self, extents, counts):
+        grid = build_uniform_grid(extents, counts)
+        kern = symmetrize_and_normalize(sample_convolution_kernel(
+            KernelProfile("tophat", 1.0), grid))
+        mu = 150.0
+        V = cosine_modes(grid, np.arange(1, grid.counts[0] - 1))
+        WV = grid.weights[:, None] * V
+        expected = (np.einsum("ij,ij->j", WV, linearization_matrix(grid, kern, mu) @ V)
+                    / np.einsum("ij,ij->j", WV, V))
+        assert (np.abs(cosine_mode_rates(grid, kern, mu) - expected).max()
+                <= _scan_tolerance(grid, mu))
+
+    def test_cosine_mode_scan_builds_no_matrix(self, monkeypatch):
+        import nlkpp.diagnostics
+
+        def refused(*args):
+            raise AssertionError("the scan built an N x N matrix")
+        for name in ("linearization_matrix", "laplacian_matrix"):
+            monkeypatch.setattr(nlkpp.diagnostics, name, refused)
+        for dim in (1, 2):
+            grid, kern = _scan_setup("tophat", dim)
+            assert cosine_mode_rates(grid, kern, 150.0).shape == (grid.counts[0] - 2,)
+            assert cosine_mode_rates(grid, None, 150.0).shape == (grid.counts[0] - 2,)
+
+    def test_cosine_mode_scan_memory(self):
+        # J, L and the modes with J applied would be 32 MiB each here
+        grid = build_uniform_grid((0, 5), 2048)
+        kern = symmetrize_and_normalize(sample_convolution_kernel(
+            KernelProfile("tophat", 1.0), grid))
+        tracemalloc.start()
+        try:
+            assert most_unstable_cosine_mode(grid, kern, 150.0) >= 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+
+
+@functools.cache
+def _scan_setup(family, dim):
+    grid = (build_uniform_grid((0, 5), 96) if dim == 1
+            else build_uniform_grid(((0, 2), (0, 3)), (14, 17)))
+    return grid, symmetrize_and_normalize(sample_convolution_kernel(
+        KernelProfile(family, 0.5), grid))
+
+
+def _scan_tolerance(grid, mu):
+    return 1e-12 * (4 * grid.dim / min(grid.spacing) ** 2 + 2 * mu)
+
+
+def test_steady_state_residual_matches_the_dense_laplacian(rng):
+    grid = build_uniform_grid(((0, 1), (0, 2)), (7, 9))
+    u, ku = rng.uniform(0.5, 1.5, (2, grid.n_nodes))
+    r = laplacian_matrix(grid) @ u + 2.0 * u * (1.0 - ku)
+    assert steady_state_residual(grid, u, ku, 2.0) == pytest.approx(
+        math.sqrt(r * r @ grid.weights), rel=1e-12)
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -189,6 +190,28 @@ class TestRunBookkeeping:
         assert calls["solve"] == state.step + trace.metadata["steps_rejected"]
         assert trace.metadata["dt_min"] == pytest.approx(
             trace.column("dt_used")[1:].min())
+
+    def test_lifted_datum_nodes_are_counted(self, unit_grid, balanced_gaussian):
+        cfg = SimConfig(mu=1.0, dt=1e-2, t_end=0.02)
+        values = np.full(unit_grid.n_nodes, 0.5)
+        for zeros in (0, 1, 3):
+            values[:zeros] = 0.0
+            _, trace = run(Field(unit_grid, values), unit_grid, balanced_gaussian, cfg)
+            assert trace.metadata["floor_lifted_nodes"] == zeros
+
+    def test_steady_state_residual_of_the_final_state(self, unit_grid,
+                                                      balanced_gaussian, stiff_tophat):
+        one = Field.constant(unit_grid, 1.0)
+        _, trace = run(one, unit_grid, balanced_gaussian,
+                       SimConfig(mu=1.0, dt=1e-2, t_end=1.0))
+        assert trace.metadata["steady_state_residual"] < 1e-10
+        grid, kern, u0, cfg = stiff_tophat
+        state, trace = run(u0, grid, kern, cfg)
+        assert trace.metadata["steady_state_residual"] > 1e-2
+        r = (laplacian_matrix(grid) @ state.u.values
+             + cfg.mu * state.u.values * (1.0 - state.ku))
+        assert trace.metadata["steady_state_residual"] == pytest.approx(
+            math.sqrt(r * r @ grid.weights), rel=1e-12)
 
     def test_local_mode_applies_no_kernel(self, unit_grid):
         cfg = SimConfig(mu=1.0, dt=1e-2, t_end=0.1)

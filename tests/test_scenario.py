@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from nlkpp import (Field, Kernel, ValidationError, build_kernel,
-                   build_uniform_grid, certify_scenario, parse_scenario,
+                   build_uniform_grid, certify_scenario, cosine_mode_rates,
+                   cosine_modes, parse_scenario,
                    parse_scenario_dict, parse_sweep, parse_sweep_dict,
                    read_csv_rows, read_field, run_scenario, run_sweep,
                    write_field)
@@ -186,6 +187,14 @@ class TestParsing:
         with pytest.raises(ValidationError, match=message):
             parse_scenario_dict(doc)
 
+    def test_cosine_mode_must_be_resolved(self):
+        # on 48 nodes mode 94 - k repeats mode k, and mode 94 is the constant
+        doc = minimal_doc(initial={"kind": "cosine", "mode": 48})
+        with pytest.raises(ValidationError, match="exceeds 47, the highest cosine"):
+            parse_scenario_dict(doc)
+        doc["initial"]["mode"] = 47
+        assert parse_scenario_dict(doc).initial.mode == 47
+
     def test_solver_2d_is_unknown(self):
         doc = minimal_doc()
         doc["sim"]["solver_2d"] = "adi"
@@ -322,9 +331,17 @@ class TestRunScenario:
         assert "spectral_abscissa" not in meta["metadata"]
         assert np.isnan(summary["spectral_abscissa"])
         doc["initial"] = {"kind": "cosine", "mode": "most_unstable"}
-        with pytest.raises(ValidationError, match="1089 nodes > 1024"):
-            run_scenario(parse_scenario_dict(doc), out_dir=tmp_path / "mu",
-                         quiet=True)
+        doc["output"] = {"artifacts": ["meta", "snapshots"]}
+        scenario = parse_scenario_dict(doc)
+        run_scenario(scenario, out_dir=tmp_path / "mu", quiet=True)
+        meta = json.loads((tmp_path / "mu/run_meta.json").read_text())["metadata"]
+        assert meta["stability_skipped"] == "1089 nodes > 1024"
+        grid, mu = scenario.grid, scenario.sim.mu
+        kern, _ = build_kernel(scenario.kernel, grid)
+        k = int(np.argmax(cosine_mode_rates(grid, kern, mu))) + 1
+        assert meta["initial"] == {"kind": "cosine", "mode": k}
+        u0 = read_field(tmp_path / "mu/snapshots/snap_00000000.bin")
+        assert np.array_equal(u0.values, 1.0 + 0.01 * cosine_modes(grid, k))
 
     def test_rejected_steps_are_recorded(self, tmp_path):
         doc = {"grid": {"extents": [0.0, 5.0], "counts": 256},
@@ -413,8 +430,34 @@ class TestRunScenario:
         V = Trace.from_csv(tmp_path / "mf/trace.csv").column("V")
         assert len(V) == 11 and np.all(np.diff(V) <= 0)
 
+    @pytest.mark.parametrize("grid", [
+        {"extents": [0, 20], "counts": 4096},
+        {"extents": [[0, 1], [0, 1]], "counts": [33, 33]},
+    ], ids=["4096", "33x33"])
+    def test_most_unstable_runs_past_the_abscissa_limit(self, tmp_path, grid):
+        doc = minimal_doc(grid=grid, output={"artifacts": ["meta"]},
+                          initial={"kind": "cosine", "mode": "most_unstable"})
+        doc["kernel"]["certify"] = False
+        doc["sim"]["t_end"] = 1e-3
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["simulate", str(path), "--out", str(out), "--quiet"]) == 0
+        meta = json.loads((out / "run_meta.json").read_text())["metadata"]
+        assert "stability_skipped" in meta and meta["initial"]["mode"] >= 1
+
+    def test_unresolved_mode_is_a_sweep_row(self, tmp_path):
+        base = minimal_doc(initial={"kind": "cosine", "mode": 1},
+                           output={"artifacts": []})
+        sweep = parse_sweep_dict({"base": base, "parameters": [
+            {"path": "initial.mode", "values": [47, 48]}]})
+        # 47, the alternating mode, is the highest one 48 nodes resolve
+        rows = run_sweep(sweep, jobs=1, out_dir=tmp_path / "s", quiet=True)
+        assert [row["status"] for row in rows] == ["ok", "validation_error"]
+        assert "exceeds 47, the highest cosine mode" in rows[1]["error"]
+
     def test_integer_cosine_mode_runs_without_the_stability_analysis(self, tmp_path):
-        # 1089 nodes skip the stability analysis, which "most_unstable" needs
+        # 1089 nodes skip the spectral abscissa; an integer mode needs no scan
         doc = minimal_doc(grid={"extents": [[0, 1], [0, 1]], "counts": [33, 33]},
                           initial={"kind": "cosine", "amplitude": 0.02, "mode": 3},
                           output={"artifacts": ["meta", "snapshots"]})
