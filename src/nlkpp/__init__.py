@@ -18,7 +18,7 @@ from .dynamics import DiffusionSolver, SimConfig, SimState, reaction_term, run, 
 from .errors import (BalancingError, DomainError, KernelError, NumericalError,
                      ShapeError, StepFailure, ValidationError)
 from .fieldio import read_field, write_field
-from .grid import Field, Grid, build_uniform_grid, integrate, laplacian_matrix
+from .grid import Field, Grid, build_uniform_grid, integrate
 from .kernels import (Kernel, KernelProfile, PositivityCertificate,
                       apply_kernel, certify_positivity_bochner,
                       certify_positivity_eigen, default_half_width,

@@ -22,8 +22,11 @@ import numpy as np
 from ._openblas import _one_blas_thread
 from .errors import DomainError, NumericalError, ShapeError, ValidationError
 from .fieldio import _open_fresh
-from .grid import Field, Grid, laplacian_matrix
+from .grid import Field, Grid
 from .kernels import Kernel, _matvec, apply_kernel
+
+# the largest grid for the dense eigensolve of spectral_abscissa: J is 8 MiB
+_STABILITY_MAX_NODES = 1024
 
 TRACE_COLUMNS = ("t", "V", "D_total", "D_grad", "D_kernel",
                  "sup_dist_one", "mass", "min_u", "dt_used")
@@ -223,19 +226,28 @@ def decay_identity_residual(trace: Trace, step_index: int) -> float:
 
 def linearization_matrix(grid: Grid, kernel: Kernel | None,
                          mu: float) -> np.ndarray:
-    """Derivative of the dynamics at u = 1: J v = Lap v - mu K[v], with
-    K[v] = v in local mode (no kernel).
+    """Derivative of the dynamics at u = 1: J v = L v - mu K[v], with
+    K[v] = v in local mode (no kernel), as one dense N x N array.
 
     The kernel must be normalized (K[1] = 1), otherwise u = 1 is not a steady
-    state to linearize about, and must lie on ``grid``. Lap is
-    :func:`~nlkpp.grid.laplacian_matrix`.
+    state to linearize about, and must lie on ``grid``. L, the Neumann
+    Laplacian with ghost-node reflection, is -W^-1 G, G the graph Laplacian
+    of ``grid.edges``; ``linearization_matrix(grid, None, 0.0)`` is L.
     """
-    L = laplacian_matrix(grid)
+    n, w = grid.n_nodes, grid.weights
     if kernel is None:
-        L.flat[::grid.n_nodes + 1] -= mu
-        return L
-    _require_normalized(kernel, grid)
-    return L - mu * (kernel.matrix * grid.weights[None, :])
+        J = np.diag(np.full(n, -float(mu)))
+    else:
+        _require_normalized(kernel, grid)
+        J = kernel.matrix * w[None, :]
+        J *= -mu
+    i = np.arange(n)
+    for stride, c in grid.edges:
+        J[i[:-stride], i[stride:]] += c[stride:] / w[:-stride]
+        J[i[stride:], i[:-stride]] += c[stride:] / w[stride:]
+    degree = sum(c + np.roll(c, -stride) for stride, c in grid.edges)
+    J.flat[::n + 1] -= degree / w
+    return J
 
 
 def spectral_abscissa(grid: Grid, kernel: Kernel | None, mu: float) -> float:
@@ -245,10 +257,14 @@ def spectral_abscissa(grid: Grid, kernel: Kernel | None, mu: float) -> float:
     eigensolve runs at one OpenBLAS thread, so that its bits do not follow
     the threading."""
     r = np.sqrt(grid.weights)
-    S = r[:, None] * linearization_matrix(grid, kernel, mu) / r[None, :]
+    S = linearization_matrix(grid, kernel, mu)
+    S *= r[:, None]
+    S /= r[None, :]
+    S += S.T
+    S *= 0.5
     try:
         with _one_blas_thread():
-            return float(np.linalg.eigvalsh(0.5 * (S + S.T))[-1])
+            return float(np.linalg.eigvalsh(S)[-1])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
 
@@ -280,7 +296,7 @@ def cosine_mode_rates(grid: Grid, kernel: Kernel | None, mu: float) -> np.ndarra
     size = max(1, (1 << 19) // grid.n_nodes)
     for block in np.split(k, range(size, k.size, size)):
         WV = grid.weights[:, None] * period[np.multiply.outer(j, block) % (2 * n0 - 2)]
-        if kernel.apply_method == "dense" or grid.n_nodes <= 1024:
+        if kernel.apply_method == "dense" or grid.n_nodes <= _STABILITY_MAX_NODES:
             # a dense K, or one of 8 MiB at most: one product beats an FFT per mode
             q = np.einsum("ij,ij->j", WV, kernel.matrix @ WV)
         else:

@@ -55,6 +55,8 @@ def read_field(path) -> Field:
         raw = Path(path).read_bytes()
     except OSError as exc:  # missing, a directory, no permission
         raise ValidationError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # an embedded NUL byte
+        raise ValidationError(f"{path}: cannot read: {exc}") from exc
     if len(raw) < _HEADER.size + 4:
         raise ValidationError(f"{path}: truncated field file")
     magic, version, _ = _HEADER.unpack_from(raw, 0)

@@ -118,6 +118,11 @@ def build_uniform_grid(extents, counts) -> Grid:
         if not hi > lo:
             raise ValidationError(f"axis {ax}: degenerate extent ({lo}, {hi})")
     spacing = tuple((hi - lo) / (n - 1) for (lo, hi), n in zip(ext, cts))
+    for ax, h in enumerate(spacing):
+        if not (0 < h < math.inf and (1 / h) * (1 / h) < math.inf):  # L holds 1/h^2
+            raise ValidationError(
+                f"grid.extents axis {ax}: {ext[ax]} over {cts[ax]} nodes gives "
+                f"spacing {h:.3g}; the width and 1/spacing^2 must be finite")
     axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(ext, cts)]
     mesh = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([m.ravel() for m in mesh], axis=1)
@@ -164,18 +169,3 @@ def integrate(field: Field) -> float:
     """Quadrature of the field over the domain: sum of weight * value."""
     return float(field.grid.weights @ field.values)
 
-
-def laplacian_matrix(grid: Grid) -> np.ndarray:
-    """Second-order Laplacian with ghost-node reflection at the boundary, as a
-    dense N x N array acting on node values: L = -W^-1 G, with G the graph
-    Laplacian of ``grid.edges``. Row sums are zero."""
-    w = grid.weights
-    L = np.zeros((grid.n_nodes, grid.n_nodes))
-    i = np.arange(grid.n_nodes)
-    degree = np.zeros(grid.n_nodes)
-    for stride, c in grid.edges:
-        L[i[:-stride], i[stride:]] = c[stride:] / w[:-stride]
-        L[i[stride:], i[:-stride]] = c[stride:] / w[stride:]
-        degree += c + np.roll(c, -stride)
-    L[i, i] = -degree / w
-    return L

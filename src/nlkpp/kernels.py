@@ -464,6 +464,8 @@ def _circulant_bound(kernel: Kernel, a: np.ndarray) -> float | None:
     """
     grid, profile = kernel.grid, kernel.profile
     reach = 0.0 if profile.family == "custom" else default_half_width(profile)
+    if not all(reach / h < math.inf for h in grid.spacing):
+        return None  # the profile reaches past any window: Lanczos decides
     periods = [2 * max(2 * n, math.ceil(reach / h))
                for n, h in zip(grid.counts, grid.spacing)]
     if math.prod(periods) > grid.n_nodes ** 2:
@@ -607,8 +609,9 @@ def certify_positivity_bochner(profile: KernelProfile, n_samples: int = 2048,
         raise ValidationError(f"bochner check supports dim 1 or 2, got {dim}")
     if half_width is None:
         half_width = default_half_width(profile, tol)
-    if not half_width > 0:
-        raise ValidationError("half_width must be positive")
+    if not 0 < half_width < math.inf:
+        raise ValidationError(
+            f"half_width must be positive and finite, got {half_width}")
     n = int(n_samples)
     if n < 16:
         raise ValidationError("need at least 16 samples for the transform")

@@ -40,7 +40,8 @@ import numpy as np
 
 from . import fieldio
 from ._openblas import _one_blas_thread
-from .diagnostics import cosine_modes, most_unstable_cosine_mode, spectral_abscissa
+from .diagnostics import (_STABILITY_MAX_NODES, cosine_modes,
+                          most_unstable_cosine_mode, spectral_abscissa)
 from .dynamics import SimConfig, run
 from .errors import NumericalError, ValidationError
 from .grid import Field, Grid, build_uniform_grid
@@ -59,9 +60,6 @@ SUMMARY_COLUMNS = ("name", "status", "t_end", "steps", "final_sup_dist_one",
 
 CERTIFICATE_COLUMNS = ("method", "verdict", "witness", "tolerance",
                        "grid_n", "kernel_family", "sigma")
-
-# abscissa needs a dense symmetric eigensolve; skip on grids bigger than this
-_STABILITY_MAX_NODES = 1024
 
 _REQUIRED = object()
 
@@ -299,6 +297,8 @@ def _load_json(path) -> dict:
         raise
     except ValueError as exc:  # an integer literal beyond int's digit limit
         raise ValidationError(f"{path}: {exc}") from exc
+    except RecursionError:
+        raise ValidationError(f"{path}: nested too deeply") from None
 
 
 def parse_scenario(path) -> Scenario:
@@ -360,9 +360,9 @@ def _output_dir(out_dir, fallback) -> Path:
                 else os.environ.get(OUTPUT_DIR_ENV) or fallback)
     try:
         path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ValidationError(
-            f"cannot create output directory '{path}': {exc.strerror or exc}") from None
+    except (OSError, ValueError) as exc:  # ValueError: an embedded NUL byte
+        raise ValidationError(f"cannot create output directory '{path}': "
+                              f"{getattr(exc, 'strerror', None) or exc}") from None
     return path
 
 

@@ -20,6 +20,22 @@ def stencil_apply(kern, f):
         kern.scale * (kern.grid.weights * f.values))
 
 
+def dense_laplacian(grid):
+    """L = -W^-1 G, G the graph Laplacian of ``grid.edges``, as a dense array
+    built entry by entry: a reference for the program's own Laplacian,
+    ``linearization_matrix(grid, None, 0.0)``, and for the solvers."""
+    w = grid.weights
+    L = np.zeros((grid.n_nodes, grid.n_nodes))
+    i = np.arange(grid.n_nodes)
+    degree = np.zeros(grid.n_nodes)
+    for stride, c in grid.edges:
+        L[i[:-stride], i[stride:]] = c[stride:] / w[:-stride]
+        L[i[stride:], i[:-stride]] = c[stride:] / w[stride:]
+        degree += c + np.roll(c, -stride)
+    L[i, i] = -degree / w
+    return L
+
+
 @pytest.fixture(autouse=True)
 def openblas_threads_restored():
     """Fail a test that leaves numpy's OpenBLAS thread count changed: every

@@ -52,24 +52,28 @@ def test_missing_scenario_is_validation_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_missing_initial_field_file_is_exit_2(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("name", ["nope.bin", "no\0pe.bin"], ids=["missing", "nul"])
+def test_missing_initial_field_file_is_exit_2(tmp_path, capsys, monkeypatch, name):
     doc = scenario_doc()
-    doc["initial"] = {"kind": "file", "path": "nope.bin"}
+    doc["initial"] = {"kind": "file", "path": name}
     cwd = tmp_path / "cwd"
     cwd.mkdir()
     monkeypatch.chdir(cwd)
     assert main(["simulate", write(tmp_path, doc, "sc.json"),
                  "--out", str(tmp_path / "o")]) == 2
-    assert "nope.bin" in capsys.readouterr().err
+    assert name in capsys.readouterr().err
     assert not any(cwd.iterdir())  # the run writes under --out only
 
 
-@pytest.mark.parametrize("kind", ["directory", "binary"])
+@pytest.mark.parametrize("kind", ["directory", "binary", "nested"])
 def test_unreadable_scenario_is_exit_2(tmp_path, capsys, kind):
     path = tmp_path
     if kind == "binary":
         path = tmp_path / "sc.json"
         path.write_bytes(b"\x80\x81 not text")
+    if kind == "nested":  # deeper than json.loads recurses
+        path = tmp_path / "sc.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
     assert main(["simulate", str(path)]) == 2
     assert str(path) in capsys.readouterr().err
 
@@ -88,7 +92,8 @@ def test_invalid_scenario_field(tmp_path, capsys):
     ("grid", "extents", [0.0, float("inf")]),
     ("grid", "counts", 3.5),
     ("sim", "mu", 10 ** 400),
-], ids=["t_end", "sigma", "extents", "counts", "huge_int"])
+    ("grid", "extents", [0.0, 1e-320]),  # 1/h^2 overflows
+], ids=["t_end", "sigma", "extents", "counts", "huge_int", "tiny_extents"])
 def test_non_finite_or_fractional_input_is_exit_2(tmp_path, capsys, section,
                                                    key, value):
     doc = scenario_doc()
@@ -171,6 +176,21 @@ def test_column_normalization_is_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     assert code == 2
     assert "row sums" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", ["gaussian", "tophat"])
+def test_a_kernel_wider_than_any_window_is_exit_2(tmp_path, capsys, family):
+    # its half-width overflows: the eigen certificate leaves it to Lanczos,
+    # and the Bochner check refuses the window
+    doc = scenario_doc()
+    doc["grid"]["counts"] = 16
+    doc["kernel"] = {"family": family, "sigma": 1e308}
+    assert main(["simulate", write(tmp_path, doc, "wide.json"),
+                 "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert "half_width must be positive and finite" in capsys.readouterr().err
+    doc["kernel"]["certify"] = False
+    assert main(["simulate", write(tmp_path, doc, "wide.json"),
+                 "--out", str(tmp_path / "o"), "--quiet"]) == 0
 
 
 def test_step_failure_maps_to_exit_3(tmp_path, capsys):
@@ -277,18 +297,24 @@ def test_non_string_value_is_exit_2(tmp_path, capsys, command, doc, where):
     ("simulate", scenario_doc(), "file/sub"),
     ("certify", scenario_doc(), "file"),
     ("sweep", {"base": scenario_doc(), "parameters": SWEPT_MU}, "file"),
-], ids=["simulate", "certify", "sweep"])
+    # a NUL byte in the document's own directory, with no --out
+    ("simulate", dict(scenario_doc(), output={"directory": "o\0"}), None),
+    ("sweep", {"base": scenario_doc(), "directory": "o\0", "parameters": SWEPT_MU},
+     None),
+], ids=["simulate", "certify", "sweep", "simulate-nul", "sweep-nul"])
 def test_uncreatable_output_directory_is_exit_2(tmp_path, capsys, monkeypatch,
                                                 command, doc, out):
     # refused before any kernel is built, not after the run
     def no_kernel(*args):
         raise AssertionError("the kernel was built")
     monkeypatch.setattr("nlkpp.scenario.build_kernel", no_kernel)
+    monkeypatch.delenv("NLKPP_OUT", raising=False)
     (tmp_path / "file").write_text("")
-    code = main([command, write(tmp_path, doc, "doc.json"),
-                 "--out", str(tmp_path / out)])
+    directory = "o\0" if out is None else str(tmp_path / out)
+    code = main([command, write(tmp_path, doc, "doc.json")]
+                + ([] if out is None else ["--out", directory]))
     assert code == 2
-    assert f"cannot create output directory '{tmp_path / out}'" in \
+    assert f"cannot create output directory '{directory}'" in \
         capsys.readouterr().err
 
 
@@ -486,7 +512,8 @@ def test_runs_without_scipy(tmp_path, fresh_python):
             "g = build_uniform_grid((0, 1), 32)\n"
             "k = symmetrize_and_normalize(sample_convolution_kernel(\n"
             "    KernelProfile('gaussian', 0.2), g))\n"
-            "print(laplacian_matrix(g).shape, linearization_matrix(g, k, 1.0).shape)")
+            "print(linearization_matrix(g, None, 0.0).shape,\n"
+            "      linearization_matrix(g, k, 1.0).shape)")
     assert fresh_python(code, cwd=tmp_path).splitlines()[-1] == "(32, 32) (32, 32)"
     assert "eigen,not_positive," in (tmp_path / "o1/certificate.csv").read_text()
     assert all(row["status"] == "ok" for i in (5, 6)

@@ -14,14 +14,16 @@ from hypothesis import strategies as st
 from nlkpp import (DomainError, Field, KernelProfile, ShapeError, SimConfig,
                    ValidationError, build_kernel, build_uniform_grid, integrate,
                    certify_positivity_eigen, cosine_mode_rates, cosine_modes,
-                   decay_identity_residual, dissipation, laplacian_matrix,
-                   linearization_matrix, lyapunov_value,
-                   most_unstable_cosine_mode, parse_scenario, reaction_term, run,
-                   sample_convolution_kernel, spectral_abscissa,
-                   sup_distance_to_one, symmetrize_and_normalize)
+                   decay_identity_residual, dissipation, linearization_matrix,
+                   lyapunov_value, most_unstable_cosine_mode, parse_scenario,
+                   reaction_term, run, sample_convolution_kernel,
+                   spectral_abscissa, sup_distance_to_one,
+                   symmetrize_and_normalize)
 from nlkpp._openblas import _one_blas_thread
 from nlkpp.diagnostics import (TRACE_COLUMNS, Trace, kernel_action,
                                steady_state_residual)
+
+from conftest import dense_laplacian
 
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
 
@@ -207,11 +209,12 @@ class TestLinearization:
         grid = build_uniform_grid(extents, counts)
         kern = symmetrize_and_normalize(sample_convolution_kernel(
             KernelProfile("gaussian", 0.2), grid))
-        L, mu = laplacian_matrix(grid), 2.5
+        L, mu = dense_laplacian(grid), 2.5
         assert np.array_equal(linearization_matrix(grid, kern, mu),
                               L - mu * (kern.matrix * grid.weights[None, :]))
         assert np.array_equal(linearization_matrix(grid, None, mu),
                               L - mu * np.eye(grid.n_nodes))
+        assert np.array_equal(linearization_matrix(grid, None, 0.0), L)
 
     def test_constant_mode_decays_at_mu(self, unit_grid, balanced_gaussian):
         mu = 1.7
@@ -323,12 +326,25 @@ class TestLinearization:
 
         def refused(*args):
             raise AssertionError("the scan built an N x N matrix")
-        for name in ("linearization_matrix", "laplacian_matrix"):
-            monkeypatch.setattr(nlkpp.diagnostics, name, refused)
+        monkeypatch.setattr(nlkpp.diagnostics, "linearization_matrix", refused)
         for dim in (1, 2):
             grid, kern = _scan_setup("tophat", dim)
             assert cosine_mode_rates(grid, kern, 150.0).shape == (grid.counts[0] - 2,)
             assert cosine_mode_rates(grid, None, 150.0).shape == (grid.counts[0] - 2,)
+
+    def test_abscissa_memory(self):
+        # J, with S formed in its array, and the buffer of S += S.T: 16 MiB
+        grid = build_uniform_grid((0, 5), 1024)
+        kern = symmetrize_and_normalize(sample_convolution_kernel(
+            KernelProfile("tophat", 1.0), grid))
+        kern.matrix  # gathered once per kernel, before the trace starts
+        tracemalloc.start()
+        try:
+            assert spectral_abscissa(grid, kern, 150.0) > 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 << 20
 
     def test_cosine_mode_scan_memory(self):
         # J, L and the modes with J applied would be 32 MiB each here
@@ -359,7 +375,7 @@ def _scan_tolerance(grid, mu):
 def test_steady_state_residual_matches_the_dense_laplacian(rng):
     grid = build_uniform_grid(((0, 1), (0, 2)), (7, 9))
     u, ku = rng.uniform(0.5, 1.5, (2, grid.n_nodes))
-    r = laplacian_matrix(grid) @ u + 2.0 * u * (1.0 - ku)
+    r = dense_laplacian(grid) @ u + 2.0 * u * (1.0 - ku)
     assert steady_state_residual(grid, u, ku, 2.0) == pytest.approx(
         math.sqrt(r * r @ grid.weights), rel=1e-12)
 
@@ -370,6 +386,51 @@ def unstable_setup():
     kern = symmetrize_and_normalize(sample_convolution_kernel(
         KernelProfile("tophat", 1.0), grid))
     return grid, kern
+
+
+def _turing_onset(grid, kern):
+    """mu* = -1/nu_min, where nu_min is the smallest eigenvalue of the definite
+    pencil (B, -A) on r-perp: W^{1/2} J W^{-1/2} = A - mu B and r = W^{1/2} 1,
+    an eigenvector of both. inf when nu_min >= 0."""
+    r = np.sqrt(grid.weights)
+
+    def symmetric(J):
+        S = r[:, None] * J / r[None, :]
+        return 0.5 * (S + S.T)
+    A = symmetric(linearization_matrix(grid, kern, 0.0))
+    B = A - symmetric(linearization_matrix(grid, kern, 1.0))
+    # columns 1.. of the Householder reflection that takes r to -e_1 span r-perp
+    v = r / np.linalg.norm(r)
+    v[0] += 1.0
+    P = (np.eye(grid.n_nodes) - np.outer(v, v) / v[0])[:, 1:]
+    C = np.linalg.cholesky(P.T @ -A @ P)
+    X = np.linalg.solve(C, np.linalg.solve(C, P.T @ B @ P).T)
+    nu_min = float(np.linalg.eigvalsh(0.5 * (X + X.T))[0])
+    return -1.0 / nu_min if nu_min < 0 else math.inf
+
+
+@pytest.mark.parametrize("extents,counts,family,sigma,verdict", [
+    ((0, 5), 256, "tophat", 1.0, "not_positive"),
+    ((0, 1), 128, "tophat", 0.2, "not_positive"),
+    (((0, 2), (0, 3)), (20, 30), "tophat", 0.3, "not_positive"),
+    ((0, 1), 128, "gaussian", 0.2, "positive"),
+    ((0, 1), 128, "exponential", 0.15, "positive"),
+], ids=["pattern.json", "A6", "2d-tophat", "gaussian", "exponential"])
+def test_the_eigen_verdict_and_the_turing_onset_are_one_fact(extents, counts,
+                                                             family, sigma,
+                                                             verdict):
+    # the abscissa crosses zero at the pencil's onset exactly when the kernel
+    # fails the positivity hypothesis on the grid
+    grid = build_uniform_grid(extents, counts)
+    kern = symmetrize_and_normalize(sample_convolution_kernel(
+        KernelProfile(family, sigma), grid))
+    assert certify_positivity_eigen(kern).verdict == verdict
+    onset = _turing_onset(grid, kern)
+    if verdict == "positive":
+        assert onset >= 1e10
+    else:
+        assert (spectral_abscissa(grid, kern, 0.999 * onset) < 0
+                < spectral_abscissa(grid, kern, 1.001 * onset))
 
 
 class TestPatternRegime:

@@ -6,12 +6,13 @@ import pytest
 
 from nlkpp import (Field, Kernel, KernelProfile, NumericalError, ShapeError,
                    SimConfig, StepFailure, ValidationError, build_uniform_grid,
-                   laplacian_matrix, normalize_columns, reaction_term, run,
-                   sample_convolution_kernel, step_imex,
-                   symmetrize_and_normalize)
+                   normalize_columns, reaction_term, run,
+                   sample_convolution_kernel, step_imex, symmetrize_and_normalize)
 from nlkpp import _openblas, dynamics
 from nlkpp.cli import main
 from nlkpp.dynamics import _MAX_FACTORS, DiffusionSolver, SimState
+
+from conftest import dense_laplacian
 
 
 def logistic(t, u0=0.2, mu=1.0):
@@ -208,7 +209,7 @@ class TestRunBookkeeping:
         grid, kern, u0, cfg = stiff_tophat
         state, trace = run(u0, grid, kern, cfg)
         assert trace.metadata["steady_state_residual"] > 1e-2
-        r = (laplacian_matrix(grid) @ state.u.values
+        r = (dense_laplacian(grid) @ state.u.values
              + cfg.mu * state.u.values * (1.0 - state.ku))
         assert trace.metadata["steady_state_residual"] == pytest.approx(
             math.sqrt(r * r @ grid.weights), rel=1e-12)
@@ -498,7 +499,7 @@ class TestDiffusionSolver:
         rhs[::3] = 1e-14 * rng.uniform(1.0, 1.01, rhs[::3].size)
         kept = rhs.copy()
         for step in (dt, dt / 2, dt):
-            a = np.eye(unit_grid.n_nodes) - step * laplacian_matrix(unit_grid)
+            a = np.eye(unit_grid.n_nodes) - step * dense_laplacian(unit_grid)
             band = np.stack([np.r_[0, a.diagonal(1)], a.diagonal(),
                              np.r_[a.diagonal(-1), 0]])
             expected = solve_banded((1, 1), band, rhs)
@@ -513,6 +514,6 @@ class TestDiffusionSolver:
         solver = DiffusionSolver(solver_grid)
         rhs = rng.uniform(0.5, 2.0, solver_grid.n_nodes)
         for dt in (7e-3, 3.5e-3):
-            A = np.eye(solver_grid.n_nodes) - dt * laplacian_matrix(solver_grid)
+            A = np.eye(solver_grid.n_nodes) - dt * dense_laplacian(solver_grid)
             exact = spsolve(csr_matrix(A), rhs)
             assert np.max(np.abs(solver.solve(rhs, dt) - exact)) < 1e-12

@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlkpp import (Field, ShapeError, ValidationError, build_uniform_grid,
-                   integrate, laplacian_matrix)
+                   integrate, linearization_matrix)
+
+
+def laplacian(grid):
+    """The program's own Laplacian: the linearization in local mode at mu = 0."""
+    return linearization_matrix(grid, None, 0.0)
 
 
 class TestBuildUniformGrid:
@@ -100,18 +105,18 @@ class TestIntegrate:
 
 class TestNeumannLaplacian:
     def test_constant_maps_to_zero(self, unit_grid):
-        lap = laplacian_matrix(unit_grid) @ np.full(unit_grid.n_nodes, 3.7)
+        lap = laplacian(unit_grid) @ np.full(unit_grid.n_nodes, 3.7)
         np.testing.assert_allclose(lap, 0.0, atol=1e-11)
 
     def test_quadratic_interior_exact(self):
         grid = build_uniform_grid((0, 1), 21)
-        lap = laplacian_matrix(grid) @ grid.nodes[:, 0] ** 2
+        lap = laplacian(grid) @ grid.nodes[:, 0] ** 2
         np.testing.assert_allclose(lap[1:-1], 2.0, atol=1e-10)
 
     def test_cosine_eigenfunction(self):
         grid = build_uniform_grid((0, 1), 201)
         x = grid.nodes[:, 0]
-        lap = laplacian_matrix(grid) @ np.cos(np.pi * x)
+        lap = laplacian(grid) @ np.cos(np.pi * x)
         err = np.max(np.abs(lap + np.pi**2 * np.cos(np.pi * x)))
         assert err < 1e-3
 
@@ -120,7 +125,7 @@ class TestNeumannLaplacian:
         for n in (101, 201):
             grid = build_uniform_grid((0, 1), n)
             x = grid.nodes[:, 0]
-            lap = laplacian_matrix(grid) @ np.cos(np.pi * x)
+            lap = laplacian(grid) @ np.cos(np.pi * x)
             errs.append(np.max(np.abs(lap + np.pi**2 * np.cos(np.pi * x))))
         order = np.log2(errs[0] / errs[1])
         assert order >= 1.9
@@ -129,7 +134,7 @@ class TestNeumannLaplacian:
         grid = build_uniform_grid(((0, 1), (0, 2)), (17, 23))
         x, y = grid.nodes[:, 0], grid.nodes[:, 1]
         u = np.cos(np.pi * x) * np.cos(np.pi * y / 2)
-        lap = laplacian_matrix(grid) @ u
+        lap = laplacian(grid) @ u
         exact = -(np.pi**2 + (np.pi / 2) ** 2) * u
         assert np.max(np.abs(lap - exact)) < 5e-3 * np.max(np.abs(exact))
 
@@ -137,27 +142,27 @@ class TestNeumannLaplacian:
 class TestLaplacianMatrix:
     def test_three_node_stencil(self):
         grid = build_uniform_grid((0, 1), 3)
-        L = laplacian_matrix(grid)
+        L = laplacian(grid)
         h2 = 0.5**2
         expected = np.array([[-2, 2, 0], [1, -2, 1], [0, 2, -2]]) / h2
         np.testing.assert_allclose(L, expected, atol=0)
 
     def test_row_sums_vanish(self, unit_grid):
-        L = laplacian_matrix(unit_grid)
+        L = laplacian(unit_grid)
         np.testing.assert_allclose(L @ np.ones(unit_grid.n_nodes), 0.0, atol=1e-9)
 
     @given(n=st.integers(3, 40), lo=st.floats(-2, 2), width=st.floats(0.1, 5))
     @settings(max_examples=30)
     def test_weighted_symmetry(self, n, lo, width):
         grid = build_uniform_grid((lo, lo + width), n)
-        L = laplacian_matrix(grid)
+        L = laplacian(grid)
         WL = grid.weights[:, None] * L
         scale = np.max(np.abs(WL))
         assert np.max(np.abs(WL - WL.T)) <= 1e-13 * scale
 
     def test_weighted_symmetry_2d(self):
         grid = build_uniform_grid(((0, 1), (0, 0.5)), (9, 7))
-        L = laplacian_matrix(grid)
+        L = laplacian(grid)
         WL = grid.weights[:, None] * L
         assert np.max(np.abs(WL - WL.T)) <= 1e-13 * np.max(np.abs(WL))
 
@@ -168,14 +173,14 @@ class TestLaplacianMatrix:
         f = rng.uniform(-1, 1, grid.n_nodes)
         edge_sum = sum(float(c[stride:] @ (f[stride:] - f[:-stride]) ** 2)
                        for stride, c in grid.edges)
-        form = -float((grid.weights * f) @ (laplacian_matrix(grid) @ f))
+        form = -float((grid.weights * f) @ (laplacian(grid) @ f))
         assert edge_sum == pytest.approx(form, rel=1e-12)
 
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=25)
     def test_negative_semidefinite_and_mass_free(self, seed, unit_grid):
         f = np.random.default_rng(seed).uniform(-1, 1, unit_grid.n_nodes)
-        Lf = laplacian_matrix(unit_grid) @ f
+        Lf = laplacian(unit_grid) @ f
         norm2 = float(f @ f)
         assert float(unit_grid.weights @ (f * Lf)) <= 1e-10 * norm2
         assert abs(float(unit_grid.weights @ Lf)) <= 1e-10 * np.sqrt(norm2)
