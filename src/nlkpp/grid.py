@@ -123,6 +123,10 @@ def build_uniform_grid(extents, counts) -> Grid:
             raise ValidationError(
                 f"grid.extents axis {ax}: {ext[ax]} over {cts[ax]} nodes gives "
                 f"spacing {h:.3g}; the width and 1/spacing^2 must be finite")
+    if not math.prod(spacing) < math.inf:  # an interior node's trapezoid weight
+        raise ValidationError(
+            f"grid.extents {ext} over {cts} nodes gives a cell area that "
+            "overflows; the trapezoid weights must be finite")
     axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(ext, cts)]
     mesh = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([m.ravel() for m in mesh], axis=1)

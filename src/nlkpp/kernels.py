@@ -69,12 +69,14 @@ class KernelProfile:
     def __call__(self, offsets) -> np.ndarray:
         z = np.asarray(offsets, dtype=float)
         s = self.sigma
-        if self.family == "gaussian":
-            return np.exp(-(z * z) / (2.0 * s * s))
-        if self.family == "tophat":
-            return (np.abs(z) <= s).astype(float)
-        if self.family == "exponential":
-            return np.exp(-np.abs(z) / s)
+        # a far offset overflows the exponent to -inf, and exp(-inf) is 0
+        with np.errstate(over="ignore"):
+            if self.family == "gaussian":
+                return np.exp(-(z * z) / (2.0 * s * s))
+            if self.family == "tophat":
+                return (np.abs(z) <= s).astype(float)
+            if self.family == "exponential":
+                return np.exp(-np.abs(z) / s)
         return np.asarray(self.func(z), dtype=float)
 
 
@@ -185,16 +187,18 @@ class Kernel:
 
     A is a convolution kernel's offset table (standing for the Toeplitz, in 2D
     block-Toeplitz, matrix of its ``profile``) or a dense matrix with no
-    profile. ``matrix[i, j]`` approximates K(x_i, x_j): A itself for an
-    unscaled dense kernel, else gathered on first use (the dense apply below
-    ``_FFT_AUTO_THRESHOLD`` nodes, the linearization, ``normalize_columns``)
-    and kept, so it appears in ``vars(kernel)`` only once built. The kernel
-    chooses how :func:`apply_kernel` runs, and names it in ``apply_method``:
-    ``"fft"`` for convolution kernels of at least ``_FFT_AUTO_THRESHOLD``
-    nodes, where it beats the dense matvec, else ``"dense"``. Only the kernels
-    :func:`symmetrize_and_normalize` returns are ``normalized``; it sets their
-    ``balance_iterations`` and ``balance_deviation``. Treat instances as
-    immutable; the normalization operations return new kernels.
+    profile; an A with a value that is not finite is refused, a matrix here and
+    a table when it is sampled. ``matrix[i, j]`` approximates K(x_i, x_j): A
+    itself for an unscaled dense kernel, else gathered on first use (the dense
+    apply below ``_FFT_AUTO_THRESHOLD`` nodes, the linearization,
+    ``normalize_columns``) and kept, so it appears in ``vars(kernel)`` only
+    once built. The kernel chooses how :func:`apply_kernel` runs, and names it
+    in ``apply_method``: ``"fft"`` for convolution kernels of at least
+    ``_FFT_AUTO_THRESHOLD`` nodes, where it beats the dense matvec, else
+    ``"dense"``. Only the kernels :func:`symmetrize_and_normalize` returns are
+    ``normalized``; it sets their ``balance_iterations`` and
+    ``balance_deviation``. Treat instances as immutable; the normalization
+    operations return new kernels.
     """
 
     def __init__(self, grid: Grid, matrix: np.ndarray | None = None,
@@ -202,6 +206,9 @@ class Kernel:
                  scale: np.ndarray | None = None):
         if matrix is None and profile is None:
             raise ValidationError("a kernel needs a matrix or a convolution profile")
+        if matrix is not None and not np.all(np.isfinite(matrix)):
+            i, j = np.argwhere(~np.isfinite(matrix))[0]
+            raise KernelError(f"kernel value at node pair ({i}, {j}) is not finite")
         self.grid = grid
         self.profile = profile
         self._dense = matrix  # A, for a kernel without a profile
@@ -216,9 +223,14 @@ class Kernel:
     @cached_property
     def _stencil(self) -> _Stencil:
         """The profile's offset table, sampled on first use."""
-        axes = [np.arange(1 - n, n) * h
-                for n, h in zip(self.grid.counts, self.grid.spacing)]
-        return _Stencil(_sample_profile(self.profile, axes), self.grid.counts)
+        counts = self.grid.counts
+        axes = [np.arange(1 - n, n) * h for n, h in zip(counts, self.grid.spacing)]
+        table = _sample_profile(self.profile, axes)
+        if not np.all(np.isfinite(table)):
+            k = np.unravel_index(int(np.argmin(np.isfinite(table))), table.shape)
+            offset = tuple(int(i) - (n - 1) for i, n in zip(k, counts))
+            raise KernelError(f"kernel value at node offset {offset} is not finite")
+        return _Stencil(table, counts)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -241,18 +253,22 @@ class Kernel:
 
         The scaling is positive, so A decides, without building the matrix.
         """
-        A = self._stencil.table if self._dense is None else self._dense
-        return float(A.min()) > 0.0
+        return float(_tables(self)[0].min()) > 0.0
 
     def __repr__(self) -> str:
         return (f"Kernel(family={self.family}, n={self.grid.n_nodes}, "
                 f"normalized={self.normalized})")
 
 
-def _check_finite(matrix: np.ndarray) -> None:
-    if not np.all(np.isfinite(matrix)):
-        i, j = np.argwhere(~np.isfinite(matrix))[0]
-        raise KernelError(f"kernel value at node pair ({i}, {j}) is not finite")
+def _tables(kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
+    """A and the A of the transposed kernel: a dense kernel's matrix and its
+    transpose, or a convolution kernel's offset table and that table reversed
+    on every axis, which negates each offset. A is symmetric when they are
+    equal; a Toeplitz matrix is exactly when its table is even."""
+    if kernel.profile is None:
+        return kernel._dense, kernel._dense.T
+    table = kernel._stencil.table
+    return table, table[(slice(None, None, -1),) * table.ndim]
 
 
 def sample_general_kernel(func: Callable, grid: Grid) -> Kernel:
@@ -273,7 +289,6 @@ def sample_general_kernel(func: Callable, grid: Grid) -> Kernel:
         raise KernelError(
             f"kernel function returned shape {matrix.shape}, expected ({n}, {n}); "
             f"it must broadcast over its node-array arguments")
-    _check_finite(matrix)
     return Kernel(grid, matrix)
 
 
@@ -284,11 +299,7 @@ def sample_convolution_kernel(profile: KernelProfile, grid: Grid) -> Kernel:
     the dense matrix is gathered from it when a dense consumer first asks.
     """
     kernel = Kernel(grid, profile=profile)
-    table = kernel._stencil.table
-    if not np.all(np.isfinite(table)):
-        k = np.unravel_index(int(np.argmin(np.isfinite(table))), table.shape)
-        offset = tuple(int(i) - (n - 1) for i, n in zip(k, grid.counts))
-        raise KernelError(f"kernel value at node offset {offset} is not finite")
+    kernel._stencil  # sample now, so that a non-finite value is refused here
     return kernel
 
 
@@ -316,14 +327,6 @@ def normalize_columns(kernel: Kernel) -> Kernel:
     return Kernel(kernel.grid, kernel.matrix / sums[None, :])
 
 
-def _symmetric_by_construction(kernel: Kernel) -> bool:
-    """A convolution kernel with an even stencil."""
-    if kernel.profile is None:
-        return False
-    table = kernel._stencil.table
-    return np.array_equal(table, table[(slice(None, None, -1),) * table.ndim])
-
-
 def symmetrize_and_normalize(kernel: Kernel, max_iterations: int = 5000,
                              tol: float = 1e-12) -> Kernel:
     """Symmetric Sinkhorn-Knopp balancing: weighted row sums, and so column
@@ -338,11 +341,10 @@ def symmetrize_and_normalize(kernel: Kernel, max_iterations: int = 5000,
     computed) and ``balance_deviation`` (the final max |sum - 1|).
     """
     w = kernel.grid.weights
-    # the scale is positive, so K has A's signs and is symmetric when A is; a
-    # Toeplitz matrix is symmetric exactly when its table is even
-    A = kernel._stencil.table if kernel._dense is None else kernel._dense
-    if not (_symmetric_by_construction(kernel)  # diag(d) K diag(d) keeps K^T = K
-            or kernel._dense is not None and np.array_equal(A, A.T)):
+    # the scale is positive, so K has A's signs and is symmetric when A is,
+    # and diag(d) K diag(d) keeps K^T = K
+    A, transposed = _tables(kernel)
+    if not np.array_equal(A, transposed):
         raise KernelError("balancing by one scaling requires a symmetric kernel")
     if A.min() < 0:
         raise KernelError("balancing requires an entrywise nonnegative kernel")
@@ -524,52 +526,48 @@ def _lanczos_smallest(apply: Callable[[np.ndarray], np.ndarray],
     return float(theta[0]), vector / np.linalg.norm(vector)
 
 
+def _product(kernel: Kernel, table: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> T v for a T of the kernel's kind of A: a matrix product, or a
+    convolution, through the kernel's own stencil when T is its table."""
+    if kernel.profile is None:
+        return table.__matmul__
+    if table is kernel._stencil.table:
+        return kernel._stencil.convolve
+    return _Stencil(table, kernel.grid.counts).convolve
+
+
 def certify_positivity_eigen(kernel: Kernel, tol: float = 1e-9) -> PositivityCertificate:
     """Eigenvalue certificate for the weighted quadratic form of a sampled kernel.
 
-    The form is M = D_w K D_w, symmetrized, and its smallest eigenvalue is
-    checked against ``-tol * max(1, ||M||_inf)`` so discretization noise near
-    zero cannot flip the verdict. A convolution kernel with an even stencil is
-    first tried through the circulant symbol (``_circulant_bound``); a
-    positive verdict there is final, and its witness is a lower bound on the
-    smallest eigenvalue, up to FFT round-off. Every other kernel, and one that
-    bound does not clear, gets the smallest eigenpair by Lanczos
-    (``_lanczos_smallest``) at one OpenBLAS thread, so its witness has the
-    same bits whatever the machine's threading. A convolution kernel applies
-    its form through the stencil, a * (Phi (a * v)), and builds no N x N
-    matrix there. ``solver`` on the result names the path that decided:
-    ``"circulant_symbol"`` or ``"lanczos"``.
+    The form is M = D_w K D_w = diag(a) A diag(a), a = w * scale, with A
+    symmetrized to S = (A + A^T) / 2, and its smallest eigenvalue is checked
+    against ``-tol * max(1, ||M||_inf)`` so discretization noise near zero
+    cannot flip the verdict. A symmetric convolution kernel is first tried
+    through the circulant symbol (``_circulant_bound``); a positive verdict
+    there is final, and its witness is a lower bound on the smallest
+    eigenvalue, up to FFT round-off. Every other kernel, and one that bound
+    does not clear, gets the smallest eigenpair by Lanczos
+    (``_lanczos_smallest``) at one OpenBLAS thread, so its witness has the same
+    bits whatever the machine's threading. Lanczos applies a * (S (a * v)), a
+    convolution kernel's S through a stencil, not an N x N matrix. ``solver``
+    on the result names the path that decided: ``"circulant_symbol"`` or
+    ``"lanczos"``.
     """
     grid = kernel.grid
-    w = grid.weights
-    if kernel.profile is None:
-        M = (w[:, None] * kernel.matrix) * w[None, :]
-        S = 0.5 * (M + M.T)
-        rows = np.abs(M).sum(axis=1)
-        apply = S.__matmul__
-        bound = None
-    else:
-        a = w * kernel.scale
-        table = kernel._stencil.table
-        # max_i sum_j |M_ij|, as the dense kernel computes it from the matrix
-        absolute = kernel._stencil if table.min() >= 0 else _Stencil(
-            np.abs(table), grid.counts)
-        rows = a * absolute.convolve(a)
-        even = _symmetric_by_construction(kernel)
-        # (Phi + Phi^T) / 2 is the convolution with the table's even part
-        stencil = kernel._stencil if even else _Stencil(
-            0.5 * (table + table[(slice(None, None, -1),) * table.ndim]), grid.counts)
-
-        def apply(v):
-            return a * stencil.convolve(a * v)
-        bound = _circulant_bound(kernel, a) if even else None
+    a = grid.weights * kernel.scale
+    A, transposed = _tables(kernel)
+    symmetric = np.array_equal(A, transposed)
+    rows = a * _product(kernel, A if A.min() >= 0 else np.abs(A))(a)  # |M|'s row sums
+    S = _product(kernel, A if symmetric else 0.5 * (A + transposed))
+    bound = (_circulant_bound(kernel, a) if symmetric and kernel.profile is not None
+             else None)
     threshold = tol * max(1.0, float(np.max(rows)))
     if bound is not None and bound >= -threshold:
         return PositivityCertificate("eigen", "positive", bound, threshold,
                                      solver="circulant_symbol")
     try:
         with _one_blas_thread():
-            lam, vector = _lanczos_smallest(apply, grid.n_nodes)
+            lam, vector = _lanczos_smallest(lambda v: a * S(a * v), grid.n_nodes)
     except np.linalg.LinAlgError:
         return PositivityCertificate("eigen", "inconclusive", math.nan, threshold,
                                      solver="lanczos")

@@ -70,14 +70,15 @@ def fresh_python():
 
 @pytest.fixture(scope="session")
 def nlkpp_process():
-    """Run ``python -m nlkpp.cli`` with the given arguments in a new process
-    and return the completed process, its output as text. The process's
-    standard output is block-buffered, as it is by default into a pipe."""
+    """Run ``python -W error -m nlkpp.cli`` with the given arguments in a new
+    process and return the completed process, its output as text: a warning
+    ends it with a traceback. The process's standard output is
+    block-buffered, as it is by default into a pipe."""
     env = _fresh_env()
     env.pop("PYTHONUNBUFFERED", None)
 
     def run(args: list, cwd=None) -> subprocess.CompletedProcess:
-        return subprocess.run([sys.executable, "-m", "nlkpp.cli", *args],
+        return subprocess.run([sys.executable, "-W", "error", "-m", "nlkpp.cli", *args],
                               capture_output=True, text=True, env=env, cwd=cwd)
     return run
 

@@ -93,11 +93,15 @@ def test_invalid_scenario_field(tmp_path, capsys):
     ("grid", "counts", 3.5),
     ("sim", "mu", 10 ** 400),
     ("grid", "extents", [0.0, 1e-320]),  # 1/h^2 overflows
-], ids=["t_end", "sigma", "extents", "counts", "huge_int", "tiny_extents"])
+    ("grid", "extents", [[0.0, 1e200], [0.0, 1e200]]),  # the cell area overflows
+], ids=["t_end", "sigma", "extents", "counts", "huge_int", "tiny_extents",
+        "huge_cell"])
 def test_non_finite_or_fractional_input_is_exit_2(tmp_path, capsys, section,
                                                    key, value):
     doc = scenario_doc()
     doc[section][key] = value  # json.dumps writes inf as Infinity
+    if isinstance(doc["grid"]["extents"][0], list):
+        doc["grid"]["counts"] = [8, 8]
     code = main(["simulate", write(tmp_path, doc, "bad.json"),
                  "--out", str(tmp_path / "o")])
     assert code == 2
@@ -530,10 +534,15 @@ def test_console_script_is_console_main():
     ({"sim": {"mu": -2.0, "dt": 1e-3, "t_end": 0.02}}, 2),
     ({"sim": {"mu": 1e15, "dt": 1.0, "t_end": 1.0},
       "initial": {"kind": "constant", "value": 4.0}}, 3),
-], ids=["ok", "validation", "numerical"])
+    # far offsets overflow the profile's exponent, which samples to 0
+    ({"grid": {"extents": [0.0, 1e300], "counts": 16}}, 0),
+    ({"grid": {"extents": [0.0, 1e10], "counts": 16},
+      "kernel": {"family": "exponential", "sigma": 1e-300}}, 0),
+], ids=["ok", "validation", "numerical", "far_gaussian", "far_exponential"])
 def test_process_exit_keeps_output(tmp_path, nlkpp_process, change, status):
-    # python -m nlkpp.cli ends by os._exit: what main printed and wrote must
-    # still arrive whole, and the artifacts match an in-process run's bytes
+    # python -W error -m nlkpp.cli ends by os._exit: what main printed and
+    # wrote must still arrive whole, with no warning, and the artifacts match
+    # an in-process run's bytes
     path = write(tmp_path, dict(scenario_doc(), **change), "sc.json")
     proc = nlkpp_process(["simulate", path, "--out", str(tmp_path / "sub")])
     assert proc.returncode == status

@@ -6,7 +6,7 @@ import pytest
 
 from nlkpp import (Field, Kernel, KernelProfile, NumericalError, ShapeError,
                    SimConfig, StepFailure, ValidationError, build_uniform_grid,
-                   normalize_columns, reaction_term, run,
+                   lyapunov_value, normalize_columns, reaction_term, run,
                    sample_convolution_kernel, step_imex, symmetrize_and_normalize)
 from nlkpp import _openblas, dynamics
 from nlkpp.cli import main
@@ -427,6 +427,24 @@ class TestDiffusionSolver:
         rhs = np.where((x[:, 0] < 5) & (x[:, -1] < 9), 1.0, 1e-14)
         for dt in (1e-2, 5e-3):
             assert solver.solve(rhs, dt).min() >= 1e-14
+
+    @pytest.mark.parametrize("extents,counts", [
+        ((0, 1), 128),
+        ((0, 50), 128),
+        (((0, 1), (0, 1)), (16, 20)),
+    ], ids=["1d_unit", "1d_wide", "2d"])
+    @pytest.mark.parametrize("dt", [1e-4, 1e-2, 1.0, 100.0])
+    def test_never_raises_v(self, extents, counts, dt, rng):
+        # P = (I - dt L)^-1 is entrywise nonnegative with P1 = 1 and
+        # 1^T W P = 1^T W, and V's integrand x - 1 - ln x is convex, so by
+        # Jensen the diffusion substep has V(P u*) <= V(u*) for every u* > 0
+        grid = build_uniform_grid(extents, counts)
+        solver = DiffusionSolver(grid)
+        for _ in range(50):
+            u = np.exp(rng.uniform(math.log(1e-6), math.log(5.0), grid.n_nodes))
+            before = lyapunov_value(Field(grid, u))
+            after = lyapunov_value(Field(grid, solver.solve(u, dt)))
+            assert after - before <= 1e-12 * (1.0 + before)
 
     def test_keeps_a_bounded_set_of_factors(self, unit_grid, rng):
         # a step that ends in StepFailure factors max_dt_halvings + 1 sizes

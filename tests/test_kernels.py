@@ -88,11 +88,17 @@ class TestSampling:
         with pytest.raises(TypeError):
             sample_general_kernel(lambda x, y: math.exp(-(x - y) ** 2), grid)
 
-    def test_non_finite_rejected(self):
+    @pytest.mark.parametrize("make,pair", [
+        (lambda g: sample_general_kernel(lambda x, y: 1.0 / (x - y), g), r"\(0, 0\)"),
+        # built directly: refused before any apply, balancing or certificate
+        (lambda g: Kernel(g, np.where(np.arange(25).reshape(5, 5) == 7, np.inf, 1.0)),
+         r"\(1, 2\)"),
+    ], ids=["sampled", "built"])
+    def test_non_finite_rejected(self, make, pair):
         grid = build_uniform_grid((0, 1), 5)
-        with np.errstate(divide="ignore"), pytest.raises(KernelError,
-                                                         match="not finite"):
-            sample_general_kernel(lambda x, y: 1.0 / (x - y), grid)
+        with np.errstate(divide="ignore"), pytest.raises(
+                KernelError, match=f"node pair {pair} is not finite"):
+            make(grid)
 
     def test_convolution_diagonal_is_peak(self):
         grid = build_uniform_grid((0, 1), 9)
@@ -290,12 +296,20 @@ class TestMatrixFree:
         assert balanced.balance_deviation == pytest.approx(
             np.max(np.abs(row_sums - 1.0)), abs=1e-15)
 
-    def test_non_finite_profile_rejected(self):
+    @pytest.mark.parametrize("use", [
+        lambda prof, g: sample_convolution_kernel(prof, g),
+        # built directly, the table is sampled, and refused, on first use
+        lambda prof, g: apply_kernel(Kernel(g, profile=prof), Field.constant(g, 1.0)),
+        lambda prof, g: symmetrize_and_normalize(Kernel(g, profile=prof)),
+        lambda prof, g: certify_positivity_eigen(Kernel(g, profile=prof)),
+        lambda prof, g: Kernel(g, profile=prof).strictly_positive,
+    ], ids=["sampling", "apply", "balancing", "certificate", "strictly_positive"])
+    def test_non_finite_profile_rejected(self, use):
         grid = build_uniform_grid(((0, 1), (0, 1)), (4, 5))
         prof = KernelProfile("custom", 1.0, func=lambda z: 1.0 / z)
         with np.errstate(divide="ignore"), pytest.raises(KernelError,
                                                          match=r"offset \(0, 0\)"):
-            sample_convolution_kernel(prof, grid)
+            use(prof, grid)
 
     @pytest.mark.parametrize("check,shapes", [
         (lambda g: sample_convolution_kernel(
