@@ -1,18 +1,16 @@
 #!/usr/bin/env python3
-"""Map the Turing onset for a positivity-violating tophat kernel.
+"""Locate the Turing onset for a positivity-violating tophat kernel.
 
-Scans mu, printing the spectral abscissa of the linearization at u = 1 and
-the fastest-growing cosine mode, then bisects for the onset mu*. Each of
-``spectral_abscissa``, ``most_unstable_cosine_mode`` and ``cosine_mode_rates``
-takes the grid, the kernel and mu; only the abscissa builds the dense
-linearization. A cosine mode's rate is affine in mu, lambda_k - mu q_k, so the
-smallest lambda_k / q_k over the modes with q_k < 0 is the onset in the cosine
-basis, an upper bound on mu*, which the script prints as well. Linear
-analysis predicts mu* ~ 84 / sigma^2 for a width-sigma tophat whenever the
-domain is wide enough to host the unstable wavelength (~1.4 sigma); kernels
-wider than the domain degenerate to a positive rank-one-like form and never
-destabilize. With --simulate, runs the dynamics just above onset and writes
-artifacts showing the pattern grow and saturate.
+``turing_onset`` gives mu*, the smallest mu at which u = 1 loses linear
+stability, from one symmetric pencil of the linearization at u = 1. A cosine
+mode's rate is affine in mu, lambda_k - mu q_k, so the smallest
+lambda_k / q_k over the modes with q_k < 0 is the onset in the cosine basis,
+an upper bound on mu*, which the script prints as well. Linear analysis
+predicts mu* ~ 84 / sigma^2 for a width-sigma tophat whenever the domain is
+wide enough to host the unstable wavelength (~1.4 sigma); kernels wider than
+the domain degenerate to a positive rank-one-like form and never destabilize.
+With --simulate, runs the dynamics just above onset and writes artifacts
+showing the pattern grow and saturate.
 """
 
 import argparse
@@ -23,7 +21,7 @@ import numpy as np
 from nlkpp import (Field, KernelProfile, SimConfig, build_uniform_grid,
                    certify_positivity_eigen, cosine_mode_rates, cosine_modes,
                    most_unstable_cosine_mode, run, sample_convolution_kernel,
-                   spectral_abscissa, symmetrize_and_normalize, write_field)
+                   symmetrize_and_normalize, turing_onset, write_field)
 
 
 def main() -> None:
@@ -32,7 +30,6 @@ def main() -> None:
     ap.add_argument("--lo", type=float, default=0.0)
     ap.add_argument("--hi", type=float, default=5.0)
     ap.add_argument("--n", type=int, default=256)
-    ap.add_argument("--mu-max", type=float, default=400.0)
     ap.add_argument("--simulate", action="store_true",
                     help="run the dynamics at 1.5x the located onset")
     ap.add_argument("--out", default="out_pattern")
@@ -47,28 +44,7 @@ def main() -> None:
         print("kernel certifies positive on this domain; no onset to find")
         return
 
-    print(f"\n{'mu':>10} {'abscissa':>12} {'best cosine k':>14}")
-    mus = np.geomspace(1.0, args.mu_max, 10)
-    lo_mu, hi_mu = None, None
-    for mu in mus:
-        absc = spectral_abscissa(grid, kernel, mu)
-        k = most_unstable_cosine_mode(grid, kernel, mu)
-        print(f"{mu:10.2f} {absc:12.4f} {k:14d}")
-        if absc < 0:
-            lo_mu = mu
-        elif hi_mu is None:
-            hi_mu = mu
-
-    if hi_mu is None:
-        print(f"\nstable up to mu = {args.mu_max}; raise --mu-max")
-        return
-    for _ in range(25):
-        mid = 0.5 * (lo_mu + hi_mu)
-        if spectral_abscissa(grid, kernel, mid) < 0:
-            lo_mu = mid
-        else:
-            hi_mu = mid
-    onset = 0.5 * (lo_mu + hi_mu)
+    onset = turing_onset(grid, kernel)
     print(f"\nonset mu* = {onset:.2f}   (mu* sigma^2 = {onset * args.sigma**2:.1f})")
     lam = cosine_mode_rates(grid, kernel, 0.0)
     q = lam - cosine_mode_rates(grid, kernel, 1.0)

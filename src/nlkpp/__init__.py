@@ -13,7 +13,7 @@ from .diagnostics import (Dissipation, Snapshot, Trace, cosine_mode_rates,
                           cosine_modes, decay_identity_residual, dissipation,
                           linearization_matrix, lyapunov_value,
                           most_unstable_cosine_mode, spectral_abscissa,
-                          sup_distance_to_one)
+                          sup_distance_to_one, turing_onset)
 from .dynamics import DiffusionSolver, SimConfig, SimState, reaction_term, run, step_imex
 from .errors import (BalancingError, DomainError, KernelError, NumericalError,
                      ShapeError, StepFailure, ValidationError)

@@ -250,23 +250,54 @@ def linearization_matrix(grid: Grid, kernel: Kernel | None,
     return J
 
 
-def spectral_abscissa(grid: Grid, kernel: Kernel | None, mu: float) -> float:
-    """Largest eigenvalue of the Jacobian J of :func:`linearization_matrix`,
-    negative for linear stability. W L and a balanced K are symmetric, so
-    J = L - mu K W is similar to the symmetric S = W^{1/2} J W^{-1/2}. The
-    eigensolve runs at one OpenBLAS thread, so that its bits do not follow
-    the threading."""
+def _symmetric_linearization(grid: Grid, kernel: Kernel | None, mu: float) -> np.ndarray:
+    """sym(W^{1/2} J W^{-1/2}), J of :func:`linearization_matrix`, in J's array."""
     r = np.sqrt(grid.weights)
     S = linearization_matrix(grid, kernel, mu)
     S *= r[:, None]
     S /= r[None, :]
     S += S.T
     S *= 0.5
+    return S
+
+
+def spectral_abscissa(grid: Grid, kernel: Kernel | None, mu: float) -> float:
+    """Largest eigenvalue of the Jacobian J of :func:`linearization_matrix`,
+    negative for linear stability. W L and a balanced K are symmetric, so
+    J = L - mu K W is similar to the symmetric S = W^{1/2} J W^{-1/2}. The
+    eigensolve runs at one OpenBLAS thread, so that its bits do not follow
+    the threading."""
+    S = _symmetric_linearization(grid, kernel, mu)
     try:
         with _one_blas_thread():
             return float(np.linalg.eigvalsh(S)[-1])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
+
+
+def turing_onset(grid: Grid, kernel: Kernel | None) -> float:
+    """The Turing onset: the smallest mu at which u = 1 loses linear
+    stability, inf where none does and in local mode (no kernel). S of
+    :func:`spectral_abscissa` is -A - mu B, with A r = 0 and B r = r for
+    r = W^{1/2} 1 and A definite on r-perp, so mu* = -1/nu_min, nu_min the
+    smallest eigenvalue of the pencil (B, A) there; it is negative beyond the
+    eigen certificate's tolerance exactly when that says ``not_positive``."""
+    if kernel is None:
+        return math.inf
+    A = _symmetric_linearization(grid, kernel, 0.0)
+    B = A - _symmetric_linearization(grid, kernel, 1.0)
+    A *= -1.0
+    # deflate r (A r = 0, B r = r) to the pencil eigenvalue 0, which decides nothing
+    v = np.sqrt(grid.weights / grid.weights.sum())
+    B -= np.outer(v, v)
+    A += np.outer(v, A.trace() / grid.n_nodes * v)
+    try:
+        with _one_blas_thread():
+            C = np.linalg.inv(np.linalg.cholesky(A))
+            nu = np.linalg.eigvalsh(C @ B @ C.T)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed: {exc}") from exc
+    return float(-1.0 / nu[0]) if nu[0] < -1e-9 * max(1.0, abs(nu[-1])) else math.inf
 
 
 def cosine_modes(grid: Grid, k) -> np.ndarray:

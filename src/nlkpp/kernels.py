@@ -72,6 +72,8 @@ class KernelProfile:
         # a far offset overflows the exponent to -inf, and exp(-inf) is 0
         with np.errstate(over="ignore"):
             if self.family == "gaussian":
+                if 2.0 * s * s < np.finfo(float).smallest_normal:  # 2 s^2 underflows
+                    return np.exp(-0.5 * (z / s) ** 2)
                 return np.exp(-(z * z) / (2.0 * s * s))
             if self.family == "tophat":
                 return (np.abs(z) <= s).astype(float)

@@ -11,7 +11,7 @@ import numpy as np
 from nlkpp import (Field, SimConfig, apply_kernel, certify_positivity_bochner,
                    certify_positivity_eigen, decay_identity_residual,
                    most_unstable_cosine_mode, run, parse_sweep_dict,
-                   run_sweep, spectral_abscissa)
+                   run_sweep, spectral_abscissa, turing_onset)
 
 
 def _report(criterion: str, ok: bool, detail: str) -> bool:
@@ -152,9 +152,10 @@ def test_a6_pattern_regime(unit_grid, balanced_tophat):
                    f"final sup|u-1|={final_sup:.3g} wall={wall:.1f}s")
 
 
-def test_a7_stability_consistency_sweep(tmp_path):
+def test_a7_stability_consistency_sweep(tmp_path, unit_grid, balanced_tophat):
     """Across mu = 1..50 for the tophat kernel, the abscissa sign and the
-    simulated grow/decay verdict agree at every sweep point."""
+    simulated grow/decay verdict agree at every sweep point, and with the
+    side of the kernel's Turing onset the point lies on."""
     start = time.perf_counter()
     amplitude = 0.01
     spec = {
@@ -171,18 +172,19 @@ def test_a7_stability_consistency_sweep(tmp_path):
     }
     rows = run_sweep(parse_sweep_dict(spec), jobs=2,
                      out_dir=tmp_path / "sweep", quiet=True)
+    onset = turing_onset(unit_grid, balanced_tophat)
     disagreements = []
     for row in rows:
         assert row["status"] == "ok", row.get("error", "")
         grew = row["final_sup_dist_one"] > amplitude
         unstable = row["spectral_abscissa"] > 0
-        if grew != unstable:
+        if not (grew == unstable == (row["sim.mu"] > onset)):
             disagreements.append(row["sim.mu"])
     wall = time.perf_counter() - start
-    ok = not disagreements
+    ok = not disagreements and max(row["sim.mu"] for row in rows) < onset
     assert _report("A7", ok,
-                   f"50 points, disagreements at mu={disagreements} "
-                   f"wall={wall:.1f}s")
+                   f"50 points, all below the onset mu*={onset:.2f}, "
+                   f"disagreements at mu={disagreements} wall={wall:.1f}s")
 
 
 def test_a8_conservation_and_steady_state(unit_grid, balanced_gaussian, rng):

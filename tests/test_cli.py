@@ -538,7 +538,11 @@ def test_console_script_is_console_main():
     ({"grid": {"extents": [0.0, 1e300], "counts": 16}}, 0),
     ({"grid": {"extents": [0.0, 1e10], "counts": 16},
       "kernel": {"family": "exponential", "sigma": 1e-300}}, 0),
-], ids=["ok", "validation", "numerical", "far_gaussian", "far_exponential"])
+    # 2 sigma^2 underflows to 0: the kernel is the identity on the grid
+    ({"grid": {"extents": [0.0, 1.0], "counts": 16},
+      "kernel": {"family": "gaussian", "sigma": 1e-200}}, 0),
+], ids=["ok", "validation", "numerical", "far_gaussian", "far_exponential",
+        "tiny_gaussian"])
 def test_process_exit_keeps_output(tmp_path, nlkpp_process, change, status):
     # python -W error -m nlkpp.cli ends by os._exit: what main printed and
     # wrote must still arrive whole, with no warning, and the artifacts match

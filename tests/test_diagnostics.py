@@ -18,7 +18,7 @@ from nlkpp import (DomainError, Field, KernelProfile, ShapeError, SimConfig,
                    lyapunov_value, most_unstable_cosine_mode, parse_scenario,
                    reaction_term, run, sample_convolution_kernel,
                    spectral_abscissa, sup_distance_to_one,
-                   symmetrize_and_normalize)
+                   symmetrize_and_normalize, turing_onset)
 from nlkpp._openblas import _one_blas_thread
 from nlkpp.diagnostics import (TRACE_COLUMNS, Trace, kernel_action,
                                steady_state_residual)
@@ -181,11 +181,12 @@ class TestNormalizedKernelRule:
         lambda g, k: spectral_abscissa(g, k, 1.0),
         lambda g, k: cosine_mode_rates(g, k, 1.0),
         lambda g, k: most_unstable_cosine_mode(g, k, 1.0),
+        turing_onset,
         lambda g, k: run(Field.constant(g, 1.0), g, k,
                          SimConfig(mu=1.0, dt=1e-2, t_end=0.1)),
     ], ids=["reaction_term", "dissipation", "linearization_matrix",
             "spectral_abscissa", "cosine_mode_rates", "most_unstable_cosine_mode",
-            "run"])
+            "turing_onset", "run"])
     def test_raw_kernel_refused_with_one_message(self, unit_grid, call):
         raw = sample_convolution_kernel(KernelProfile("gaussian", 0.2), unit_grid)
         field = Field.constant(unit_grid, 1.0)
@@ -269,8 +270,9 @@ class TestLinearization:
     @pytest.mark.parametrize("counts", [128, 64])
     @pytest.mark.parametrize("call", [
         linearization_matrix, spectral_abscissa, cosine_mode_rates,
-        most_unstable_cosine_mode,
-    ], ids=lambda f: f.__name__)
+        most_unstable_cosine_mode, lambda g, k, mu: turing_onset(g, k),
+    ], ids=["linearization_matrix", "spectral_abscissa", "cosine_mode_rates",
+            "most_unstable_cosine_mode", "turing_onset"])
     def test_refuses_a_kernel_from_another_grid(self, unit_grid, call, counts):
         # balanced on [0, 5]: with 128 nodes its matrix has unit_grid's shape
         other = build_uniform_grid((0, 5), counts)
@@ -388,49 +390,74 @@ def unstable_setup():
     return grid, kern
 
 
-def _turing_onset(grid, kern):
-    """mu* = -1/nu_min, where nu_min is the smallest eigenvalue of the definite
-    pencil (B, -A) on r-perp: W^{1/2} J W^{-1/2} = A - mu B and r = W^{1/2} 1,
-    an eigenvector of both. inf when nu_min >= 0."""
-    r = np.sqrt(grid.weights)
-
-    def symmetric(J):
-        S = r[:, None] * J / r[None, :]
-        return 0.5 * (S + S.T)
-    A = symmetric(linearization_matrix(grid, kern, 0.0))
-    B = A - symmetric(linearization_matrix(grid, kern, 1.0))
-    # columns 1.. of the Householder reflection that takes r to -e_1 span r-perp
-    v = r / np.linalg.norm(r)
-    v[0] += 1.0
-    P = (np.eye(grid.n_nodes) - np.outer(v, v) / v[0])[:, 1:]
-    C = np.linalg.cholesky(P.T @ -A @ P)
-    X = np.linalg.solve(C, np.linalg.solve(C, P.T @ B @ P).T)
-    nu_min = float(np.linalg.eigvalsh(0.5 * (X + X.T))[0])
-    return -1.0 / nu_min if nu_min < 0 else math.inf
-
-
-@pytest.mark.parametrize("extents,counts,family,sigma,verdict", [
-    ((0, 5), 256, "tophat", 1.0, "not_positive"),
-    ((0, 1), 128, "tophat", 0.2, "not_positive"),
-    (((0, 2), (0, 3)), (20, 30), "tophat", 0.3, "not_positive"),
-    ((0, 1), 128, "gaussian", 0.2, "positive"),
-    ((0, 1), 128, "exponential", 0.15, "positive"),
+@pytest.mark.parametrize("extents,counts,family,sigma,onset", [
+    ((0, 5), 256, "tophat", 1.0, 92.349142),
+    ((0, 1), 128, "tophat", 0.2, 2341.892262),
+    (((0, 2), (0, 3)), (20, 30), "tophat", 0.3, 905.9621),
+    ((0, 1), 128, "gaussian", 0.2, math.inf),
+    ((0, 1), 128, "exponential", 0.15, math.inf),
 ], ids=["pattern.json", "A6", "2d-tophat", "gaussian", "exponential"])
 def test_the_eigen_verdict_and_the_turing_onset_are_one_fact(extents, counts,
                                                              family, sigma,
-                                                             verdict):
-    # the abscissa crosses zero at the pencil's onset exactly when the kernel
-    # fails the positivity hypothesis on the grid
+                                                             onset):
+    # the abscissa crosses zero at the onset exactly when the kernel fails
+    # the positivity hypothesis on the grid
     grid = build_uniform_grid(extents, counts)
     kern = symmetrize_and_normalize(sample_convolution_kernel(
         KernelProfile(family, sigma), grid))
-    assert certify_positivity_eigen(kern).verdict == verdict
-    onset = _turing_onset(grid, kern)
-    if verdict == "positive":
-        assert onset >= 1e10
-    else:
+    verdict = certify_positivity_eigen(kern).verdict
+    assert verdict == ("positive" if onset == math.inf else "not_positive")
+    assert turing_onset(grid, kern) == pytest.approx(onset, rel=1e-6)
+    if verdict == "not_positive":
         assert (spectral_abscissa(grid, kern, 0.999 * onset) < 0
                 < spectral_abscissa(grid, kern, 1.001 * onset))
+
+
+@pytest.mark.parametrize("extents,counts", [
+    ((0, 1), 64), ((0, 5), 128), (((0, 1), (0, 1.5)), (10, 14)),
+], ids=["1d-unit", "1d-wide", "2d"])
+@pytest.mark.parametrize("sigma", [0.05, 0.2, 1.0])
+@pytest.mark.parametrize("family", ["gaussian", "exponential", "tophat"])
+def test_an_onset_exists_exactly_when_the_certificate_fails(extents, counts,
+                                                            sigma, family):
+    grid = build_uniform_grid(extents, counts)
+    kern = symmetrize_and_normalize(sample_convolution_kernel(
+        KernelProfile(family, sigma), grid))
+    verdict = certify_positivity_eigen(kern).verdict
+    assert math.isfinite(turing_onset(grid, kern)) == (verdict == "not_positive")
+
+
+def test_local_mode_has_no_onset(unit_grid):
+    assert turing_onset(unit_grid, None) == math.inf
+
+
+def test_onset_memory():
+    # S at mu = 0 and mu = 1, the two pencil blocks and their transients
+    grid = build_uniform_grid((0, 5), 1024)
+    kern = symmetrize_and_normalize(sample_convolution_kernel(
+        KernelProfile("tophat", 1.0), grid))
+    kern.matrix  # gathered once per kernel, before the trace starts
+    tracemalloc.start()
+    try:
+        assert turing_onset(grid, kern) < 150.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+
+
+def test_onset_approaches_the_whole_line_onset():
+    # a width-1 tophat on the whole line destabilizes at min_xi xi^3/(-sin xi)
+    # = 84.200; at 256 nodes per 5 units the onset falls as the domain grows
+    # and on [0, 20] lies within 1% of it (84.84 at half the spacing)
+    onsets = []
+    for hi in (5, 10, 20):
+        grid = build_uniform_grid((0, hi), 256 * hi // 5)
+        kern = symmetrize_and_normalize(sample_convolution_kernel(
+            KernelProfile("tophat", 1.0), grid))
+        onsets.append(turing_onset(grid, kern))
+    assert onsets[0] > onsets[1] > onsets[2]
+    assert onsets[2] == pytest.approx(84.200, rel=0.01)
 
 
 class TestPatternRegime:

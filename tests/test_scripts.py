@@ -42,6 +42,16 @@ def test_turing_onset_prints_the_readme_onset(tmp_path):
     assert re.findall(onset, out.stdout) == stated, out.stdout
 
 
+def test_turing_onset_prints_a6s_onset(tmp_path):
+    # the README quotes the onset on A6's grid as `mu* = ...`
+    stated = re.findall(r"`mu\* = ([\d.]+)`", (ROOT / "README.md").read_text())
+    assert stated == ["2341.89"]
+    out = run_python([str(ROOT / "scripts" / "turing_onset.py"), "--sigma", "0.2",
+                      "--hi", "1", "--n", "128"], tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert re.findall(r"onset mu\* = ([\d.]+)", out.stdout) == stated, out.stdout
+
+
 def test_readme_python_example_runs(tmp_path):
     blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(),
                         re.DOTALL)
