@@ -23,10 +23,7 @@ from ._openblas import _one_blas_thread
 from .errors import DomainError, NumericalError, ShapeError, ValidationError
 from .fieldio import _open_fresh
 from .grid import Field, Grid
-from .kernels import Kernel, _matvec, apply_kernel
-
-# the largest grid for the dense eigensolve of spectral_abscissa: J is 8 MiB
-_STABILITY_MAX_NODES = 1024
+from .kernels import Kernel, _fast_len, _matvec, apply_kernel
 
 TRACE_COLUMNS = ("t", "V", "D_total", "D_grad", "D_kernel",
                  "sup_dist_one", "mass", "min_u", "dt_used")
@@ -314,24 +311,21 @@ def cosine_mode_rates(grid: Grid, kernel: Kernel | None, mu: float) -> np.ndarra
     :func:`linearization_matrix` on the cosine modes v, 1 <= k <= n0 - 2
     (``cosine_modes``), without J: mode k is constant along axis 1 and an
     eigenvector of the Laplacian, eigenvalue -(2/h0 sin(k pi/(2 n0 - 2)))^2,
-    and (w v)^T v = |Omega|/2, so its rate is that minus 2 mu (w v)^T K[v]/|Omega|."""
+    and (w v)^T v = |Omega|/2, so its rate is that minus 2 mu (w v)^T K[v]/|Omega|,
+    K[v] applied to blocks of modes as rows, one kernel apply per block."""
     n0 = grid.counts[0]
     k = np.arange(1, n0 - 1)
     rates = -(2.0 / grid.spacing[0] * np.sin(np.pi / (2 * n0 - 2) * k)) ** 2
     if kernel is None:
         return rates - mu
     _require_normalized(kernel, grid)
-    # mode k at axis-0 index j is period[k j mod 2 n0 - 2]; 4 MiB blocks of modes
+    # mode k at axis-0 index j is period[k j mod 2 n0 - 2]; a block's spectra take 2 MiB
     j = np.arange(grid.n_nodes) // (grid.n_nodes // n0)
     period = np.cos(np.pi / (n0 - 1) * np.arange(2 * n0 - 2))
-    size = max(1, (1 << 19) // grid.n_nodes)
+    size = max(1, (1 << 18) // math.prod(_fast_len(2 * n - 1) for n in grid.counts))
     for block in np.split(k, range(size, k.size, size)):
-        WV = grid.weights[:, None] * period[np.multiply.outer(j, block) % (2 * n0 - 2)]
-        if kernel.apply_method == "dense" or grid.n_nodes <= _STABILITY_MAX_NODES:
-            # a dense K, or one of 8 MiB at most: one product beats an FFT per mode
-            q = np.einsum("ij,ij->j", WV, kernel.matrix @ WV)
-        else:
-            q = np.array([v @ _matvec(kernel, v) for v in WV.T])
+        WV = grid.weights * period[np.multiply.outer(block, j) % (2 * n0 - 2)]
+        q = np.einsum("ij,ij->i", WV, _matvec(kernel, WV))
         rates[block - 1] -= 2.0 * mu / grid.weights.sum() * q
     return rates
 

@@ -156,9 +156,9 @@ def step_imex(state: SimState, grid: Grid, kernel: Kernel | None,
     The reaction uses ``state.ku`` when it is set, and the new state carries
     K[u] of its own u, so consecutive steps apply the kernel once each.
     Without a ``solver`` the call builds one for itself and factors afresh;
-    :func:`run` passes one solver to all its steps. ``max_dt`` caps the step,
-    but one of at least (1 - 1e-9) dt leaves dt as it is: a remainder that
-    misses dt by round-off of the time sum would factor a band of its own.
+    :func:`run` passes one solver to all its steps. ``max_dt`` caps the step;
+    :func:`run` passes its remainder ``t_end - t`` only when that falls short
+    of the step by more than round-off of the time sum.
     """
     if solver is None:
         solver = DiffusionSolver(grid)
@@ -166,8 +166,7 @@ def step_imex(state: SimState, grid: Grid, kernel: Kernel | None,
     ku = kernel_action(state.u, kernel) if state.ku is None else state.ku
     r = config.mu * (1.0 - ku) * u_old
     dt = config.dt if state.dt_next is None else min(state.dt_next, config.dt)
-    if max_dt is not None and max_dt < (1.0 - 1e-9) * dt:
-        dt = max_dt
+    dt = dt if max_dt is None else min(dt, max_dt)
     floor = config.positivity_floor
     u_new = None
     for halvings in range(config.max_dt_halvings + 1):
@@ -266,8 +265,11 @@ def run(u0: Field, grid: Grid, kernel: Kernel | None, config: SimConfig,
         record(state, 0.0)
         while state.t < config.t_end - eps:
             t_prev = state.t
+            # the remainder, unless it is within eps of the step: that is
+            # round-off of the time sum, and would factor a band of its own
+            short = config.t_end - t_prev < state.dt_next - eps
             state = step_imex(state, grid, kernel, config, solver=solver,
-                              max_dt=config.t_end - state.t)
+                              max_dt=config.t_end - t_prev if short else None)
             if state.halvings:
                 steps_rejected += state.halvings
                 # a halved step is at most dt / 2, so dt_next is exactly twice it

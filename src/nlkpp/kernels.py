@@ -125,52 +125,55 @@ class _Stencil:
     circular convolution does not wrap there (circulant embedding of the
     Toeplitz / block-Toeplitz matrix).
 
-    ``convolve`` works in two arrays built with the spectrum and kept with
-    it: ``_work``, a half spectrum of the padded shape, and ``_full``, the
-    inverse's output (in 2D only the valid rows). Its result is a fresh
-    copy, but the stencil serves one thread at a time, like
-    ``DiffusionSolver``: the raw kernel, the kernel balanced from it and the
-    eigen certificate's Lanczos share it. In 2D only the data rows are
-    transformed along the last axis, and only the valid rows back. The result
-    has the bits of ``irfftn(spectrum * rfftn(v, shape), shape)[valid]``:
-    ``_operands`` multiplies in the order numpy evaluates that product in,
-    which turns at numpy's 256 KiB temporary elision.
+    ``convolve`` takes one vector (N,) or a block of them as rows (m, N), in
+    two arrays kept with the spectrum and sized for the last block: ``_work``,
+    half spectra of the padded shape, and ``_full``, the inverse's output (in
+    2D only the valid rows). Its result is a fresh copy, but the stencil
+    serves one thread at a time, like ``DiffusionSolver``: the raw kernel, the
+    kernel balanced from it and the eigen certificate's Lanczos share it. In
+    2D only the data rows are transformed along the last axis, and only the
+    valid rows back. Each row has the bits of ``irfftn(spectrum * rfftn(v,
+    shape), shape)[valid]``: ``_operands`` multiplies in the order numpy
+    evaluates that in for one vector, turning at its 256 KiB temporary elision.
     """
 
     def __init__(self, table: np.ndarray, counts: tuple[int, ...]):
         self.table = table
         self.counts = counts
-        self._spectrum: np.ndarray | None = None
+        self._block: tuple[int, ...] | None = None  # the leading shape served last
 
-    def _build(self) -> None:
+    def _build(self, block: tuple[int, ...]) -> None:
         shape = tuple(_fast_len(2 * n - 1) for n in self.counts)
-        self._spectrum = np.fft.rfftn(self.table, shape, tuple(range(len(shape))))
-        self._work = np.empty_like(self._spectrum)
-        self._full = np.empty(self.counts[:-1] + shape[-1:])
+        if self._block is None:
+            self._spectrum = np.fft.rfftn(self.table, shape, tuple(range(len(shape))))
+        self._work = np.empty(block + self._spectrum.shape, complex)
+        self._full = np.empty(block + self.counts[:-1] + shape[-1:])
         # numpy evaluates spectrum * temporary as temporary * spectrum once it
         # elides the temporary (256 KiB on), and FMA rounds the orders apart
-        self._operands = ((self._work, self._spectrum) if self._work.nbytes >= 1 << 18
+        self._operands = ((self._work, self._spectrum) if self._spectrum.nbytes >= 1 << 18
                           else (self._spectrum, self._work))
+        self._block = block
 
     def convolve(self, values: np.ndarray) -> np.ndarray:
-        if self._spectrum is None:
-            self._build()
+        if values.shape[:-1] != self._block:
+            self._build(values.shape[:-1])
         work, full = self._work, self._full
         n = self.counts[0]
         if len(self.counts) == 1:
-            np.fft.rfft(values.reshape(n), len(full), out=work)
+            np.fft.rfft(values, full.shape[-1], out=work)
             np.multiply(*self._operands, out=work)
-            np.fft.irfft(work, len(full), out=full)
+            np.fft.irfft(work, full.shape[-1], out=full)
             # a copy: SimState.ku keeps K[u] across applies
-            return full[n - 1:2 * n - 1].copy()
+            return full[..., n - 1:2 * n - 1].copy()
         m = self.counts[1]
-        work[n:] = 0  # the padding rows, which the previous inverse overwrote
-        np.fft.rfft(values.reshape(n, m), full.shape[1], axis=1, out=work[:n])
-        np.fft.fft(work, axis=0, out=work)
+        work[..., n:, :] = 0  # the padding rows, which the previous inverse overwrote
+        np.fft.rfft(values.reshape(self._block + (n, m)), full.shape[-1],
+                    out=work[..., :n, :])
+        np.fft.fft(work, axis=-2, out=work)
         np.multiply(*self._operands, out=work)
-        np.fft.ifft(work, axis=0, out=work)
-        np.fft.irfft(work[n - 1:2 * n - 1], full.shape[1], axis=1, out=full)
-        return full[:, m - 1:2 * m - 1].ravel()  # a copy: rows are padded
+        np.fft.ifft(work, axis=-2, out=work)
+        np.fft.irfft(work[..., n - 1:2 * n - 1, :], full.shape[-1], out=full)
+        return full[..., m - 1:2 * m - 1].reshape(values.shape)  # a copy: rows are padded
 
     def dense(self) -> np.ndarray:
         """The matrix ``convolve`` applies: entry (i, j) is ``table`` at offset
@@ -192,15 +195,15 @@ class Kernel:
     profile; an A with a value that is not finite is refused, a matrix here and
     a table when it is sampled. ``matrix[i, j]`` approximates K(x_i, x_j): A
     itself for an unscaled dense kernel, else gathered on first use (the dense
-    apply below ``_FFT_AUTO_THRESHOLD`` nodes, the linearization,
-    ``normalize_columns``) and kept, so it appears in ``vars(kernel)`` only
-    once built. The kernel chooses how :func:`apply_kernel` runs, and names it
-    in ``apply_method``: ``"fft"`` for convolution kernels of at least
-    ``_FFT_AUTO_THRESHOLD`` nodes, where it beats the dense matvec, else
-    ``"dense"``. Only the kernels :func:`symmetrize_and_normalize` returns are
-    ``normalized``; it sets their ``balance_iterations`` and
-    ``balance_deviation``. Treat instances as immutable; the normalization
-    operations return new kernels.
+    apply below ``_FFT_AUTO_THRESHOLD`` nodes, balancing's and the mode scan's
+    too; the linearization; ``normalize_columns``) and kept, so it appears in
+    ``vars(kernel)`` only once built. The kernel chooses how
+    :func:`apply_kernel` runs, and names it in ``apply_method``: ``"fft"`` for
+    convolution kernels of at least ``_FFT_AUTO_THRESHOLD`` nodes, where it
+    beats the dense matvec, else ``"dense"``. Only the kernels
+    :func:`symmetrize_and_normalize` returns are ``normalized``; it sets their
+    ``balance_iterations`` and ``balance_deviation``. Treat instances as
+    immutable; the normalization operations return new kernels.
     """
 
     def __init__(self, grid: Grid, matrix: np.ndarray | None = None,
@@ -342,6 +345,10 @@ def symmetrize_and_normalize(kernel: Kernel, max_iterations: int = 5000,
     its ``scale`` absorbs d. It records ``balance_iterations`` (scalings
     computed) and ``balance_deviation`` (the final max |sum - 1|).
     """
+    if not 0 < tol < math.inf:
+        raise ValidationError(f"tol must be finite and positive, got {tol}")
+    if max_iterations < 1:
+        raise ValidationError(f"max_iterations must be at least 1, got {max_iterations}")
     w = kernel.grid.weights
     # the scale is positive, so K has A's signs and is symmetric when A is,
     # and diag(d) K diag(d) keeps K^T = K
@@ -376,10 +383,10 @@ def symmetrize_and_normalize(kernel: Kernel, max_iterations: int = 5000,
 
 
 def _matvec(kernel: Kernel, values: np.ndarray) -> np.ndarray:
-    """K @ values, by the kernel's ``apply_method``: dense or through the
-    convolution stencil."""
+    """K v for one vector v (N,) or each row v of a block (m, N), with the bits
+    of v alone, by the kernel's ``apply_method``: dense or through the stencil."""
     if kernel.apply_method == "dense":
-        return kernel.matrix @ values
+        return np.matvec(kernel.matrix, values)
     return kernel.scale * kernel._stencil.convolve(kernel.scale * values)
 
 
@@ -555,6 +562,8 @@ def certify_positivity_eigen(kernel: Kernel, tol: float = 1e-9) -> PositivityCer
     on the result names the path that decided: ``"circulant_symbol"`` or
     ``"lanczos"``.
     """
+    if not 0 <= tol < math.inf:
+        raise ValidationError(f"tol must be finite and >= 0, got {tol}")
     grid = kernel.grid
     a = grid.weights * kernel.scale
     A, transposed = _tables(kernel)
@@ -582,6 +591,8 @@ def certify_positivity_eigen(kernel: Kernel, tol: float = 1e-9) -> PositivityCer
 
 def default_half_width(profile: KernelProfile, tol: float = 1e-9) -> float:
     """Window half-width at which the profile has decayed below ``tol``."""
+    if not 0 < tol < math.inf:
+        raise ValidationError(f"tol must be finite and positive, got {tol}")
     eps = min(tol, 1e-9)
     s = profile.sigma
     if profile.family == "gaussian":
@@ -607,6 +618,8 @@ def certify_positivity_bochner(profile: KernelProfile, n_samples: int = 2048,
     """
     if dim not in (1, 2):
         raise ValidationError(f"bochner check supports dim 1 or 2, got {dim}")
+    if not 0 <= tol < math.inf:
+        raise ValidationError(f"tol must be finite and >= 0, got {tol}")
     if half_width is None:
         half_width = default_half_width(profile, tol)
     if not 0 < half_width < math.inf:

@@ -40,8 +40,7 @@ import numpy as np
 
 from . import fieldio
 from ._openblas import _one_blas_thread
-from .diagnostics import (_STABILITY_MAX_NODES, cosine_modes,
-                          most_unstable_cosine_mode, spectral_abscissa)
+from .diagnostics import cosine_modes, most_unstable_cosine_mode, spectral_abscissa
 from .dynamics import SimConfig, run
 from .errors import NumericalError, ValidationError
 from .grid import Field, Grid, build_uniform_grid
@@ -50,6 +49,9 @@ from .kernels import (FAMILIES, Kernel, KernelProfile, PositivityCertificate,
                       sample_convolution_kernel, symmetrize_and_normalize)
 
 OUTPUT_DIR_ENV = "NLKPP_OUT"
+
+# the largest grid for the dense eigensolve of spectral_abscissa: J is 8 MiB
+_STABILITY_MAX_NODES = 1024
 
 ARTIFACTS = ("trace", "certificate", "final_field", "snapshots", "summary", "meta")
 

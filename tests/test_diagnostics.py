@@ -334,6 +334,15 @@ class TestLinearization:
             assert cosine_mode_rates(grid, kern, 150.0).shape == (grid.counts[0] - 2,)
             assert cosine_mode_rates(grid, None, 150.0).shape == (grid.counts[0] - 2,)
 
+    def test_cosine_mode_scan_gathers_no_kernel_matrix(self):
+        # up to 1024 nodes the scan used to gather the 8 MiB dense K
+        grid = build_uniform_grid((0, 5), 1024)
+        kern = symmetrize_and_normalize(sample_convolution_kernel(
+            KernelProfile("tophat", 1.0), grid))
+        assert kern.apply_method == "fft"
+        assert most_unstable_cosine_mode(grid, kern, 150.0) >= 1
+        assert "matrix" not in vars(kern)
+
     def test_abscissa_memory(self):
         # J, with S formed in its array, and the buffer of S += S.T: 16 MiB
         grid = build_uniform_grid((0, 5), 1024)

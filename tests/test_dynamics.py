@@ -192,6 +192,21 @@ class TestRunBookkeeping:
         assert trace.metadata["dt_min"] == pytest.approx(
             trace.column("dt_used")[1:].min())
 
+    def test_a_drifting_time_sum_factors_one_band(self, monkeypatch):
+        # scenarios/convergence.json's time grid: the sum of 24 999 steps of
+        # 0.002 falls 1.5e-11 short of 49.998, which is round-off of the sum
+        # (below 1e-12 t_end), so the last step is dt, not a band of its own
+        bands = []
+        band = DiffusionSolver._band
+        monkeypatch.setattr(DiffusionSolver, "_band",
+                            lambda solver, dt: bands.append(dt) or band(solver, dt))
+        grid = build_uniform_grid((0, 1), 16)
+        cfg = SimConfig(mu=1.0, dt=0.002, t_end=50.0, snapshot_every=0)
+        state, _ = run(Field.constant(grid, 0.5), grid, None, cfg)
+        assert bands == [cfg.dt]
+        assert state.step == 25_000
+        assert abs(state.t - cfg.t_end) <= 1e-12 * cfg.t_end
+
     def test_lifted_datum_nodes_are_counted(self, unit_grid, balanced_gaussian):
         cfg = SimConfig(mu=1.0, dt=1e-2, t_end=0.02)
         values = np.full(unit_grid.n_nodes, 0.5)
@@ -231,9 +246,12 @@ class TestRun:
         grid, kern, u0, cfg = stiff_tophat
         state, trace = run(u0, grid, kern, cfg)
         hand, times = SimState(t=0.0, u=u0, dt_next=cfg.dt), [0.0]
-        while hand.t < cfg.t_end - 1e-12 * max(1.0, cfg.t_end):
+        eps = 1e-12 * max(1.0, cfg.t_end)
+        while hand.t < cfg.t_end - eps:
+            remainder = cfg.t_end - hand.t
             hand = step_imex(SimState(hand.t, hand.u, hand.step, hand.dt_next),
-                             grid, kern, cfg, max_dt=cfg.t_end - hand.t)
+                             grid, kern, cfg,
+                             max_dt=remainder if remainder < hand.dt_next - eps else None)
             times.append(hand.t)
         assert trace.metadata["steps_rejected"] > 0
         assert hand.step == state.step

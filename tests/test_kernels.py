@@ -11,7 +11,7 @@ from nlkpp import (BalancingError, Field, Kernel, KernelError, KernelProfile,
                    certify_positivity_bochner, certify_positivity_eigen,
                    default_half_width, normalize_columns, sample_convolution_kernel,
                    sample_general_kernel, symmetrize_and_normalize)
-from nlkpp.kernels import (_fast_len, _one_blas_thread, _periodic_offsets,
+from nlkpp.kernels import (_fast_len, _matvec, _one_blas_thread, _periodic_offsets,
                            _sample_profile)
 
 from conftest import stencil_apply
@@ -467,6 +467,71 @@ class TestStencilConvolve:
         assert all(map(np.array_equal, again, kept))
 
 
+def _assert_block_is_its_rows(apply, block):
+    """``apply`` on a block equals its rows applied one at a time, before the
+    block and after it."""
+    before = apply(block[2])
+    applied = apply(block)
+    assert applied.shape == block.shape
+    assert np.array_equal(applied, [apply(v) for v in block])
+    assert np.array_equal(applied[2], before)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda k, tol: certify_positivity_eigen(k, tol=tol), ">= 0"),
+    (lambda k, tol: default_half_width(k.profile, tol=tol), "positive"),
+    (lambda k, tol: symmetrize_and_normalize(k, tol=tol), "positive"),
+], ids=["eigen", "half_width", "balancing"])
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+def test_a_bad_tolerance_is_refused(call, message, tol):
+    # a negative or NaN tol once gave the eigen certificate a not_positive
+    # verdict with a positive witness, and balancing ran out its iterations
+    grid = build_uniform_grid((0, 1), 64)
+    kern = symmetrize_and_normalize(sample_convolution_kernel(
+        KernelProfile("gaussian", 0.2), grid))
+    with pytest.raises(ValidationError, match=f"tol must be finite and {message}, got"):
+        call(kern, tol)
+
+
+@pytest.mark.parametrize("options,message", [
+    ({"tol": 0.0}, "tol must be finite and positive, got 0.0"),
+    ({"max_iterations": 0}, "max_iterations must be at least 1, got 0"),
+], ids=["tol_zero", "no_iterations"])
+def test_balancing_refuses_what_cannot_converge(options, message):
+    grid = build_uniform_grid((0, 1), 64)
+    kern = sample_convolution_kernel(KernelProfile("gaussian", 0.2), grid)
+    with pytest.raises(ValidationError, match=message):
+        symmetrize_and_normalize(kern, **options)
+
+
+class TestBlockApply:
+    @pytest.mark.parametrize("balanced", [False, True], ids=["raw", "balanced"])
+    @pytest.mark.parametrize("counts", [
+        300, 600, 4096, 20000, (14, 17), (32, 32), (64, 64), (90, 90), (128, 128),
+    ], ids=["300", "600", "4096", "20000", "14x17", "32x32", "64x64", "90x90",
+            "128x128"])
+    def test_a_block_is_its_rows_applied_one_at_a_time(self, rng, counts, balanced):
+        # half spectra pass numpy's 256 KiB elision from 16 385 nodes in 1D
+        # and from 128^2 in 2D; below 512 nodes the kernel applies densely
+        grid = _grid_of(counts)
+        kern = sample_convolution_kernel(KernelProfile("tophat", 0.2), grid)
+        kern = symmetrize_and_normalize(kern) if balanced else kern
+        block = rng.uniform(0.1, 2, (5, grid.n_nodes))
+        _assert_block_is_its_rows(lambda v: _matvec(kern, v), block)
+        _assert_block_is_its_rows(kern._stencil.convolve, block)
+        assert np.array_equal(kern._stencil.convolve(block)[0],
+                              _rfftn_pair(kern._stencil, block[0]))
+
+    @pytest.mark.parametrize("counts", [300, 1024, (14, 17), (32, 32)],
+                             ids=["300", "1024", "14x17", "32x32"])
+    def test_a_dense_block_is_its_rows_applied_one_at_a_time(self, rng, counts):
+        grid = _grid_of(counts)
+        n = grid.n_nodes
+        kern = sample_general_kernel(lambda x, y: rng.uniform(0, 1, (n, n)), grid)
+        _assert_block_is_its_rows(lambda v: _matvec(kern, v),
+                                  rng.uniform(0.1, 2, (5, n)))
+
+
 class TestEigenCertificate:
     def test_balanced_gaussian_positive(self, balanced_gaussian):
         cert = certify_positivity_eigen(balanced_gaussian, tol=1e-10)
@@ -768,7 +833,15 @@ class TestBochnerCertificate:
          {"half_width": 1.0}, KernelError, "not finite"),
         (KernelProfile("custom", 1.0, func=lambda z: 0.0 * z), {"half_width": 1.0},
          KernelError, "vanishes identically"),
-    ], ids=["dim", "half_width", "n_samples", "non_finite", "vanishing"])
+        # the default window needs a positive tol: log(1/tol) sizes it
+        (KernelProfile("gaussian", 0.2), {"tol": 0.0}, ValidationError,
+         "tol must be finite and positive, got 0.0"),
+        (KernelProfile("gaussian", 0.2), {"tol": -1.0}, ValidationError,
+         "tol must be finite and >= 0, got -1.0"),
+        (KernelProfile("gaussian", 0.2), {"tol": math.nan, "half_width": 3.0},
+         ValidationError, "tol must be finite and >= 0, got nan"),
+    ], ids=["dim", "half_width", "n_samples", "non_finite", "vanishing", "tol_zero",
+            "tol_negative", "tol_nan"])
     def test_refuses_what_it_cannot_transform(self, profile, options, error, message):
         with pytest.raises(error, match=message):
             certify_positivity_bochner(profile, **options)
