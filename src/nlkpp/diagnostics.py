@@ -90,7 +90,10 @@ class Trace:
                     if len(row) != len(TRACE_COLUMNS):
                         raise ValueError(
                             f"{len(row)} fields, expected {len(TRACE_COLUMNS)}")
-                    trace._rows.append(tuple(float(v) for v in row))
+                    values = tuple(float(v) for v in row)
+                    if trace._rows and not values[0] > trace._rows[-1][0]:
+                        raise ValueError(f"t = {values[0]!r} does not increase")
+                    trace._rows.append(values)
                 except ValueError as exc:
                     raise ValidationError(
                         f"{Path(path).name}, line {reader.line_num}: {exc}") from None

@@ -39,6 +39,10 @@ class SimConfig:
             raise ValidationError(f"dt must be finite and positive, got {self.dt}")
         if not 0 <= self.t_end < math.inf:
             raise ValidationError(f"t_end must be finite and >= 0, got {self.t_end}")
+        for name in ("snapshot_every", "max_dt_halvings"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {count!r}")
         if self.snapshot_every < 0:
             raise ValidationError("snapshot_every must be >= 0 (0 disables)")
         if not 0 < self.positivity_floor < math.inf:

@@ -23,6 +23,7 @@ makes the weighted *column* sums w @ K one instead; that does not pin K[1], so
 its result is a plain dense kernel, which the dynamics refuse.
 """
 
+import copy
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -177,65 +178,61 @@ class _Stencil:
 
     def dense(self) -> np.ndarray:
         """The matrix ``convolve`` applies: entry (i, j) is ``table`` at offset
-        i - j on each axis, Toeplitz in 1D and block-Toeplitz in 2D."""
-        counts, table = self.counts, self.table
-        # the flat index of a pair's offset is the centre's plus i's minus j's
-        nodes = np.ravel_multi_index(np.indices(counts).reshape(len(counts), -1),
-                                     table.shape)
-        centre = np.ravel_multi_index([n - 1 for n in counts], table.shape)
-        return table.ravel()[np.subtract.outer(nodes + centre, nodes)]
+        i - j on each axis, Toeplitz in 1D and block-Toeplitz in 2D. A read-only
+        view of ``table`` in 1D, a copy in 2D."""
+        # window i holds table[i + k], so reversing k gives table[(n - 1) + i - j]
+        windows = np.lib.stride_tricks.sliding_window_view(self.table, self.counts)
+        reversed_j = windows[(...,) + (slice(None, None, -1),) * len(self.counts)]
+        return reversed_j.reshape(2 * (math.prod(self.counts),))
 
 
 class Kernel:
     """A kernel sampled on a grid: K = diag(scale) A diag(scale), ``scale`` a
-    positive vector, all ones until balancing.
+    positive vector, all ones until balancing, which alone scales a kernel.
 
-    A is a convolution kernel's offset table (standing for the Toeplitz, in 2D
-    block-Toeplitz, matrix of its ``profile``) or a dense matrix with no
-    profile; an A with a value that is not finite is refused, a matrix here and
-    a table when it is sampled. ``matrix[i, j]`` approximates K(x_i, x_j): A
-    itself for an unscaled dense kernel, else gathered on first use (the dense
-    apply below ``_FFT_AUTO_THRESHOLD`` nodes, balancing's and the mode scan's
-    too; the linearization; ``normalize_columns``) and kept, so it appears in
-    ``vars(kernel)`` only once built. The kernel chooses how
+    A is given once, when the kernel is made: a convolution ``profile``, whose
+    offset table is sampled and checked here (standing for the Toeplitz, in 2D
+    block-Toeplitz, matrix), or a dense ``matrix`` with no profile; an A with
+    a value that is not finite is refused. ``matrix[i, j]`` approximates
+    K(x_i, x_j): A itself for an unscaled dense kernel, else gathered on first
+    use (the dense apply below ``_FFT_AUTO_THRESHOLD`` nodes, balancing's and
+    the mode scan's too; the linearization; ``normalize_columns``) and kept,
+    so it appears in ``vars(kernel)`` only once built. The kernel chooses how
     :func:`apply_kernel` runs, and names it in ``apply_method``: ``"fft"`` for
     convolution kernels of at least ``_FFT_AUTO_THRESHOLD`` nodes, where it
-    beats the dense matvec, else ``"dense"``. Only the kernels
+    beats the dense matvec, else ``"dense"``. Only the copies
     :func:`symmetrize_and_normalize` returns are ``normalized``; it sets their
-    ``balance_iterations`` and ``balance_deviation``. Treat instances as
-    immutable; the normalization operations return new kernels.
+    ``scale``, ``balance_iterations`` and ``balance_deviation``. Treat
+    instances as immutable; the normalization operations return new kernels.
     """
 
     def __init__(self, grid: Grid, matrix: np.ndarray | None = None,
-                 profile: KernelProfile | None = None,
-                 scale: np.ndarray | None = None):
-        if matrix is None and profile is None:
-            raise ValidationError("a kernel needs a matrix or a convolution profile")
-        if matrix is not None and not np.all(np.isfinite(matrix)):
-            i, j = np.argwhere(~np.isfinite(matrix))[0]
-            raise KernelError(f"kernel value at node pair ({i}, {j}) is not finite")
+                 profile: KernelProfile | None = None):
+        if (matrix is None) == (profile is None):
+            raise ValidationError("a kernel needs a matrix or a convolution profile"
+                                  + ("" if matrix is None else ", not both"))
         self.grid = grid
         self.profile = profile
-        self._dense = matrix  # A, for a kernel without a profile
-        self.scale = np.ones(grid.n_nodes) if scale is None else scale
-        if matrix is not None and scale is None:
-            self.matrix = matrix  # unscaled: A itself
+        self.scale = np.ones(grid.n_nodes)
+        self._dense = self._stencil = None
+        if profile is None:
+            if not np.all(np.isfinite(matrix)):
+                i, j = np.argwhere(~np.isfinite(matrix))[0]
+                raise KernelError(f"kernel value at node pair ({i}, {j}) is not finite")
+            self._dense = self.matrix = matrix  # unscaled: A itself
+        else:
+            counts = grid.counts
+            table = _sample_profile(profile, [np.arange(1 - n, n) * h
+                                              for n, h in zip(counts, grid.spacing)])
+            if not np.all(np.isfinite(table)):
+                k = np.unravel_index(int(np.argmin(np.isfinite(table))), table.shape)
+                offset = tuple(int(i) - (n - 1) for i, n in zip(k, counts))
+                raise KernelError(f"kernel value at node offset {offset} is not finite")
+            self._stencil = _Stencil(table, counts)
         self.apply_method = ("fft" if profile is not None
                              and grid.n_nodes >= _FFT_AUTO_THRESHOLD else "dense")
         self.balance_iterations: int | None = None
         self.balance_deviation: float | None = None
-
-    @cached_property
-    def _stencil(self) -> _Stencil:
-        """The profile's offset table, sampled on first use."""
-        counts = self.grid.counts
-        axes = [np.arange(1 - n, n) * h for n, h in zip(counts, self.grid.spacing)]
-        table = _sample_profile(self.profile, axes)
-        if not np.all(np.isfinite(table)):
-            k = np.unravel_index(int(np.argmin(np.isfinite(table))), table.shape)
-            offset = tuple(int(i) - (n - 1) for i, n in zip(k, counts))
-            raise KernelError(f"kernel value at node offset {offset} is not finite")
-        return _Stencil(table, counts)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -300,12 +297,11 @@ def sample_general_kernel(func: Callable, grid: Grid) -> Kernel:
 def sample_convolution_kernel(profile: KernelProfile, grid: Grid) -> Kernel:
     """K_ij = phi(x_i - x_j); in 2D phi acts on the Euclidean offset.
 
-    Only the profile over the grid's offsets is evaluated here, and checked;
-    the dense matrix is gathered from it when a dense consumer first asks.
+    The same as ``Kernel(grid, profile=profile)``: only the profile over the
+    grid's offsets is evaluated, and checked, when the kernel is made; the
+    dense matrix is gathered from it when a dense consumer first asks.
     """
-    kernel = Kernel(grid, profile=profile)
-    kernel._stencil  # sample now, so that a non-finite value is refused here
-    return kernel
+    return Kernel(grid, profile=profile)
 
 
 def normalize_columns(kernel: Kernel) -> Kernel:
@@ -341,9 +337,10 @@ def symmetrize_and_normalize(kernel: Kernel, max_iterations: int = 5000,
     a dense matrix equal to its transpose), entrywise nonnegative and with no
     zero row; the result is exactly symmetric, which the stability analysis
     relies on. The products K @ (w d) run through the kernel's own matvec. The
-    result keeps the input's A (a convolution kernel's stencil is shared) and
-    its ``scale`` absorbs d. It records ``balance_iterations`` (scalings
-    computed) and ``balance_deviation`` (the final max |sum - 1|).
+    result is a copy of the input that shares its A (a convolution kernel's
+    stencil and spectrum, or the dense matrix), whose ``scale`` absorbs d, and
+    which records ``balance_iterations`` (scalings computed) and
+    ``balance_deviation`` (the final max |sum - 1|).
     """
     if not 0 < tol < math.inf:
         raise ValidationError(f"tol must be finite and positive, got {tol}")
@@ -374,9 +371,9 @@ def symmetrize_and_normalize(kernel: Kernel, max_iterations: int = 5000,
             f"balancing stalled at deviation {err:.3g} after "
             f"{max_iterations} iterations (tol {tol:.3g})")
 
-    balanced = Kernel(kernel.grid, kernel._dense, kernel.profile, kernel.scale * d)
-    if kernel.profile is not None:
-        balanced._stencil = kernel._stencil  # share the offset table and spectrum
+    balanced = copy.copy(kernel)  # shares A: the matrix or the stencil and its spectrum
+    vars(balanced).pop("matrix", None)  # K's, gathered for the old scale
+    balanced.scale = kernel.scale * d
     balanced.balance_iterations = iterations
     balanced.balance_deviation = err
     return balanced

@@ -535,7 +535,11 @@ class TestTrace:
     @pytest.mark.parametrize("row,problem", [
         ("0.0,1.0,2.0,3.0,4.0", "5 fields, expected 9"),
         ("0.0,1.0,2.0,3.0,4.0,5.0,6.0,abc,0.1", "could not convert string to float: 'abc'"),
-    ], ids=["short_row", "not_a_number"])
+        # two rows at one t made decay_identity_residual divide by zero
+        ("0.0,1.0,2.0,3.0,4.0,5.0,6.0,7.0,0.1", "t = 0.0 does not increase"),
+        ("-0.5,1.0,2.0,3.0,4.0,5.0,6.0,7.0,0.1", "t = -0.5 does not increase"),
+        ("nan,1.0,2.0,3.0,4.0,5.0,6.0,7.0,0.1", "t = nan does not increase"),
+    ], ids=["short_row", "not_a_number", "repeated_t", "decreasing_t", "nan_t"])
     def test_csv_malformed_row_is_refused(self, tmp_path, row, problem):
         good = ",".join(["0.0"] * len(TRACE_COLUMNS))
         path = tmp_path / "trace.csv"

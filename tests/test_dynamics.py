@@ -36,6 +36,14 @@ class TestSimConfig:
         with pytest.raises(ValidationError, match=f"{field} must be >= 0"):
             SimConfig(mu=1.0, dt=0.1, t_end=1.0, **{field: -1})
 
+    @pytest.mark.parametrize("field", ["snapshot_every", "max_dt_halvings"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True], ids=["fraction", "float", "bool"])
+    def test_refuses_non_integer_counts(self, field, value):
+        # 2.5 halvings was a TypeError at the first step; 2.5 snapshots
+        # snapshotted every 5 steps, and True every step
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            SimConfig(mu=1.0, dt=0.1, t_end=1.0, **{field: value})
+
 
 class TestReactionTerm:
     def test_one_is_steady(self, unit_grid, balanced_gaussian):

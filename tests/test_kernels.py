@@ -298,12 +298,13 @@ class TestMatrixFree:
 
     @pytest.mark.parametrize("use", [
         lambda prof, g: sample_convolution_kernel(prof, g),
-        # built directly, the table is sampled, and refused, on first use
+        # built directly: the table is sampled, and refused, when the kernel is made
         lambda prof, g: apply_kernel(Kernel(g, profile=prof), Field.constant(g, 1.0)),
         lambda prof, g: symmetrize_and_normalize(Kernel(g, profile=prof)),
         lambda prof, g: certify_positivity_eigen(Kernel(g, profile=prof)),
         lambda prof, g: Kernel(g, profile=prof).strictly_positive,
-    ], ids=["sampling", "apply", "balancing", "certificate", "strictly_positive"])
+        lambda prof, g: Kernel(g, profile=prof),
+    ], ids=["sampling", "apply", "balancing", "certificate", "strictly_positive", "made"])
     def test_non_finite_profile_rejected(self, use):
         grid = build_uniform_grid(((0, 1), (0, 1)), (4, 5))
         prof = KernelProfile("custom", 1.0, func=lambda z: 1.0 / z)
@@ -334,6 +335,32 @@ class TestMatrixFree:
         assert Kernel(unit_grid, np.eye(128)).profile is None
         kern = Kernel(unit_grid, profile=KernelProfile("gaussian", 0.2))
         assert kern.profile is not None and np.array_equal(kern.scale, np.ones(128))
+
+    def test_takes_one_a(self):
+        # at 600 nodes this pair applied the profile by FFT (K[1] = 0.2507 at
+        # node 0) while the rows of its matrix, twice the profile's, summed to 0.5013
+        grid = build_uniform_grid((0, 1), 600)
+        profile = KernelProfile("gaussian", 0.2)
+        phi = sample_convolution_kernel(profile, grid).matrix
+        with pytest.raises(ValidationError, match="not both"):
+            Kernel(grid, 2 * phi, profile=profile)
+
+    def test_balancing_shares_a(self, rng):
+        # a copy with a new scale: the stencil or the dense A is the input's,
+        # and a matrix the input gathered for its own scale is not carried over
+        grid = build_uniform_grid((0, 1), 128)
+        raw = sample_convolution_kernel(KernelProfile("gaussian", 0.2), grid)
+        apply_kernel(raw, Field(grid, rng.uniform(0.5, 1.5, 128)))
+        assert raw.apply_method == "dense" and "matrix" in vars(raw)
+        balanced = symmetrize_and_normalize(raw)
+        assert balanced._stencil is raw._stencil
+        assert "matrix" not in vars(balanced)
+        assert not raw.normalized and np.array_equal(raw.scale, np.ones(128))
+        dense = Kernel(grid, raw.matrix)
+        rebalanced = symmetrize_and_normalize(dense)
+        assert rebalanced._dense is dense._dense and "matrix" not in vars(rebalanced)
+        assert np.array_equal(rebalanced.scale, balanced.scale)
+        assert np.array_equal(rebalanced.matrix, balanced.matrix)
 
     def test_dense_only_results_have_no_profile(self, unit_grid):
         # column normalization is not diag(s) phi diag(s), so it drops the
@@ -465,6 +492,32 @@ class TestStencilConvolve:
         assert all(map(np.array_equal, first, kept))
         again = [apply_kernel(kern, f).values for kern in (raw, balanced)]
         assert all(map(np.array_equal, again, kept))
+
+    @pytest.mark.parametrize("counts", [128, 600, (14, 17), (32, 32)],
+                             ids=["128", "600", "14x17", "32x32"])
+    def test_dense_is_the_index_gather(self, counts):
+        grid = _grid_of(counts)
+        stencil = sample_convolution_kernel(KernelProfile("tophat", 0.3), grid)._stencil
+        table, shape = stencil.table, stencil.counts
+        # the flat index of a pair's offset is the centre's plus i's minus j's
+        nodes = np.ravel_multi_index(np.indices(shape).reshape(len(shape), -1),
+                                     table.shape)
+        centre = np.ravel_multi_index([n - 1 for n in shape], table.shape)
+        expected = table.ravel()[np.subtract.outer(nodes + centre, nodes)]
+        assert np.array_equal(stencil.dense(), expected)
+
+    def test_gather_memory(self):
+        # an N x N index array beside the gathered matrix read 16 MiB here
+        grid = build_uniform_grid((0, 1), 1024)
+        kern = symmetrize_and_normalize(sample_convolution_kernel(
+            KernelProfile("tophat", 0.2), grid))
+        tracemalloc.start()
+        try:
+            kern.matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 << 20
 
 
 def _assert_block_is_its_rows(apply, block):
