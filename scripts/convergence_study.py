@@ -39,7 +39,7 @@ def main() -> None:
     errors, residuals = [], []
     for dt in args.dts:
         cfg = SimConfig(mu=args.mu, dt=dt, t_end=args.t_end)
-        _, trace = run(Field.constant(grid, args.u0), grid, kernel, cfg)
+        _, trace = run(Field.constant(grid, args.u0), kernel, cfg)
         t = trace.column("t")
         errors.append(np.max(np.abs(trace.column("mass")
                                     - logistic(t, args.u0, args.mu))))

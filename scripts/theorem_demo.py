@@ -38,7 +38,7 @@ def main() -> None:
     rng = np.random.default_rng(args.seed)
     u0 = Field(grid, rng.uniform(0.5, 1.5, grid.n_nodes))
     cfg = SimConfig(mu=args.mu, dt=args.dt, t_end=args.t_end)
-    _, trace = run(u0, grid, kernel, cfg)
+    _, trace = run(u0, kernel, cfg)
 
     t = trace.column("t")
     v = trace.column("V")

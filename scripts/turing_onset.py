@@ -61,7 +61,7 @@ def main() -> None:
               f"(growth rate {rate:.3f})")
         u0 = Field(grid, 1.0 + 0.01 * cosine_modes(grid, k))
         cfg = SimConfig(mu=mu, dt=2e-4, t_end=max(3.0, 8.0 / max(rate, 0.5)))
-        state, trace = run(u0, grid, kernel, cfg)
+        state, trace = run(u0, kernel, cfg)
         sup = trace.column("sup_dist_one")
         print(f"perturbation amplitude: start {sup[0]:.3g}, "
               f"max {sup.max():.3g} (x{sup.max() / sup[0]:.0f}), "

@@ -27,6 +27,7 @@ from .kernels import Kernel, _fast_len, _matvec, apply_kernel
 
 TRACE_COLUMNS = ("t", "V", "D_total", "D_grad", "D_kernel",
                  "sup_dist_one", "mass", "min_u", "dt_used")
+_SMALLEST_NORMAL = np.finfo(float).smallest_normal
 
 
 @dataclass(eq=False)
@@ -163,7 +164,14 @@ def trace_rows(grid: Grid, u: np.ndarray, ku: np.ndarray,
     for stride, c in grid.edges:
         lo, hi = u[:, :-stride], u[:, stride:]
         du = hi - lo
-        d_grad += (du * du / (lo * hi)) @ c[stride:]
+        du2, lo_hi = du * du, lo * hi
+        if lo_hi.min() < _SMALLEST_NORMAL:
+            # where the product underflows (two neighbours on a 1e-300 floor
+            # give 0 / 0), divide by one node at a time
+            tiny = lo_hi < _SMALLEST_NORMAL
+            du2[tiny] = du[tiny] / lo[tiny] * (du[tiny] / hi[tiny])
+            lo_hi[tiny] = 1.0
+        d_grad += (du2 / lo_hi) @ c[stride:]
     d_kernel = mu * (((1.0 - u) * (1.0 - ku)) @ w)
     return {"V": (u - 1.0 - np.log(u)) @ w, "D_total": d_grad + d_kernel,
             "D_grad": d_grad, "D_kernel": d_kernel,

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._openblas import _banded_cholesky
 from .diagnostics import Trace, kernel_action, steady_state_residual, trace_rows
-from .errors import NumericalError, ShapeError, StepFailure, ValidationError
+from .errors import NumericalError, StepFailure, ValidationError
 from .grid import Field, Grid
 from .kernels import Kernel
 
@@ -65,12 +65,12 @@ _MAX_FACTORS = 16
 
 @dataclass(eq=False)
 class SimState:
-    """Trajectory state after ``step`` accepted steps. ``dt_next`` is the
-    step size the integrator will attempt next (None means the configured dt);
-    ``halvings`` counts the rejected attempts of the step that produced it.
-    ``ku`` is K[u] of this state's u (u itself in local mode), which
-    :func:`step_imex` fills in and its next reaction reuses; None has it
-    computed there."""
+    """Trajectory state on ``u``'s grid after ``step`` accepted steps.
+    ``dt_next`` is the step size the integrator will attempt next; ``halvings``
+    counts the rejected attempts of the step that produced it. ``ku`` is K[u]
+    of this state's u (u itself in local mode), which :func:`step_imex` fills
+    in and its next reaction reuses. A hand-made state may leave ``ku`` and
+    ``dt_next`` None: its step then computes K[u] and tries the configured dt."""
 
     t: float
     u: Field
@@ -152,20 +152,18 @@ class DiffusionSolver:
         return floor + x
 
 
-def step_imex(state: SimState, grid: Grid, kernel: Kernel | None,
-              config: SimConfig, solver: DiffusionSolver | None = None,
-              max_dt: float | None = None) -> SimState:
-    """Advance one accepted step, halving dt as needed to keep u positive.
+def step_imex(state: SimState, kernel: Kernel | None, config: SimConfig,
+              solver: DiffusionSolver, max_dt: float | None = None) -> SimState:
+    """Advance ``state`` one accepted step on its grid, halving dt as needed
+    to keep u positive.
 
     The reaction uses ``state.ku`` when it is set, and the new state carries
     K[u] of its own u, so consecutive steps apply the kernel once each.
-    Without a ``solver`` the call builds one for itself and factors afresh;
-    :func:`run` passes one solver to all its steps. ``max_dt`` caps the step;
-    :func:`run` passes its remainder ``t_end - t`` only when that falls short
-    of the step by more than round-off of the time sum.
+    ``solver``, a :class:`DiffusionSolver` of that grid, keeps its factors
+    across steps. ``max_dt`` caps the step; :func:`run` passes its remainder
+    ``t_end - t`` only when that falls short of the step by more than
+    round-off of the time sum.
     """
-    if solver is None:
-        solver = DiffusionSolver(grid)
     u_old = state.u.values
     ku = kernel_action(state.u, kernel) if state.ku is None else state.ku
     r = config.mu * (1.0 - ku) * u_old
@@ -179,7 +177,7 @@ def step_imex(state: SimState, grid: Grid, kernel: Kernel | None,
         # min(rhs) is below the floor; a NaN or +inf in u fails the max test
         if ((floor <= solver._rhs_min or floor <= u_new.min())
                 and u_new.max() < math.inf):
-            field = Field(grid, u_new)
+            field = Field(state.u.grid, u_new)
             return SimState(t=state.t + dt, u=field, step=state.step + 1,
                             dt_next=min(2.0 * dt, config.dt), halvings=halvings,
                             ku=kernel_action(field, kernel))
@@ -192,12 +190,13 @@ def step_imex(state: SimState, grid: Grid, kernel: Kernel | None,
         f"node {node} reaches {value} even at dt={2 * dt:.3g}")
 
 
-def run(u0: Field, grid: Grid, kernel: Kernel | None, config: SimConfig,
+def run(u0: Field, kernel: Kernel | None, config: SimConfig,
         metadata: dict | None = None) -> tuple[SimState, Trace]:
-    """Integrate from u0 to t_end, recording a diagnostics row per step.
+    """Integrate from u0 to t_end on u0's grid, one diagnostics row per step.
 
     ``kernel=None`` is local mode: K[u] is replaced by u (classical
-    Fisher-KPP). u0 must lie on ``grid``, be nonnegative and not be
+    Fisher-KPP); a kernel on another grid layout is refused (``ShapeError``)
+    by its first apply, before any step. u0 must be nonnegative and not be
     identically zero; zero nodes are lifted to the positivity floor before the
     first step, mirroring the instant positivity of the continuous flow and
     keeping V finite from the start.
@@ -212,8 +211,6 @@ def run(u0: Field, grid: Grid, kernel: Kernel | None, config: SimConfig,
     The rows are those of :func:`~nlkpp.diagnostics.trace_rows`, computed in
     blocks of steps; a run that raises returns no trace.
     """
-    if not u0.grid.same_layout(grid):
-        raise ShapeError(f"initial datum lies on {u0.grid}, the run on {grid}")
     vals = np.asarray(u0.values, dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValidationError("initial datum has non-finite values")
@@ -223,6 +220,7 @@ def run(u0: Field, grid: Grid, kernel: Kernel | None, config: SimConfig,
     if not np.any(vals > 0):
         raise ValidationError("initial datum is identically zero")
 
+    grid = u0.grid
     u = Field(grid, np.maximum(vals, config.positivity_floor))
     state = SimState(t=0.0, u=u, step=0, dt_next=config.dt, ku=kernel_action(u, kernel))
     solver = DiffusionSolver(grid)
@@ -272,7 +270,7 @@ def run(u0: Field, grid: Grid, kernel: Kernel | None, config: SimConfig,
             # the remainder, unless it is within eps of the step: that is
             # round-off of the time sum, and would factor a band of its own
             short = config.t_end - t_prev < state.dt_next - eps
-            state = step_imex(state, grid, kernel, config, solver=solver,
+            state = step_imex(state, kernel, config, solver,
                               max_dt=config.t_end - t_prev if short else None)
             if state.halvings:
                 steps_rejected += state.halvings

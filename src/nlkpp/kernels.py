@@ -177,13 +177,12 @@ class _Stencil:
         return full[..., m - 1:2 * m - 1].reshape(values.shape)  # a copy: rows are padded
 
     def dense(self) -> np.ndarray:
-        """The matrix ``convolve`` applies: entry (i, j) is ``table`` at offset
-        i - j on each axis, Toeplitz in 1D and block-Toeplitz in 2D. A read-only
-        view of ``table`` in 1D, a copy in 2D."""
+        """The matrix ``convolve`` applies, as a read-only view of ``table`` with
+        axes ``counts + counts``: entry (i, j) is ``table`` at offset i - j on
+        each axis, Toeplitz in 1D and, reshaped to N x N, block-Toeplitz in 2D."""
         # window i holds table[i + k], so reversing k gives table[(n - 1) + i - j]
         windows = np.lib.stride_tricks.sliding_window_view(self.table, self.counts)
-        reversed_j = windows[(...,) + (slice(None, None, -1),) * len(self.counts)]
-        return reversed_j.reshape(2 * (math.prod(self.counts),))
+        return windows[(...,) + (slice(None, None, -1),) * len(self.counts)]
 
 
 class Kernel:
@@ -236,9 +235,12 @@ class Kernel:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """Dense K_ij, gathered here on first use."""
+        """Dense K_ij, gathered here on first use into one N x N array."""
         A = self._stencil.dense() if self._dense is None else self._dense
-        return np.outer(self.scale, self.scale) * A
+        K = np.outer(self.scale, self.scale)
+        K_view = K.reshape(A.shape)  # K's own memory, on the axes of A
+        K_view *= A
+        return K
 
     @property
     def normalized(self) -> bool:
@@ -608,10 +610,12 @@ def certify_positivity_bochner(profile: KernelProfile, n_samples: int = 2048,
     the discrete Fourier transform of phi on an even periodic window of
     ``n_samples`` offsets per axis spanning (-half_width, half_width]
     (``_even_window_spectrum``). A positive verdict certifies the quadratic
-    form on any bounded domain. ``dim=2`` runs the radial profile through a 2D
-    transform on a square window. The peak, edge and evenness checks read phi
-    along axis 0: at signed offsets in 1D, so that an asymmetric profile is
-    refused, and in 2D at their size.
+    form on any bounded domain of dimension up to ``dim``. A 2D grid needs
+    ``dim=2``, which runs the radial profile through a 2D transform on a
+    square window: the tent (1 - |z|/sigma)+ is positive definite on the
+    line but not on the plane (Askey). The peak, edge and evenness
+    checks read phi along axis 0: at signed offsets in 1D, so that an
+    asymmetric profile is refused, and in 2D at their size.
     """
     if dim not in (1, 2):
         raise ValidationError(f"bochner check supports dim 1 or 2, got {dim}")

@@ -312,8 +312,8 @@ def parse_scenario(path) -> Scenario:
 
 def build_kernel(spec: KernelSpec, grid: Grid) -> tuple[Kernel, list[PositivityCertificate]]:
     """Sample, normalize, and (optionally) certify the scenario kernel."""
-    # Temporary, belongs in _parse_kernel: perfbench/run.py counts a simulate
-    # that exits while parsing as a run until ROADMAP item 4 fixes it.
+    # Belongs in _parse_kernel, but perfbench/run.py counts a simulate that is
+    # refused while parsing as a run; it moves there once that count is mended.
     if spec.normalization != "balanced":
         raise ValidationError(
             f"kernel.normalization must be 'balanced', got {spec.normalization!r}: "
@@ -442,7 +442,7 @@ def _run_scenario_inner(scenario: Scenario, out_dir, quiet: bool,
         meta["positivity_caveat"] = ("kernel has zero entries; certified "
                                      "positivity alone does not pin the limit")
 
-    state, trace = run(u0, grid, kernel, scenario.sim, metadata=meta)
+    state, trace = run(u0, kernel, scenario.sim, metadata=meta)
 
     final_v = trace.column("V")[-1]
     final_sup = trace.column("sup_dist_one")[-1]

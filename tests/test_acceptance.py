@@ -29,8 +29,7 @@ def test_a1_logistic_oracle(unit_grid, balanced_gaussian):
     closed-form logistic solution; at t = ln 4 the value is 1/2."""
     start = time.perf_counter()
     cfg = SimConfig(mu=1.0, dt=1e-3, t_end=10.0)
-    _, trace = run(Field.constant(unit_grid, 0.2), unit_grid,
-                   balanced_gaussian, cfg)
+    _, trace = run(Field.constant(unit_grid, 0.2), balanced_gaussian, cfg)
     t = trace.column("t")
     sim = trace.column("mass")  # |domain| = 1 and u stays constant in space
     err = float(np.max(np.abs(sim - logistic(t))))
@@ -53,7 +52,7 @@ def test_a2_lyapunov_monotonicity(unit_grid, balanced_gaussian):
         u0 = Field(unit_grid, rng.uniform(0.5, 1.5, unit_grid.n_nodes))
         for mu in (0.5, 1.0, 5.0):
             cfg = SimConfig(mu=mu, dt=1e-3, t_end=2.0)
-            _, trace = run(u0, unit_grid, balanced_gaussian, cfg)
+            _, trace = run(u0, balanced_gaussian, cfg)
             v = trace.column("V")
             slack = 1e-8 * (1.0 + v[0])
             worst = max(worst, float(np.max(np.diff(v) - slack)))
@@ -72,7 +71,7 @@ def test_a3_global_convergence_to_one(unit_grid, balanced_gaussian):
     for mu in (0.5, 1.0, 5.0):
         u0 = Field(unit_grid, rng.uniform(0.5, 1.5, unit_grid.n_nodes))
         cfg = SimConfig(mu=mu, dt=2e-3, t_end=50.0)
-        _, trace = run(u0, unit_grid, balanced_gaussian, cfg)
+        _, trace = run(u0, balanced_gaussian, cfg)
         worst_sup = max(worst_sup, trace.column("sup_dist_one")[-1])
         worst_v = max(worst_v, trace.column("V")[-1])
     wall = time.perf_counter() - start
@@ -88,8 +87,7 @@ def test_a4_decay_identity_order(unit_grid, balanced_gaussian):
     max_res = []
     for dt in (4e-3, 2e-3, 1e-3):
         cfg = SimConfig(mu=1.0, dt=dt, t_end=4.0, snapshot_every=1)
-        _, trace = run(Field.constant(unit_grid, 0.2), unit_grid,
-                       balanced_gaussian, cfg)
+        _, trace = run(Field.constant(unit_grid, 0.2), balanced_gaussian, cfg)
         res = [decay_identity_residual(trace, k) for k in range(len(trace) - 1)]
         max_res.append(max(res))
     orders = [float(np.log2(max_res[i] / max_res[i + 1])) for i in range(2)]
@@ -141,7 +139,7 @@ def test_a6_pattern_regime(unit_grid, balanced_tophat):
     x = unit_grid.nodes[:, 0]
     u0 = Field(unit_grid, 1.0 + 0.01 * np.cos(k * np.pi * x))
     cfg = SimConfig(mu=mu, dt=1e-3, t_end=20.0)
-    _, trace = run(u0, unit_grid, balanced_tophat, cfg)
+    _, trace = run(u0, balanced_tophat, cfg)
     sup = trace.column("sup_dist_one")
     growth = float(sup.max() / sup[0])
     final_sup = float(sup[-1])
@@ -193,12 +191,11 @@ def test_a8_conservation_and_steady_state(unit_grid, balanced_gaussian, rng):
     start = time.perf_counter()
     u0 = Field(unit_grid, rng.uniform(0.25, 2.0, unit_grid.n_nodes))
     cfg = SimConfig(mu=0.0, dt=1e-2, t_end=1.0)
-    _, trace = run(u0, unit_grid, balanced_gaussian, cfg)
+    _, trace = run(u0, balanced_gaussian, cfg)
     mass_dev = float(np.max(np.abs(np.diff(trace.column("mass")))))
 
     cfg = SimConfig(mu=1.0, dt=1e-2, t_end=1.0, snapshot_every=1)
-    _, trace1 = run(Field.constant(unit_grid, 1.0), unit_grid,
-                    balanced_gaussian, cfg)
+    _, trace1 = run(Field.constant(unit_grid, 1.0), balanced_gaussian, cfg)
     steps = [s.field.values for s in trace1.snapshots]
     drift = max(float(np.max(np.abs(b - a)))
                 for a, b in zip(steps, steps[1:]))

@@ -100,16 +100,14 @@ class TestDissipation:
 class TestDecayIdentity:
     def test_steady_residual_is_zero(self, unit_grid, balanced_gaussian):
         cfg = SimConfig(mu=1.0, dt=1e-2, t_end=0.05, snapshot_every=1)
-        _, trace = run(Field.constant(unit_grid, 1.0), unit_grid,
-                       balanced_gaussian, cfg)
+        _, trace = run(Field.constant(unit_grid, 1.0), balanced_gaussian, cfg)
         assert decay_identity_residual(trace, 0) < 1e-12
 
     def test_residual_halves_with_dt(self, unit_grid, balanced_gaussian):
         maxres = []
         for dt in (4e-3, 2e-3):
             cfg = SimConfig(mu=1.0, dt=dt, t_end=2.0, snapshot_every=1)
-            _, trace = run(Field.constant(unit_grid, 0.2), unit_grid,
-                           balanced_gaussian, cfg)
+            _, trace = run(Field.constant(unit_grid, 0.2), balanced_gaussian, cfg)
             res = [decay_identity_residual(trace, k)
                    for k in range(len(trace) - 1)]
             maxres.append(max(res))
@@ -125,7 +123,7 @@ class TestDecayIdentity:
         maxres = []
         for dt in (4e-3, 2e-3, 1e-3):
             cfg = SimConfig(mu=1.0, dt=dt, t_end=0.5, snapshot_every=1)
-            _, trace = run(u0, grid, kern, cfg)
+            _, trace = run(u0, kern, cfg)
             maxres.append(max(decay_identity_residual(trace, k)
                               for k in range(len(trace) - 1)))
         for coarse, fine in zip(maxres, maxres[1:]):
@@ -141,10 +139,10 @@ class TestDecayIdentity:
         kern, _ = build_kernel(replace(scenario.kernel, certify=False), grid)
         mode = most_unstable_cosine_mode(grid, kern, mu)
         u0 = Field(grid, 1.0 + scenario.initial.amplitude * cosine_modes(grid, mode))
-        state, _ = run(u0, grid, kern, replace(scenario.sim, snapshot_every=0))
+        state, _ = run(u0, kern, replace(scenario.sim, snapshot_every=0))
         residuals = []
         for dt in (1e-4, 1e-5, 1e-6):
-            _, trace = run(state.u, grid, kern,
+            _, trace = run(state.u, kern,
                            SimConfig(mu=mu, dt=dt, t_end=dt, snapshot_every=0))
             residuals.append(decay_identity_residual(trace, 0))
         for coarse, fine in zip(residuals, residuals[1:]):
@@ -155,7 +153,7 @@ class TestDecayIdentity:
         # CSV round trip is exact
         cfg = SimConfig(mu=1.0, dt=1e-2, t_end=0.5, snapshot_every=0)
         u0 = Field(unit_grid, rng.uniform(0.5, 1.5, unit_grid.n_nodes))
-        _, trace = run(u0, unit_grid, balanced_gaussian, cfg)
+        _, trace = run(u0, balanced_gaussian, cfg)
         trace.to_csv(tmp_path / "trace.csv")
         loaded = Trace.from_csv(tmp_path / "trace.csv")
         for k in range(len(trace) - 1):
@@ -164,8 +162,7 @@ class TestDecayIdentity:
 
     def test_index_out_of_range(self, unit_grid, balanced_gaussian):
         cfg = SimConfig(mu=1.0, dt=1e-2, t_end=0.03, snapshot_every=1)
-        _, trace = run(Field.constant(unit_grid, 0.5), unit_grid,
-                       balanced_gaussian, cfg)
+        _, trace = run(Field.constant(unit_grid, 0.5), balanced_gaussian, cfg)
         with pytest.raises(IndexError):
             decay_identity_residual(trace, len(trace) - 1)
 
@@ -182,7 +179,7 @@ class TestNormalizedKernelRule:
         lambda g, k: cosine_mode_rates(g, k, 1.0),
         lambda g, k: most_unstable_cosine_mode(g, k, 1.0),
         turing_onset,
-        lambda g, k: run(Field.constant(g, 1.0), g, k,
+        lambda g, k: run(Field.constant(g, 1.0), k,
                          SimConfig(mu=1.0, dt=1e-2, t_end=0.1)),
     ], ids=["reaction_term", "dissipation", "linearization_matrix",
             "spectral_abscissa", "cosine_mode_rates", "most_unstable_cosine_mode",
@@ -492,7 +489,7 @@ class TestPatternRegime:
         x = grid.nodes[:, 0]
         u0 = Field(grid, 1.0 + 0.01 * np.cos(k * np.pi * x / 5.0))
         cfg = SimConfig(mu=mu, dt=2e-4, t_end=1.5)
-        _, trace = run(u0, grid, kern, cfg)
+        _, trace = run(u0, kern, cfg)
         sup = trace.column("sup_dist_one")
         assert sup.max() / sup[0] >= 10.0
         assert sup[-1] > 0.1
@@ -504,15 +501,14 @@ class TestTrace:
                                              balanced_gaussian, rng):
         cfg = SimConfig(mu=1.0, dt=1e-3, t_end=0.2)
         u0 = Field(unit_grid, rng.uniform(0.5, 1.5, unit_grid.n_nodes))
-        _, trace = run(u0, unit_grid, balanced_gaussian, cfg)
+        _, trace = run(u0, balanced_gaussian, cfg)
         t = trace.column("t")
         assert np.all(np.diff(t) > 0)
         assert np.all(trace.column("V") >= 0)
 
     def test_csv_round_trip(self, tmp_path, unit_grid, balanced_gaussian):
         cfg = SimConfig(mu=1.0, dt=1e-3, t_end=0.05)
-        _, trace = run(Field.constant(unit_grid, 0.4), unit_grid,
-                       balanced_gaussian, cfg)
+        _, trace = run(Field.constant(unit_grid, 0.4), balanced_gaussian, cfg)
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         loaded = Trace.from_csv(path)
@@ -573,7 +569,7 @@ class TestBlockRows:
         mu, dt = 2.0, 1e-3
         for n_steps in (steps, steps + 1):
             cfg = SimConfig(mu=mu, dt=dt, t_end=n_steps * dt, snapshot_every=1)
-            state, trace = run(u0, grid, kernel, cfg)
+            state, trace = run(u0, kernel, cfg)
             assert state.step == n_steps and len(trace) == n_steps + 1
             for k, snap in enumerate(trace.snapshots):
                 assert snap.step == k

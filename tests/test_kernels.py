@@ -504,20 +504,27 @@ class TestStencilConvolve:
                                      table.shape)
         centre = np.ravel_multi_index([n - 1 for n in shape], table.shape)
         expected = table.ravel()[np.subtract.outer(nodes + centre, nodes)]
-        assert np.array_equal(stencil.dense(), expected)
+        assert np.array_equal(stencil.dense().reshape(expected.shape), expected)
 
-    def test_gather_memory(self):
-        # an N x N index array beside the gathered matrix read 16 MiB here
-        grid = build_uniform_grid((0, 1), 1024)
+    @staticmethod
+    def _gather_peak(grid) -> int:
         kern = symmetrize_and_normalize(sample_convolution_kernel(
             KernelProfile("tophat", 0.2), grid))
         tracemalloc.start()
         try:
             kern.matrix
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12 << 20
+
+    def test_gather_memory(self):
+        # an N x N index array beside the gathered matrix read 16 MiB here
+        assert self._gather_peak(build_uniform_grid((0, 1), 1024)) < 12 << 20
+
+    def test_gather_memory_2d(self):
+        # the 8 MiB matrix of 32 x 32 nodes beside a copy of the table's
+        # windows read 16 MiB here
+        assert self._gather_peak(_grid_of((32, 32))) < 12 << 20
 
 
 def _assert_block_is_its_rows(apply, block):
@@ -910,6 +917,16 @@ class TestBochnerCertificate:
         cert = certify_positivity_bochner(KernelProfile("tophat", 0.5),
                                           dim=2, n_samples=512, half_width=4.0)
         assert cert.verdict == "not_positive"
+
+    def test_the_verdict_depends_on_the_dimension(self):
+        # the tent (1 - |z| / sigma)+ has a nonnegative transform on the line
+        # but not on the plane (Askey), so a 2D kernel needs dim=2
+        tent = KernelProfile("custom", 0.3,
+                             func=lambda z: np.maximum(1.0 - np.abs(z) / 0.3, 0.0))
+        line = certify_positivity_bochner(tent, half_width=0.6)
+        plane = certify_positivity_bochner(tent, half_width=0.6, dim=2)
+        assert line.verdict == "positive" and abs(line.witness) < 1e-15
+        assert plane.verdict == "not_positive" and plane.witness < -1e-3
 
 
 def _old_bochner(profile, n, half_width, dim):
